@@ -6,8 +6,15 @@
 //! simulation — repeat queries must be history/memo hits only.
 //!
 //! ```text
-//! adcld_bench [--quick|--full] [--jobs N] [--clients N]
+//! adcld_bench [--quick|--full] [--jobs N] [--clients N] [--rate R]
 //! ```
+//!
+//! With `--rate R` every phase is open loop: the phase's lines leave at `R`
+//! requests/s (round-robin over the clients) whatever the daemon does,
+//! latency runs from the time a line was due, the warm phase is sized to
+//! two seconds of offered load, and a `late` line per phase says how far
+//! behind its schedule the generator itself ran. Closed-loop clients
+//! cannot see a reply that waits for the next request; this can.
 //!
 //! Admission-gate mode (used by `scripts/verify.sh`): spawn an
 //! in-process service, submit 8 *distinct* cold queries before reading
@@ -32,14 +39,21 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::exit;
 
-/// Queue-wait vs sweep-execution split (satellite of the racing PR):
-/// `adcld.queue_wait_ms` is admission latency (submit → pool admission),
-/// `adcld.sweep_ms` is per-key compute time inside the admission.
+/// The daemon's own latency histograms, all in microseconds:
+/// `adcld.queue_wait_us` is admission latency (submit → pool admission),
+/// `adcld.sweep_us` per-key compute time inside the admission,
+/// `adcld.checkpoint_us` a whole checkpoint and `adcld.checkpoint_lock_us`
+/// the part of it that held the lock every hit needs.
 fn print_latency_split() {
-    for name in ["adcld.queue_wait_ms", "adcld.sweep_ms"] {
+    for name in [
+        "adcld.queue_wait_us",
+        "adcld.sweep_us",
+        "adcld.checkpoint_us",
+        "adcld.checkpoint_lock_us",
+    ] {
         let h = simcore::metrics::histogram(name);
         println!(
-            "{name}: count={} mean={:.1}ms max={}ms",
+            "{name}: count={} mean={:.1}us max={}us",
             h.count(),
             h.mean(),
             h.max()
@@ -115,6 +129,7 @@ fn main() {
     let mut quick = true;
     let mut jobs = 0usize;
     let mut clients = 4usize;
+    let mut rate: Option<f64> = None;
     let mut connect: Option<String> = None;
     let mut query: Option<String> = None;
     let mut shutdown = false;
@@ -142,13 +157,22 @@ fn main() {
                     exit(2);
                 })
             }
+            "--rate" => {
+                rate = match value("--rate").parse::<f64>() {
+                    Ok(r) if r.is_finite() && r > 0.0 => Some(r),
+                    _ => {
+                        eprintln!("adcld_bench: --rate needs a positive number of requests/s");
+                        exit(2);
+                    }
+                }
+            }
             "--connect" => connect = Some(value("--connect")),
             "--query" => query = Some(value("--query")),
             "--shutdown" => shutdown = true,
             "--admission-gate" => gate = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: adcld_bench [--quick|--full] [--jobs N] [--clients N]\n\
+                    "usage: adcld_bench [--quick|--full] [--jobs N] [--clients N] [--rate R]\n\
                      \x20      adcld_bench --admission-gate [--jobs N]\n\
                      \x20      adcld_bench --connect ADDR (--query JSON | --shutdown)"
                 );
@@ -185,7 +209,7 @@ fn main() {
         return;
     }
 
-    let summary = match loadgen::bench_serve(quick, jobs, clients) {
+    let summary = match loadgen::bench_serve(quick, jobs, clients, rate) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("adcld_bench: {e}");
@@ -209,6 +233,16 @@ fn main() {
             p.fresh_sweeps + p.guideline_flagged,
             p.errors
         );
+    }
+    if let Some(rate) = rate {
+        for p in &summary.phases {
+            println!(
+                "late {:<7} open loop at {rate} req/s: {:.1}% sent over one gap late, max {} us",
+                p.name,
+                100.0 * p.late_share,
+                p.late_max_us
+            );
+        }
     }
     let warm = summary.phase("warm").expect("warm phase present");
     if warm.errors > 0 || warm.warm_served() != warm.requests {

@@ -21,7 +21,9 @@
 //! ```
 //!
 //! with `kind` ∈ {`parse`, `bad-request`, `unmeasurable`, `internal`,
-//! `shutting-down`}.
+//! `shutting-down`}. The one exception is a line longer than
+//! [`crate::server::MAX_LINE_BYTES`]: it is answered with kind `too-large`
+//! and the connection is closed.
 
 use simcore::json::{self, Json};
 

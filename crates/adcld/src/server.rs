@@ -3,7 +3,16 @@
 //! One accept loop, one thread per connection, newline-delimited JSON in
 //! both directions (see [`crate::protocol`]). A connection survives any
 //! number of malformed lines — each maps to a typed error response — and
-//! only closes when the client disconnects or the daemon stops.
+//! only closes when the client disconnects, the daemon stops, or a line
+//! exceeds [`MAX_LINE_BYTES`] (one `too-large` error, then the daemon
+//! stops listening to that client).
+//!
+//! What a reply waits for on this floor: nothing. Every accepted stream
+//! has `TCP_NODELAY` set and every reply leaves as one `write` of reply
+//! plus newline, so a reply is one segment sent at once; it never sits in
+//! the kernel waiting for the ACK of the previous one (Nagle against the
+//! client's delayed ACK costs a pipelining client one inter-arrival gap
+//! per reply). Replies leave in request order per connection.
 //!
 //! Shutdown has two flavours: [`Server::shutdown`] (graceful: drains the
 //! sweep queue, writes a final history checkpoint) and [`Server::abort`]
@@ -14,11 +23,17 @@
 use crate::protocol::{self, Command, Request};
 use crate::service::{Query, Served, Service, ServiceConfig};
 use simcore::json::Json;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Longest request line the daemon reads, newline excluded (the largest
+/// legal request is about 200 bytes). A longer line is answered with one
+/// `too-large` error and the connection is closed, so a newline-free
+/// client cannot make the daemon buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 struct Shared {
     service: Arc<Service>,
@@ -155,19 +170,54 @@ impl Drop for Server {
     }
 }
 
+/// Socket options of an accepted stream, and its two halves.
+fn configure(stream: TcpStream) -> io::Result<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_nodelay(true)?;
+    Ok((BufReader::new(stream.try_clone()?), stream))
+}
+
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    let (mut reader, mut writer) = configure(stream)?;
+    // Both buffers live as long as the connection: no allocation per
+    // request for the line, and reply + newline leave in one write.
+    let mut line = String::new();
+    let mut out = String::new();
+    loop {
+        line.clear();
+        let mut capped = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        let got = capped.read_line(&mut line);
+        // The cap ran out before a newline did (a read error empties `line`).
+        let too_large = capped.limit() == 0 && !line.ends_with('\n');
+        out.clear();
+        let shutdown = if too_large {
+            out.push_str(&protocol::render_error(
+                &Json::Null,
+                "too-large",
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            ));
+            false
+        } else {
+            if got? == 0 {
+                break;
+            }
+            let request = line.trim();
+            if request.is_empty() {
+                continue;
+            }
+            let (reply, shutdown) = handle_line(shared, request);
+            out.push_str(&reply);
+            shutdown
+        };
+        out.push('\n');
+        writer.write_all(out.as_bytes())?;
+        if too_large {
+            // Close our side, then discard what the client still sends: a
+            // close with unread input would reset the connection and could
+            // take the error reply with it.
+            writer.shutdown(Shutdown::Write)?;
+            io::copy(&mut reader, &mut io::sink())?;
+            break;
         }
-        let (reply, shutdown) = handle_line(shared, line);
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
         if shutdown {
             shared.initiate_shutdown();
             break;
@@ -269,5 +319,21 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
                 ),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accepted_streams_have_nodelay_set() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        assert!(!accepted.nodelay().expect("getsockopt"), "kernel default");
+        let (reader, writer) = configure(accepted).expect("configure");
+        assert!(writer.nodelay().expect("getsockopt"));
+        assert!(reader.get_ref().nodelay().expect("getsockopt"));
     }
 }

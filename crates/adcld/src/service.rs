@@ -19,17 +19,28 @@
 //!    through `MicrobenchSpec::run_all_fixed_jobs` exactly as before.
 //!    `adcl::simmemo` sits under both paths, so a sweep whose points all
 //!    replay is tagged `memo-replay`. Queue-wait (admission latency) and
-//!    sweep execution are recorded in separate histograms
-//!    (`adcld.queue_wait_ms` / `adcld.sweep_ms`).
+//!    sweep execution are recorded in separate histograms, in
+//!    microseconds (`adcld.queue_wait_us` / `adcld.sweep_us`).
 //!
 //! Durability contract: decisions enter the in-memory store immediately
 //! and hit disk via atomic checkpoint saves every
 //! [`ServiceConfig::checkpoint_every`] updates (and on graceful
-//! shutdown). A killed daemon therefore loses at most the last
-//! `checkpoint_every - 1` decisions; everything checkpointed is served
-//! byte-identically after a restart. The store is stamped with the fault
-//! context it was measured under — a daemon started under a different
-//! fault profile discards the stale entries instead of serving them.
+//! shutdown). The update that makes a checkpoint due is answered only
+//! after the file is renamed into place, so a killed daemon loses at most
+//! the last `checkpoint_every - 1` decisions; everything checkpointed is
+//! served byte-identically after a restart. The store is stamped with the
+//! fault context it was measured under — a daemon started under a
+//! different fault profile discards the stale entries instead of serving
+//! them.
+//!
+//! Locks. `state` guards the store, the queue and the in-flight table and
+//! is what every hit takes; nothing slow runs under it. A checkpoint
+//! takes `checkpointing` first (one writer at a time, so an older
+//! snapshot can never be renamed over a newer file), then `state` only to
+//! copy the already-rendered lines out and reset `dirty`, and writes the
+//! file with `state` released. The order is always `checkpointing` →
+//! `state`. `adcld.checkpoint_us` records a whole checkpoint,
+//! `adcld.checkpoint_lock_us` the part of it that held `state`.
 
 use crate::protocol::{
     Decision, SOURCE_FRESH_SWEEP, SOURCE_GUIDELINE_FLAGGED, SOURCE_HISTORY_HIT, SOURCE_MEMO_REPLAY,
@@ -154,7 +165,7 @@ struct SchedState {
     history: HistoryStore,
     dirty: u64,
     /// Cold keys awaiting a sweep, with their enqueue instant (feeds the
-    /// `adcld.queue_wait_ms` histogram at admission time).
+    /// `adcld.queue_wait_us` histogram at admission time).
     queue: VecDeque<(HistoryKey, Instant)>,
     in_flight: HashMap<HistoryKey, Vec<mpsc::Sender<ServeResult>>>,
     shutdown: bool,
@@ -170,6 +181,9 @@ pub struct Service {
     /// fixed sweeps (`NBC_RACING=off`). Resolved once at startup.
     racing: Option<usize>,
     state: Mutex<SchedState>,
+    /// Held for the whole of a checkpoint; taken before `state`, never
+    /// while holding it.
+    checkpointing: Mutex<()>,
     wake: Condvar,
     counters: Counters,
     sched: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -220,6 +234,7 @@ impl Service {
                 in_flight: HashMap::new(),
                 shutdown: false,
             }),
+            checkpointing: Mutex::new(()),
             wake: Condvar::new(),
             counters: Counters::default(),
             sched: Mutex::new(None),
@@ -378,11 +393,13 @@ impl Service {
     }
 
     fn audit(&self, key: &HistoryKey, served: &Served) {
+        // `record_served` drops the record unless tracing is on; do not
+        // build it (a format and four clones per served hit) for that.
+        if !simcore::trace::enabled() {
+            return;
+        }
         adcl::audit::record_served(adcl::audit::ServedAudit {
-            key: format!(
-                "{}|{}|{}|{}",
-                key.op, key.platform, key.nprocs, key.msg_bytes
-            ),
+            key: key.to_string(),
             op: key.op.clone(),
             winner: served.decision.winner.clone(),
             score: served.decision.score,
@@ -421,7 +438,7 @@ impl Service {
             .fetch_add(1, Ordering::Relaxed);
         metrics::counter("adcld.sweep_admissions").inc();
         for (_, enqueued) in &batch {
-            metrics::histogram("adcld.queue_wait_ms").record(enqueued.elapsed().as_millis() as u64);
+            metrics::histogram("adcld.queue_wait_us").record(enqueued.elapsed().as_micros() as u64);
         }
         if batch.len() == 1 {
             let (key, _) = batch.into_iter().next().expect("non-empty batch");
@@ -445,7 +462,7 @@ impl Service {
     fn timed_compute(&self, key: &HistoryKey) -> ServeResult {
         let t0 = Instant::now();
         let result = self.compute(key);
-        metrics::histogram("adcld.sweep_ms").record(t0.elapsed().as_millis() as u64);
+        metrics::histogram("adcld.sweep_us").record(t0.elapsed().as_micros() as u64);
         result
     }
 
@@ -458,10 +475,7 @@ impl Service {
         let op = CollectiveOp::by_name(&key.op).expect("validated op");
         let platform = Platform::by_name(&key.platform).expect("validated platform");
         // FNV-1a over the encoded key: a stable, platform-independent seed.
-        let label = format!(
-            "{}|{}|{}|{}",
-            key.op, key.platform, key.nprocs, key.msg_bytes
-        );
+        let label = key.to_string();
         let mut seed: u64 = 0xcbf2_9ce4_8422_2325;
         for b in label.bytes() {
             seed ^= b as u64;
@@ -589,44 +603,59 @@ impl Service {
                 self.counters.errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let waiters = {
+        // History insert and in-flight removal are one step under the lock:
+        // a query for this key is either a waiter here or a hit afterwards.
+        let (waiters, checkpoint_due) = {
             let mut st = self.lock();
-            if let Ok(served) = &result {
-                let d = &served.decision;
-                let _ = st
-                    .history
-                    .put_decision(key.clone(), &d.winner, d.score, d.margin);
-                st.dirty += 1;
-                if self.cfg.checkpoint_every > 0 && st.dirty >= self.cfg.checkpoint_every {
-                    self.save_locked(&mut st);
+            let due = match &result {
+                Ok(served) => {
+                    let d = &served.decision;
+                    let _ = st
+                        .history
+                        .put_decision(key.clone(), &d.winner, d.score, d.margin);
+                    st.dirty += 1;
+                    self.cfg.checkpoint_every > 0 && st.dirty >= self.cfg.checkpoint_every
                 }
-            }
-            st.in_flight.remove(&key).unwrap_or_default()
+                Err(_) => false,
+            };
+            (st.in_flight.remove(&key).unwrap_or_default(), due)
         };
+        // The waiters hear of the decision only once it is on disk.
+        if checkpoint_due {
+            self.checkpoint();
+        }
         for w in waiters {
             let _ = w.send(result.clone());
         }
     }
 
-    fn save_locked(&self, st: &mut SchedState) {
-        let Some(path) = &self.cfg.history_path else {
-            st.dirty = 0;
-            return;
-        };
-        match st.history.save(path) {
-            Ok(()) => st.dirty = 0,
-            Err(e) => eprintln!("adcld: checkpoint to {} failed: {e}", path.display()),
-        }
-    }
-
-    /// Force a checkpoint now. Returns whether a file was written.
+    /// Force a checkpoint now. Returns whether a file was written. A
+    /// failed write is reported on stderr and leaves `dirty` as it was, so
+    /// the next update retries.
     pub fn checkpoint(&self) -> bool {
-        let mut st = self.lock();
-        if self.cfg.history_path.is_none() {
+        let Some(path) = &self.cfg.history_path else {
             return false;
-        }
-        self.save_locked(&mut st);
-        st.dirty == 0
+        };
+        let _one_writer = self.checkpointing.lock().unwrap_or_else(|e| e.into_inner());
+        let started = Instant::now();
+        let mut st = self.lock();
+        let locked = Instant::now();
+        let text = st.history.snapshot();
+        let dirty = std::mem::take(&mut st.dirty);
+        drop(st);
+        metrics::histogram("adcld.checkpoint_lock_us").record(locked.elapsed().as_micros() as u64);
+        let written = match HistoryStore::write_atomic(path, &text) {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!("adcld: checkpoint to {} failed: {e}", path.display());
+                let mut st = self.lock();
+                st.history.discard_snapshot();
+                st.dirty += dirty;
+                false
+            }
+        };
+        metrics::histogram("adcld.checkpoint_us").record(started.elapsed().as_micros() as u64);
+        written
     }
 
     /// Stop accepting queries, drain the in-flight queue, join the
@@ -642,9 +671,8 @@ impl Service {
         if let Some(h) = handle {
             let _ = h.join();
         }
-        let mut st = self.lock();
         // Fail any waiter the scheduler did not get to.
-        let leftovers: Vec<_> = st.in_flight.drain().collect();
+        let leftovers: Vec<_> = self.lock().in_flight.drain().collect();
         for (_, waiters) in leftovers {
             for w in waiters {
                 let _ = w.send(Err(ServeError {
@@ -653,8 +681,8 @@ impl Service {
                 }));
             }
         }
-        if save && self.cfg.history_path.is_some() {
-            self.save_locked(&mut st);
+        if save {
+            self.checkpoint();
         }
     }
 }

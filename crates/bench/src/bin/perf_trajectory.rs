@@ -527,7 +527,7 @@ fn main() {
     // history store or the sim memo — any fresh sweep on warm traffic
     // means the daemon's durable-learning path regressed.
     println!();
-    let serve = adcld::loadgen::bench_serve(args.quick, jobs, 4).expect("adcld_serve bench");
+    let serve = adcld::loadgen::bench_serve(args.quick, jobs, 4, None).expect("adcld_serve bench");
     for p in &serve.phases {
         println!(
             "adcld_serve {:<6}: {:>4} req, {:>8.1} req/s, p50 {:>6} us, p99 {:>6} us \

@@ -27,6 +27,12 @@
 //!   low mantissa bits and broke staleness comparisons.
 //! * `save` writes a same-directory temp file and atomically renames it
 //!   over the target, so a reader (or a crash) never observes a torn file.
+//! * An entry's line is rendered once, when it is put, and kept beside the
+//!   entry: serializing the store is a header plus a concatenation, so a
+//!   checkpoint of 20 000 decisions costs a copy, not 40 000 float
+//!   formattings. `save` is [`HistoryStore::snapshot`] (needs the store)
+//!   followed by [`HistoryStore::write_atomic`] (does not), so a caller
+//!   that guards the store with a lock can do the file I/O outside it.
 //! * v1 files (three fields, no directives) still load; missing margins
 //!   default to `0.0`.
 
@@ -84,13 +90,6 @@ impl HistoryKey {
         check_component("platform", &self.platform)
     }
 
-    fn encode(&self) -> String {
-        format!(
-            "{}|{}|{}|{}",
-            self.op, self.platform, self.nprocs, self.msg_bytes
-        )
-    }
-
     fn decode(s: &str) -> Option<HistoryKey> {
         let parts: Vec<&str> = s.split('|').collect();
         // Exactly four fields: trailing junk ("a|b|1|2|x") is a malformed
@@ -106,6 +105,17 @@ impl HistoryKey {
         };
         key.validate().ok()?;
         Some(key)
+    }
+}
+
+/// The key as the line format spells it: `op|platform|nprocs|msg_bytes`.
+impl std::fmt::Display for HistoryKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}|{}|{}|{}",
+            self.op, self.platform, self.nprocs, self.msg_bytes
+        )
     }
 }
 
@@ -142,9 +152,28 @@ pub struct HistoryEntry {
 /// ```
 #[derive(Debug, Default)]
 pub struct HistoryStore {
-    entries: BTreeMap<HistoryKey, HistoryEntry>,
+    entries: BTreeMap<HistoryKey, Stored>,
     generation: u64,
     context: String,
+}
+
+/// An entry and its on-disk line (newline included), rendered at put time.
+#[derive(Debug)]
+struct Stored {
+    entry: HistoryEntry,
+    line: Box<str>,
+}
+
+fn render_line(key: &HistoryKey, e: &HistoryEntry) -> Box<str> {
+    // Sized up front (two integers, two 25-byte floats and the separators
+    // fit in 100 bytes): one allocation instead of five doublings.
+    let mut line = String::with_capacity(key.op.len() + key.platform.len() + e.winner.len() + 100);
+    let _ = writeln!(
+        line,
+        "{key}\t{}\t{:.17e}\t{:.17e}",
+        e.winner, e.score, e.margin
+    );
+    line.into_boxed_str()
 }
 
 impl HistoryStore {
@@ -177,20 +206,19 @@ impl HistoryStore {
                 "winner {winner:?} contains reserved character {c:?}"
             )));
         }
-        self.entries.insert(
-            key,
-            HistoryEntry {
-                winner: winner.to_string(),
-                score,
-                margin,
-            },
-        );
+        let entry = HistoryEntry {
+            winner: winner.to_string(),
+            score,
+            margin,
+        };
+        let line = render_line(&key, &entry);
+        self.entries.insert(key, Stored { entry, line });
         Ok(())
     }
 
     /// Look up a decision.
     pub fn get(&self, key: &HistoryKey) -> Option<&HistoryEntry> {
-        self.entries.get(key)
+        self.entries.get(key).map(|s| &s.entry)
     }
 
     /// Number of stored decisions.
@@ -229,23 +257,18 @@ impl HistoryStore {
         Ok(())
     }
 
-    /// Serialize to the line format.
+    /// Serialize to the line format: the header, then every entry's
+    /// stored line in key order.
     pub fn to_string_repr(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# adcl-rs history v2\n");
-        let _ = writeln!(out, "# gen {}", self.generation);
+        let mut out = format!("# adcl-rs history v2\n# gen {}\n", self.generation);
         if !self.context.is_empty() {
-            let _ = writeln!(out, "# ctx {}", self.context);
+            out.push_str("# ctx ");
+            out.push_str(&self.context);
+            out.push('\n');
         }
-        for (k, e) in &self.entries {
-            let _ = writeln!(
-                out,
-                "{}\t{}\t{:.17e}\t{:.17e}",
-                k.encode(),
-                e.winner,
-                e.score,
-                e.margin
-            );
+        out.reserve(self.entries.values().map(|s| s.line.len()).sum());
+        for s in self.entries.values() {
+            out.push_str(&s.line);
         }
         out
     }
@@ -283,14 +306,42 @@ impl HistoryStore {
         store
     }
 
-    /// Write the store to a file atomically: the serialized form goes to a
-    /// temp file in the *same directory* and is renamed over the target,
-    /// so a concurrent `load` (or a crash mid-write) sees either the old
-    /// complete file or the new complete file — never a torn one.
-    /// Bumps the generation counter on success.
+    /// Save the store to a file atomically ([`snapshot`] then
+    /// [`write_atomic`]). Bumps the generation counter on success.
+    ///
+    /// [`snapshot`]: HistoryStore::snapshot
+    /// [`write_atomic`]: HistoryStore::write_atomic
     pub fn save(&mut self, path: &Path) -> io::Result<()> {
+        let text = self.snapshot();
+        let written = Self::write_atomic(path, &text);
+        if written.is_err() {
+            self.discard_snapshot();
+        }
+        written
+    }
+
+    /// First half of a save: bump the generation and return the text to
+    /// write. If the write then fails, call [`discard_snapshot`] so the
+    /// generation keeps counting *successful* saves.
+    ///
+    /// [`discard_snapshot`]: HistoryStore::discard_snapshot
+    pub fn snapshot(&mut self) -> String {
         self.generation += 1;
-        let repr = self.to_string_repr();
+        self.to_string_repr()
+    }
+
+    /// Undo the generation bump of a [`HistoryStore::snapshot`] whose
+    /// write failed.
+    pub fn discard_snapshot(&mut self) {
+        self.generation -= 1;
+    }
+
+    /// Second half of a save, needing no store: `text` goes to a temp
+    /// file in the *same directory* and is renamed over `path`, so a
+    /// concurrent `load` (or a crash mid-write) sees either the old
+    /// complete file or the new complete file — never a torn one.
+    /// Writers of one path must not overlap (the temp name is per process).
+    pub fn write_atomic(path: &Path, text: &str) -> io::Result<()> {
         let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
         let file_name = path
             .file_name()
@@ -304,12 +355,8 @@ impl HistoryStore {
             Some(d) => d.join(&tmp_name),
             None => std::path::PathBuf::from(&tmp_name),
         };
-        let write_and_swap = (|| {
-            std::fs::write(&tmp, &repr)?;
-            std::fs::rename(&tmp, path)
-        })();
+        let write_and_swap = std::fs::write(&tmp, text).and_then(|()| std::fs::rename(&tmp, path));
         if write_and_swap.is_err() {
-            self.generation -= 1;
             let _ = std::fs::remove_file(&tmp);
         }
         write_and_swap
@@ -487,6 +534,174 @@ mod tests {
             nprocs: n,
             msg_bytes: m,
         }
+    }
+
+    /// The pre-PR serializer (render every entry at save time), kept as the
+    /// oracle the put-time lines are compared against.
+    fn oracle_repr(s: &HistoryStore) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        out.push_str("# adcl-rs history v2\n");
+        let _ = writeln!(out, "# gen {}", s.generation);
+        if !s.context.is_empty() {
+            let _ = writeln!(out, "# ctx {}", s.context);
+        }
+        for (k, stored) in &s.entries {
+            let e = &stored.entry;
+            let _ = writeln!(
+                out,
+                "{k}\t{}\t{:.17e}\t{:.17e}",
+                e.winner, e.score, e.margin
+            );
+        }
+        out
+    }
+
+    /// Floats the line format must carry bit-exactly.
+    const AWKWARD: [f64; 10] = [
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        9_007_199_254_740_993.0,
+        1.234_567_890_123_456_7e-5,
+    ];
+
+    fn gen_float(g: &mut simcore::check::Gen) -> f64 {
+        if g.bool() {
+            return g.choose(&AWKWARD);
+        }
+        // Any bit pattern but NaN (its payload has no text form).
+        let x = f64::from_bits(g.u64());
+        if x.is_nan() {
+            1.0
+        } else {
+            x
+        }
+    }
+
+    fn gen_name(g: &mut simcore::check::Gen, alphabet: &[char]) -> String {
+        let len = g.usize_in(1, 12);
+        (0..len).map(|_| g.choose(alphabet)).collect()
+    }
+
+    #[test]
+    fn stored_lines_equal_the_old_formatter_and_round_trip_bit_exactly() {
+        // No spaces: the loader trims lines, so a name may not start or
+        // end with one (the golden test below has inner spaces).
+        let key_chars: Vec<char> = "abcxyz019.-_/é".chars().collect();
+        let winner_chars: Vec<char> = "abcxyz019.-_/é|".chars().collect();
+        simcore::check::run_cases("history_lines", 200, |g| {
+            let mut s = HistoryStore::new();
+            if g.bool() {
+                s.set_context(&gen_name(g, &key_chars)).unwrap();
+            }
+            s.generation = g.u64_in(0, 1 << 40);
+            for _ in 0..g.usize_in(0, 12) {
+                let k = HistoryKey {
+                    op: gen_name(g, &key_chars),
+                    platform: gen_name(g, &key_chars),
+                    nprocs: g.usize_in(0, 1 << 20),
+                    msg_bytes: g.usize_in(0, usize::MAX - 1),
+                };
+                // Keys repeat within a case now and then: an overwrite.
+                let k = if g.bool() {
+                    s.entries.keys().next().cloned().unwrap_or(k)
+                } else {
+                    k
+                };
+                let (score, margin) = (gen_float(g), gen_float(g));
+                s.put_decision(k, &gen_name(g, &winner_chars), score, margin)
+                    .unwrap();
+                // Checked after every put, so overwritten lines count too.
+                assert_eq!(s.to_string_repr(), oracle_repr(&s));
+            }
+            let text = s.to_string_repr();
+            let back = HistoryStore::from_string_repr(&text);
+            assert_eq!(back.len(), s.len());
+            for (k, stored) in &s.entries {
+                let (a, b) = (&stored.entry, back.get(k).expect("key survives"));
+                assert_eq!(a.winner, b.winner);
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "score {:e}", a.score);
+                assert_eq!(
+                    a.margin.to_bits(),
+                    b.margin.to_bits(),
+                    "margin {:e}",
+                    a.margin
+                );
+            }
+            assert_eq!(back.to_string_repr(), text);
+        });
+    }
+
+    #[test]
+    fn overwrite_replaces_the_stored_line() {
+        let mut s = HistoryStore::new();
+        s.put_decision(key("op", 4), "a", 1.0, 0.5).unwrap();
+        s.put_decision(key("op", 4), "b", 0.25, 0.0).unwrap();
+        let text = s.to_string_repr();
+        assert_eq!(text, oracle_repr(&s));
+        assert_eq!(text.lines().filter(|l| !l.starts_with('#')).count(), 1);
+        assert!(text.contains("\tb\t2.50000000000000000e-1\t"), "{text}");
+        assert!(!text.contains("\ta\t"), "stale line survived: {text}");
+    }
+
+    #[test]
+    fn fixed_store_serializes_to_the_pre_split_bytes() {
+        // Captured from the commit before lines were rendered at put time.
+        const GOLDEN: &str = "# adcl-rs history v2\n# gen 2\n# ctx s7/d0.001/u0.0005/j0.1/r3\n\
+            iallreduce|whale|7|9007199254740993\tring\t3.33333333333333315e-1\t2.22507385850720138e-308\n\
+            ialltoall|whale|32|131072\tbruck\t2.24999999999999994e-4\t0.00000000000000000e0\n\
+            ibcast|crill|48|64\tbinomial-seg64k\t3.00000000000000044e-1\t-0.00000000000000000e0\n\
+            op with spaces|bluegene-p|2|1\todd|but|fine\t1.79769313486231571e308\t4.94065645841246544e-324\n";
+        let mut s = HistoryStore::new();
+        s.set_context("s7/d0.001/u0.0005/j0.1/r3").unwrap();
+        s.put_decision(
+            key2("ialltoall", "whale", 32, 131072),
+            "pairwise",
+            1.5e-3,
+            0.2,
+        )
+        .unwrap();
+        s.put_decision(
+            key2("ibcast", "crill", 48, 64),
+            "binomial-seg64k",
+            0.1 + 0.2,
+            -0.0,
+        )
+        .unwrap();
+        s.put_decision(
+            key2("op with spaces", "bluegene-p", 2, 1),
+            "odd|but|fine",
+            f64::MAX,
+            5e-324,
+        )
+        .unwrap();
+        s.put_decision(
+            key2("iallreduce", "whale", 7, 9_007_199_254_740_993),
+            "ring",
+            1.0 / 3.0,
+            f64::MIN_POSITIVE,
+        )
+        .unwrap();
+        s.put(key2("ialltoall", "whale", 32, 131072), "bruck", 2.25e-4)
+            .unwrap();
+        // Two snapshots, as the capture saved twice.
+        assert!(s.snapshot().starts_with("# adcl-rs history v2\n# gen 1\n"));
+        assert_eq!(s.snapshot(), GOLDEN);
+        assert_eq!(s.to_string_repr(), GOLDEN);
+    }
+
+    #[test]
+    fn failed_write_leaves_generation_counting_successful_saves() {
+        let mut s = HistoryStore::new();
+        s.put(key("ibcast", 8), "linear", 1.0).unwrap();
+        assert!(s.save(Path::new("/nonexistent/adcl/history.tsv")).is_err());
+        assert_eq!(s.generation(), 0);
     }
 
     #[test]

@@ -303,6 +303,25 @@ if [ "$warm2" != "$warm" ]; then
 fi
 echo "   cold sweep -> history hit, decision byte-identical across restart"
 
+echo "== adcld open loop: a warm hit at 1000 req/s waits for no later request"
+# Requests leave on a schedule and latency runs from the due time. If a
+# reply waited for the next request's ACK (Nagle on the daemon's socket)
+# the median would be about one inter-arrival gap, 700-1100 us; a hit
+# served at once is 100-250 us here. Half a gap separates the two.
+if ! open_out=$(./target/release/adcld_bench --quick --clients 1 --rate 1000); then
+    echo "FAIL: adcld_bench --rate 1000 exited non-zero" >&2
+    printf '%s\n' "$open_out" >&2
+    exit 1
+fi
+open_p50=$(printf '%s\n' "$open_out" | awk '$1 == "warm" { print $4 }')
+if [ -z "$open_p50" ] || [ "$open_p50" -ge 500 ]; then
+    echo "FAIL: open-loop warm p50 is ${open_p50:-missing} us at 1000 req/s (limit 500 us)" >&2
+    printf '%s\n' "$open_out" >&2
+    exit 1
+fi
+echo "   open-loop warm p50 ${open_p50} us at 1000 req/s (< 500 us)"
+printf '%s\n' "$open_out" | grep -E '^late warm|checkpoint' | sed 's/^/   /'
+
 echo "== adcld racing off-switch: NBC_RACING=off fixed sweeps still serve"
 # The racing default must be escapable: with NBC_RACING=off the daemon
 # takes the classic per-candidate fixed-sweep path, and two independent
