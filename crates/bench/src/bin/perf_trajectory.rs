@@ -701,7 +701,7 @@ fn main() {
         memo.replayed_events
     );
     println!(
-        "payload allocs: {} (pool misses + naive copies)",
+        "payload allocs: {} (pool misses)",
         simcore::stats::payload_allocs()
     );
 

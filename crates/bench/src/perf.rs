@@ -15,9 +15,8 @@
 //! * `events_per_sec` — *effective* throughput, `(sim_events +
 //!   replayed_events + queue_ops) / wall_secs`; the figure tracked across
 //!   commits,
-//! * `allocs_per_event` — payload-buffer allocations (pool misses plus
-//!   naive-mode copies, from `simcore::stats::payload_allocs`) per fresh
-//!   simulated event; the zero-copy payload engine drives this toward 0,
+//! * `allocs_per_event` — payload-buffer allocations (pool misses, from
+//!   `simcore::stats::payload_allocs`) per fresh simulated event; the zero-copy payload engine drives this toward 0,
 //! * `speedup_vs_serial` — wall-clock of the same-named `jobs = 1` row
 //!   divided by this row's wall-clock (1 for the serial row itself),
 //! * schedule-cache and sim-memo hit/miss totals over the session.

@@ -25,7 +25,6 @@ use crate::tuner::{Tuner, TunerConfig};
 use mpisim::{RankBehavior, RankId, Step, Tag, World};
 use nbc::executor::ScheduleExec;
 use simcore::SimTime;
-use std::collections::HashMap;
 
 /// One instruction of an application script.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,8 +70,8 @@ pub struct TunedOp {
 }
 
 struct RankOpState {
-    /// Outstanding instances by slot.
-    instances: HashMap<usize, Instance>,
+    /// Outstanding instances, ordered by slot (a window holds a handful).
+    instances: Vec<Instance>,
     /// Monotone per-rank instance counter (tags); identical across ranks
     /// because all ranks start instances in the same order.
     instance_count: u64,
@@ -81,7 +80,15 @@ struct RankOpState {
 }
 
 struct Instance {
+    slot: usize,
     exec: ScheduleExec,
+}
+
+impl RankOpState {
+    /// Index of `slot`'s instance, or where it would be inserted.
+    fn find(&self, slot: usize) -> Result<usize, usize> {
+        self.instances.binary_search_by_key(&slot, |i| i.slot)
+    }
 }
 
 impl TunedOp {
@@ -95,7 +102,7 @@ impl TunedOp {
             base_tag,
             per_rank: (0..nranks)
                 .map(|_| RankOpState {
-                    instances: HashMap::new(),
+                    instances: Vec::new(),
                     instance_count: 0,
                     own_iter: 0,
                 })
@@ -140,12 +147,10 @@ impl TunedOp {
         let now = w.rank_now(rank);
         let cost = exec.start(w, now);
         let blocking = func.blocking;
-        let prev = st.instances.insert(slot, Instance { exec });
-        assert!(
-            prev.is_none(),
-            "op {}: slot {slot} already in use",
-            self.name
-        );
+        match st.find(slot) {
+            Ok(_) => panic!("op {}: slot {slot} already in use", self.name),
+            Err(at) => st.instances.insert(at, Instance { slot, exec }),
+        }
         (cost, blocking)
     }
 
@@ -155,7 +160,7 @@ impl TunedOp {
     fn progress_all(&mut self, w: &mut World, rank: RankId, explicit: bool) -> SimTime {
         let outstanding: usize = self.per_rank[rank]
             .instances
-            .values()
+            .iter()
             .map(|i| i.exec.outstanding_actions())
             .sum();
         let mut cost = if explicit {
@@ -163,11 +168,10 @@ impl TunedOp {
         } else {
             SimTime::ZERO
         };
-        let mut slots: Vec<usize> = self.per_rank[rank].instances.keys().copied().collect();
-        slots.sort_unstable();
-        for slot in slots {
+        // Slot order: each instance starts where the previous one's CPU
+        // cost ended, so the order is part of the simulated timeline.
+        for inst in &mut self.per_rank[rank].instances {
             let now = w.rank_now(rank) + cost;
-            let inst = self.per_rank[rank].instances.get_mut(&slot).expect("slot");
             let (c, _done) = inst.exec.try_progress(w, now);
             cost += c;
         }
@@ -177,20 +181,23 @@ impl TunedOp {
     /// Progress only instance `slot`; returns `(cost, done)`.
     fn progress_instance(&mut self, w: &mut World, rank: RankId, slot: usize) -> (SimTime, bool) {
         let now = w.rank_now(rank);
-        let inst = self.per_rank[rank]
-            .instances
-            .get_mut(&slot)
-            .unwrap_or_else(|| panic!("op {}: wait on empty slot {slot}", self.name));
-        inst.exec.try_progress(w, now)
+        let st = &mut self.per_rank[rank];
+        let at = st
+            .find(slot)
+            .unwrap_or_else(|_| panic!("op {}: wait on empty slot {slot}", self.name));
+        st.instances[at].exec.try_progress(w, now)
     }
 
     fn finish_instance(&mut self, rank: RankId, slot: usize) {
-        self.per_rank[rank].instances.remove(&slot);
+        let st = &mut self.per_rank[rank];
+        if let Ok(at) = st.find(slot) {
+            st.instances.remove(at);
+        }
     }
 
     /// True if `slot` holds an outstanding instance on `rank`.
     fn has_instance(&self, rank: RankId, slot: usize) -> bool {
-        self.per_rank[rank].instances.contains_key(&slot)
+        self.per_rank[rank].find(slot).is_ok()
     }
 
     /// Iteration counter for ops without a timer.

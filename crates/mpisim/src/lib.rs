@@ -24,6 +24,7 @@
 //! CPU in the library, block on the network, or finish).
 
 pub mod bufpool;
+mod chan;
 pub mod fault;
 pub mod message;
 pub mod types;

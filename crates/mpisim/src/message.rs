@@ -7,10 +7,87 @@
 //! ownership of its ranks' state: everything a handler mutates lives on the
 //! rank the event targets, and the two halves only communicate through wire
 //! events.
+//!
+//! Records live in per-rank arenas whose slots are recycled: the owner of a
+//! handle returns a completed send or receive with `World::release_send` /
+//! `World::release_recv`, and a released receive takes its matched
+//! [`DstMsg`] with it. An arena therefore holds what is in flight, not what
+//! was ever sent.
 
 use crate::bufpool::Payload;
 use crate::types::{RankId, Tag};
 use simcore::SimTime;
+
+/// A slot arena with a free list. An index stays valid while its record is
+/// live and is handed out again after [`Arena::release`], so the arena's
+/// length is the largest number of records that were ever live at once —
+/// not the number ever allocated.
+#[derive(Debug)]
+pub(crate) struct Arena<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T> Arena<T> {
+    pub(crate) const fn new() -> Self {
+        Arena {
+            items: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Store `v` in a free slot (or a new one) and return its index.
+    pub(crate) fn alloc(&mut self, v: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i as usize] = v;
+                i
+            }
+            None => {
+                debug_assert!(self.items.len() < u32::MAX as usize);
+                self.items.push(v);
+                (self.items.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Make slot `idx` available to the next [`Arena::alloc`]. The caller
+    /// guarantees the slot is live and that nothing will index it again
+    /// expecting the old record.
+    pub(crate) fn release(&mut self, idx: u32) {
+        self.free.push(idx);
+    }
+
+    /// Drop every record, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+        self.free.clear();
+    }
+
+    /// Slots in use or on the free list: the high-water mark of live
+    /// records since the last [`Arena::clear`].
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Every slot, live or released.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
+        self.items.iter()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Arena<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        &self.items[i]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Arena<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.items[i]
+    }
+}
 
 /// Wire protocol chosen for a message, by size and transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +200,11 @@ impl SendMsg {
 /// destination; stored in the destination rank's arena.
 #[derive(Debug, Clone)]
 pub struct DstMsg {
+    /// Ordinal of this message among those that ever reached the
+    /// destination rank — what its arena index would be if slots were never
+    /// recycled. Names the message in trace exports, which must not depend
+    /// on slot reuse.
+    pub mid: u32,
     pub src: RankId,
     /// Index of the sender-side half in `src`'s send arena.
     pub sidx: u32,
@@ -200,6 +282,21 @@ mod tests {
         let mut m = SendMsg::new(1, Tag(5), 100, Protocol::Rendezvous, 0, SimTime::ZERO);
         m.send_state = SendState::Drained(SimTime::from_micros(9));
         assert_eq!(m.send_drained(), Some(SimTime::from_micros(9)));
+    }
+
+    #[test]
+    fn arena_reuses_released_slots_before_growing() {
+        let mut a = Arena::new();
+        let (x, y) = (a.alloc('x'), a.alloc('y'));
+        assert_eq!((x, y, a.len()), (0, 1, 2));
+        a.release(x);
+        assert_eq!(a.alloc('z'), x, "a released slot is reused first");
+        assert_eq!((a[0], a[1]), ('z', 'y'));
+        assert_eq!(a.alloc('w'), 2, "no free slot: grow");
+        assert_eq!(a.len(), 3, "length is the high-water mark");
+        a.clear();
+        assert_eq!(a.len(), 0);
+        assert_eq!(a.alloc('v'), 0, "a cleared arena forgets its free list");
     }
 
     #[test]

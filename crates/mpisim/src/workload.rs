@@ -41,8 +41,9 @@ impl RankProg {
         RankProg {
             round: 0,
             phase: Phase::Compute,
-            sends: Vec::new(),
-            recvs: Vec::new(),
+            // One send and one receive are outstanding per round.
+            sends: Vec::with_capacity(1),
+            recvs: Vec::with_capacity(1),
             finish: SimTime::ZERO,
         }
     }
@@ -147,8 +148,8 @@ impl RankBehavior for NeighborExchange {
                     let done = p.sends.iter().all(|&h| w.send_done(h, now))
                         && p.recvs.iter().all(|&h| w.recv_done(h, now));
                     if done {
-                        p.sends.clear();
-                        p.recvs.clear();
+                        p.sends.drain(..).for_each(|h| w.release_send(h));
+                        p.recvs.drain(..).for_each(|h| w.release_recv(h));
                         p.round += 1;
                         p.phase = Phase::Compute;
                         // Fall through: start the next round immediately.

@@ -21,19 +21,19 @@
 //! metrics deltas, same traces, byte for byte, for any partition count
 //! ([`World::event_digest`] asserts it cheaply).
 
-use crate::bufpool::{BufPool, Payload};
+use crate::bufpool::{BufPool, Payload, PooledBuf};
+use crate::chan::{ChanTable, Seen};
 use crate::fault::{self, FaultConfig, FaultModel};
-use crate::message::{DstMsg, Protocol, RecvReq, RecvState, SendMsg, SendState};
+use crate::message::{Arena, DstMsg, Protocol, RecvReq, RecvState, SendMsg, SendState};
 use crate::types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
 use crate::worldpar::{self, ParMode, ParPlan, ParRunInfo};
 use netmodel::{NetworkState, Placement, Platform};
-use simcore::metrics::{self, Counter, Histogram};
+use simcore::metrics::{self, Counter, Gauge, Histogram};
 use simcore::rng::NoiseModel;
 use simcore::spsc::Spsc;
 use simcore::trace::{self, WorldTrace};
 use simcore::{EventQueue, SimTime};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
 
@@ -60,6 +60,11 @@ fn m_unexpected() -> &'static Counter {
 fn m_rdv_stalls() -> &'static Counter {
     static M: OnceLock<&'static Counter> = OnceLock::new();
     M.get_or_init(|| metrics::counter("mpisim.rdv_stalls"))
+}
+
+fn m_msg_slots_max() -> &'static Gauge {
+    static M: OnceLock<&'static Gauge> = OnceLock::new();
+    M.get_or_init(|| metrics::gauge("mpisim.msg_slots_max"))
 }
 
 fn m_rdv_stall_ns() -> &'static Histogram {
@@ -428,11 +433,6 @@ impl RankAccounting {
 /// Everything one rank owns. All messaging state a handler mutates lives on
 /// the rank the event targets, which is what lets a partition take its
 /// ranks wholesale and run without synchronization.
-///
-/// Channel maps are `BTreeMap`s rather than flat `nranks`-length vectors:
-/// a rank only talks to a handful of peers, and per-rank flat vectors would
-/// cost O(nranks²) memory — fatal at the 4096-rank scale the partitioned
-/// engine exists for.
 struct RankState {
     now: SimTime,
     status: RankStatus,
@@ -441,23 +441,15 @@ struct RankState {
     /// When the current blocked interval began, if blocked.
     block_since: Option<SimTime>,
     /// Sends posted by this rank (handles index here).
-    sends: Vec<SendMsg>,
+    sends: Arena<SendMsg>,
     /// Receiver-side halves of messages addressed to this rank.
-    dmsgs: Vec<DstMsg>,
+    dmsgs: Arena<DstMsg>,
     /// Receives posted by this rank (handles index here).
-    recvs: Vec<RecvReq>,
-    /// Next send sequence number per destination (sender side).
-    send_seq: BTreeMap<RankId, u64>,
-    /// Next envelope sequence number expected per source (MPI
-    /// non-overtaking: envelopes enter matching in send order).
-    env_next: BTreeMap<RankId, u64>,
-    /// Envelopes that arrived out of order: `(src, seq) -> dmid`.
-    env_buf: BTreeMap<(RankId, u64), u32>,
-    /// Wire-level arrival dedup: every `(src, seq)` whose first surviving
-    /// transmission has arrived, with the receiver-side record it created.
-    /// Duplicate transmissions (fault dups, retransmissions racing their
-    /// original) are swallowed here.
-    inbound: BTreeMap<(RankId, u64), u32>,
+    recvs: Arena<RecvReq>,
+    /// Messages that ever reached this rank (the next [`DstMsg::mid`]).
+    msgs_seen: u32,
+    /// Per-peer sequence numbers, envelope ordering and arrival dedup.
+    chans: ChanTable,
     /// Posted, unmatched receive requests (ids into `recvs`), post order.
     posted_recvs: Vec<u32>,
     /// Unmatched arrived messages (ids into `dmsgs`), arrival order.
@@ -495,13 +487,11 @@ impl RankState {
             },
             acct: RankAccounting::default(),
             block_since: None,
-            sends: Vec::new(),
-            dmsgs: Vec::new(),
-            recvs: Vec::new(),
-            send_seq: BTreeMap::new(),
-            env_next: BTreeMap::new(),
-            env_buf: BTreeMap::new(),
-            inbound: BTreeMap::new(),
+            sends: Arena::new(),
+            dmsgs: Arena::new(),
+            recvs: Arena::new(),
+            msgs_seen: 0,
+            chans: ChanTable::new(),
             posted_recvs: Vec::new(),
             unexpected: Vec::new(),
             pending_cts: Vec::new(),
@@ -521,12 +511,52 @@ impl RankState {
         rs
     }
 
-    fn reset(&mut self, r: usize, noise: &NoiseConfig) {
-        let tseg = std::mem::take(&mut self.tseg);
-        *self = RankState::fresh(r, noise);
-        // Keep the segment buffer's allocation warm across reuse.
-        self.tseg = tseg;
-        self.tseg.clear();
+    /// Return to the state of `RankState::fresh(r, cfg)` without giving
+    /// up a single allocation: containers are emptied in place. The
+    /// destructuring makes a field added later a compile error here rather
+    /// than state that silently survives a reset.
+    fn reset(&mut self, r: usize, cfg: &NoiseConfig) {
+        let fresh = RankState::fresh(r, cfg);
+        let RankState {
+            now,
+            status,
+            noise,
+            acct,
+            block_since,
+            sends,
+            dmsgs,
+            recvs,
+            msgs_seen,
+            chans,
+            posted_recvs,
+            unexpected,
+            pending_cts,
+            pending_data_start,
+            key_seq,
+            digest,
+            ev_count,
+            tseg,
+        } = self;
+        *now = fresh.now;
+        *status = fresh.status;
+        *noise = fresh.noise;
+        *acct = fresh.acct;
+        *block_since = fresh.block_since;
+        // Dropping in-flight records releases their payload handles, which
+        // recycles the slabs into the world's pool.
+        sends.clear();
+        dmsgs.clear();
+        recvs.clear();
+        *msgs_seen = 0;
+        chans.reset();
+        posted_recvs.clear();
+        unexpected.clear();
+        pending_cts.clear();
+        pending_data_start.clear();
+        *key_seq = 0;
+        *digest = 0;
+        *ev_count = 0;
+        tseg.clear();
     }
 }
 
@@ -704,9 +734,30 @@ impl World {
         self.ranks.iter().map(|r| r.ev_count).collect()
     }
 
-    /// A handle to this world's payload buffer pool (cheap clone).
+    /// A handle to this world's payload buffer pool, for statistics and
+    /// pre-warming. Senders stage payloads with [`World::acquire_payload`].
     pub fn payload_pool(&self) -> BufPool {
         self.pool.clone()
+    }
+
+    /// Lease a writable `bytes`-byte buffer from this world's payload pool.
+    /// Fill it, [`PooledBuf::share`] it and pass the handle to
+    /// [`World::isend_payload`]; the slab returns to the pool when the last
+    /// handle drops.
+    pub fn acquire_payload(&self, bytes: usize) -> PooledBuf {
+        self.pool.acquire(bytes)
+    }
+
+    /// Largest number of message records (sends, receives and receiver-side
+    /// message halves together) any one rank has held at once since the
+    /// last [`World::reset`]. Bounded by what a rank keeps in flight as
+    /// long as handle owners release what they complete.
+    pub fn msg_slots_max(&self) -> usize {
+        self.ranks
+            .iter()
+            .map(|rs| rs.sends.len() + rs.dmsgs.len() + rs.recvs.len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Pre-warm the payload pool: shelve enough slabs of `bytes`'s size
@@ -739,8 +790,11 @@ impl World {
     }
 
     /// Reset this world for a fresh simulation on the *same* platform,
-    /// rank count and placement, keeping every allocation (rank vectors,
-    /// event-queue heap, arena vectors, payload-pool slabs) warm.
+    /// rank count and placement, keeping every allocation (per-rank record
+    /// arenas and their free lists, channel tables and windows, match
+    /// queues, the event-queue heap, the wire arena, payload-pool slabs)
+    /// warm: containers are emptied in place, never replaced. A second run
+    /// of the same workload on a reset world allocates nothing.
     ///
     /// The post-state is observationally identical to
     /// `World::new(platform, nranks, placement, noise)` with the same
@@ -756,8 +810,6 @@ impl World {
         self.publish_trace();
         let nranks = self.ranks.len();
         for (r, rs) in self.ranks.iter_mut().enumerate() {
-            // Dropping in-flight messages releases their payload handles,
-            // which recycles the slabs into `self.pool` — the reuse win.
             rs.reset(r, &noise);
         }
         self.net.reset();
@@ -1109,6 +1161,11 @@ impl World {
     ///
     /// The *caller* is responsible for charging `o_send` CPU time; `at`
     /// should already include it.
+    ///
+    /// The returned handle names a record in `src`'s send arena. Its owner
+    /// should hand it back with [`World::release_send`] once
+    /// [`World::send_done`] holds; a handle that is never released keeps
+    /// its record (and the arena grows by one) until [`World::reset`].
     pub fn isend(
         &mut self,
         src: RankId,
@@ -1136,13 +1193,8 @@ impl World {
     ) -> SendHandle {
         assert_ne!(src, dst, "self-sends are expressed as schedule copies");
         debug_assert!(self.owns(src), "send posted by a foreign partition");
-        let seq = {
-            let c = self.ranks[src].send_seq.entry(dst).or_insert(0);
-            let s = *c;
-            *c += 1;
-            s
-        };
-        let sidx = self.ranks[src].sends.len() as u32;
+        let seq = self.ranks[src].chans.next_send_seq(dst);
+        let sidx;
         if self.net.is_eager(src, dst, bytes) {
             let plan = self.net.tx_plan(at, src, dst, bytes);
             let mut m = SendMsg::new(dst, tag, bytes, Protocol::Eager, seq, at);
@@ -1153,7 +1205,7 @@ impl World {
                     // Lost in flight: the payload stays on the send so the
                     // retransmission engine can resend it.
                     m.payload = payload;
-                    self.ranks[src].sends.push(m);
+                    sidx = self.ranks[src].sends.alloc(m);
                     self.push_ev(
                         src,
                         plan.src_drain,
@@ -1173,7 +1225,7 @@ impl World {
                     } else {
                         payload
                     };
-                    self.ranks[src].sends.push(m);
+                    sidx = self.ranks[src].sends.alloc(m);
                     self.push_ev(
                         src,
                         plan.src_drain,
@@ -1226,7 +1278,7 @@ impl World {
             let rts = self.net.ctrl_arrival(at, src, dst);
             let mut m = SendMsg::new(dst, tag, bytes, Protocol::Rendezvous, seq, at);
             m.payload = payload;
-            self.ranks[src].sends.push(m);
+            sidx = self.ranks[src].sends.alloc(m);
             match self.fault_tx(src) {
                 None => {
                     self.trace_instant(src, "drop", "fault", at, [("mid", sidx as u64), ("", 0)]);
@@ -1274,6 +1326,12 @@ impl World {
     }
 
     /// Post a non-blocking receive on `rank` for a message from `src`.
+    ///
+    /// The returned handle names a record in `rank`'s receive arena. Its
+    /// owner should collect the payload ([`World::take_recv_payload`]) and
+    /// hand the handle back with [`World::release_recv`] once
+    /// [`World::recv_done`] holds; a handle that is never released keeps
+    /// its record and its matched message until [`World::reset`].
     pub fn irecv(
         &mut self,
         rank: RankId,
@@ -1283,8 +1341,7 @@ impl World {
         at: SimTime,
     ) -> RecvHandle {
         debug_assert!(self.owns(rank), "receive posted by a foreign partition");
-        let rid = self.ranks[rank].recvs.len() as u32;
-        self.ranks[rank].recvs.push(RecvReq::new(src, tag, bytes));
+        let rid = self.ranks[rank].recvs.alloc(RecvReq::new(src, tag, bytes));
         // Try to match an already-arrived (unexpected) message, FIFO.
         let pos = self.ranks[rank].unexpected.iter().position(|&m| {
             let dm = &self.ranks[rank].dmsgs[m as usize];
@@ -1336,6 +1393,67 @@ impl World {
         self.ranks[h.rank as usize].recvs[h.idx as usize]
             .payload
             .take()
+    }
+
+    /// Give back a drained send ([`World::send_done`] held for `h`): its
+    /// record may be reused by a later [`World::isend`], and `h` must not
+    /// be used again. Call it once per handle.
+    ///
+    /// On a world with a fault model armed the record is kept instead: a
+    /// retry timer or a duplicated CTS can outlive the drain of the send
+    /// they name, and must find that send — not a later one in its slot —
+    /// when they fire.
+    ///
+    /// # Panics
+    /// Panics if the send has not drained (or was already released).
+    pub fn release_send(&mut self, h: SendHandle) {
+        let rs = &mut self.ranks[h.rank as usize];
+        let sm = &mut rs.sends[h.idx as usize];
+        assert!(
+            matches!(sm.send_state, SendState::Drained(_)),
+            "release of an undrained send"
+        );
+        if self.fault.is_some() {
+            return;
+        }
+        // No event names a drained send on a healthy world: its drain
+        // event has fired, its CTS (rendezvous) was consumed before the
+        // payload started, and no timer was ever armed.
+        sm.send_state = SendState::Posted;
+        sm.payload = None;
+        rs.sends.release(h.idx);
+    }
+
+    /// Give back a completed receive ([`World::recv_done`] held for `h`)
+    /// together with the message it matched: both records may be reused,
+    /// and `h` must not be used again. Call it once per handle. A payload
+    /// not collected with [`World::take_recv_payload`] is dropped.
+    ///
+    /// Safe on every world, fault-armed or not: once the payload has been
+    /// delivered no event names the message any more, and late duplicates
+    /// of its RTS or eager transmission carry `(source, sequence number)`,
+    /// which the channel window answers without touching the record.
+    ///
+    /// # Panics
+    /// Panics if the receive has not completed (or was already released).
+    pub fn release_recv(&mut self, h: RecvHandle) {
+        let rs = &mut self.ranks[h.rank as usize];
+        let req = &mut rs.recvs[h.idx as usize];
+        assert!(
+            matches!(req.state, RecvState::Complete(_)),
+            "release of an incomplete receive"
+        );
+        req.state = RecvState::Posted;
+        req.payload = None;
+        let dmid = req.msg.take().expect("completed receive without message");
+        debug_assert!(rs.dmsgs[dmid as usize].data_arrival.is_some());
+        if self.fault.is_some() {
+            // A duplicated RTS may have re-armed a CTS answer that was not
+            // sent yet; the payload is here, so there is nothing to answer.
+            rs.pending_cts.retain(|&d| d != dmid);
+        }
+        rs.dmsgs.release(dmid);
+        rs.recvs.release(h.idx);
     }
 
     /// Bind message `dmid` to receive `rid` (both on `rank`). `on_post` is
@@ -1425,7 +1543,8 @@ impl World {
                     }
                 }
                 None => {
-                    self.trace_instant(rank, "drop", "fault", now, [("mid", dmid as u64), ("", 0)]);
+                    let mid = self.ranks[rank].dmsgs[dmid as usize].mid;
+                    self.trace_instant(rank, "drop", "fault", now, [("mid", mid as u64), ("", 0)]);
                 }
             }
             actions += 1;
@@ -1532,6 +1651,19 @@ impl World {
         self.trace_span(rank, name, "msg", start, end, args);
     }
 
+    /// Create the receiver-side record of a message whose first surviving
+    /// transmission just reached `rank`, and enter it in its channel's
+    /// arrival window.
+    fn new_dmsg(&mut self, rank: RankId, make: impl FnOnce(u32) -> DstMsg) -> u32 {
+        let rs = &mut self.ranks[rank];
+        let dm = make(rs.msgs_seen);
+        rs.msgs_seen += 1;
+        let (src, seq) = (dm.src, dm.seq);
+        let dmid = rs.dmsgs.alloc(dm);
+        rs.chans.arrived(src, seq, dmid);
+        dmid
+    }
+
     /// Feed a newly arrived envelope into the per-channel reorder buffer.
     /// Envelopes reach the matching logic strictly in per-(src, dst)
     /// sequence order, which both enforces MPI's non-overtaking rule and
@@ -1542,20 +1674,11 @@ impl World {
             let dm = &self.ranks[rank].dmsgs[dmid as usize];
             (dm.src, dm.seq)
         };
-        let next = self.ranks[rank].env_next.get(&src).copied().unwrap_or(0);
-        if seq < next {
+        if !self.ranks[rank].chans.envelope_ready(src, seq) {
             self.faults.dup_suppressed += 1;
             return;
         }
-        if self.ranks[rank].env_buf.contains_key(&(src, seq)) {
-            self.faults.dup_suppressed += 1;
-            return;
-        }
-        self.ranks[rank].env_buf.insert((src, seq), dmid);
-        let mut next = next;
-        while let Some(d) = self.ranks[rank].env_buf.remove(&(src, next)) {
-            next += 1;
-            self.ranks[rank].env_next.insert(src, next);
+        while let Some(d) = self.ranks[rank].chans.pop_in_order(src) {
             self.deliver_envelope(rank, d, t);
         }
     }
@@ -1601,14 +1724,14 @@ impl World {
                 floor,
                 payload,
             } => {
-                if self.ranks[rank].inbound.contains_key(&(src, seq)) {
+                if self.ranks[rank].chans.seen(src, seq) != Seen::New {
                     // Duplicate or retransmission of a message we already
                     // accepted: swallow it before it touches rx queues.
                     self.faults.dup_suppressed += 1;
                     return;
                 }
-                let dmid = self.ranks[rank].dmsgs.len() as u32;
-                self.ranks[rank].dmsgs.push(DstMsg {
+                let dmid = self.new_dmsg(rank, |mid| DstMsg {
+                    mid,
                     src,
                     sidx,
                     seq,
@@ -1622,7 +1745,6 @@ impl World {
                     cts_sent: false,
                     payload,
                 });
-                self.ranks[rank].inbound.insert((src, seq), dmid);
                 let delivery0 = if priced {
                     floor
                 } else {
@@ -1639,22 +1761,36 @@ impl World {
                 bytes,
                 posted_at,
             } => {
-                if let Some(&dmid) = self.ranks[rank].inbound.get(&(src, seq)) {
+                let seen = self.ranks[rank].chans.seen(src, seq);
+                if seen != Seen::New {
                     self.faults.dup_suppressed += 1;
                     // A retransmitted RTS doubles as CTS-loss recovery: if we
                     // already matched and answered but the payload never
-                    // started, answer again.
-                    let dm = &self.ranks[rank].dmsgs[dmid as usize];
-                    if dm.matched_recv.is_some() && dm.cts_sent && dm.data_arrival.is_none() {
-                        self.ranks[rank].dmsgs[dmid as usize].cts_sent = false;
-                        if !self.ranks[rank].pending_cts.contains(&dmid) {
-                            self.ranks[rank].pending_cts.push(dmid);
+                    // started, answer again. Only a message that has entered
+                    // matching can be in that state, and the window no longer
+                    // knows its record — find it in the (small) arena. A
+                    // released slot cannot be mistaken for it: release
+                    // requires the payload to have arrived.
+                    let rs = &mut self.ranks[rank];
+                    let stalled = |dm: &DstMsg| {
+                        dm.src == src
+                            && dm.seq == seq
+                            && dm.matched_recv.is_some()
+                            && dm.cts_sent
+                            && dm.data_arrival.is_none()
+                    };
+                    if seen == Seen::Delivered {
+                        if let Some(dmid) = rs.dmsgs.iter().position(stalled) {
+                            rs.dmsgs[dmid].cts_sent = false;
+                            if !rs.pending_cts.contains(&(dmid as u32)) {
+                                rs.pending_cts.push(dmid as u32);
+                            }
                         }
                     }
                     return;
                 }
-                let dmid = self.ranks[rank].dmsgs.len() as u32;
-                self.ranks[rank].dmsgs.push(DstMsg {
+                let dmid = self.new_dmsg(rank, |mid| DstMsg {
+                    mid,
                     src,
                     sidx,
                     seq,
@@ -1668,7 +1804,6 @@ impl World {
                     cts_sent: false,
                     payload: None,
                 });
-                self.ranks[rank].inbound.insert((src, seq), dmid);
                 self.trace_msg(rank, "rts", dmid, posted_at, t);
                 self.enqueue_envelope(rank, dmid, t);
             }
@@ -2057,6 +2192,7 @@ impl World {
         m_unexpected().add(std::mem::take(&mut self.unexpected_msgs));
         m_rdv_stalls().add(std::mem::take(&mut self.rdv_stalls));
         m_rdv_stall_ns().absorb(&mut self.rdv_stall_ns);
+        m_msg_slots_max().record_max(self.msg_slots_max() as u64);
         // Fault tallies flush only when a model is armed, so a healthy
         // process never registers the fault metrics at all.
         if self.fault.is_some() {
@@ -3094,6 +3230,210 @@ mod tests {
             stats.dup_suppressed >= stats.dups,
             "every duplicated event must be swallowed: {stats:?}"
         );
+    }
+
+    // ---- record reuse ---------------------------------------------------
+
+    /// Rank 0 sends two rendezvous messages A then B to rank 1, each side
+    /// releasing A's handle before posting B. On a fault-armed world the
+    /// behaviour then replays, by hand, every event that can outlive the
+    /// record it names: a late duplicate of A's RTS (while B sits in A's
+    /// old receiver-side slot, answered but without payload yet), a late
+    /// duplicate of A's CTS and A's retry timer (after B drained).
+    struct TwoInARow {
+        armed: bool,
+        phase: [u8; 2],
+        sends: Vec<SendHandle>,
+        recvs: Vec<RecvHandle>,
+        late_rts_injected: bool,
+    }
+
+    const MB: usize = 1 << 20;
+
+    impl TwoInARow {
+        fn rts(seq: u64, sidx: u32) -> WireMsg {
+            WireMsg::Rts {
+                src: 0,
+                sidx,
+                seq,
+                tag: Tag(0),
+                bytes: MB,
+                posted_at: SimTime::ZERO,
+            }
+        }
+
+        fn sender(&mut self, w: &mut World) -> Step {
+            let now = w.rank_now(0);
+            w.poll(0, now);
+            match self.phase[0] {
+                0 | 1 => {
+                    if let Some(&a) = self.sends.last() {
+                        if !w.send_done(a, now) {
+                            return Step::Block;
+                        }
+                        w.release_send(a);
+                    }
+                    self.phase[0] += 1;
+                    let at = now + w.o_send(0, 1);
+                    self.sends.push(w.isend(0, 1, Tag(0), MB, at));
+                    Step::Busy(w.o_send(0, 1))
+                }
+                _ => {
+                    let (a, b) = (self.sends[0], self.sends[1]);
+                    if !w.send_done(b, now) {
+                        return Step::Block;
+                    }
+                    if self.armed {
+                        let before = (w.faults, w.ranks[0].sends[b.idx as usize].send_state);
+                        w.apply_wire(
+                            0,
+                            WireMsg::Cts {
+                                sidx: a.idx,
+                                dmid: 0,
+                            },
+                            now,
+                        );
+                        w.apply_local(0, LocalEv::RetryTimer(a.idx), now);
+                        let after = (w.faults, w.ranks[0].sends[b.idx as usize].send_state);
+                        assert_eq!(after.0.dup_suppressed, before.0.dup_suppressed + 1);
+                        assert_eq!(after.0.retries, before.0.retries, "A was acknowledged");
+                        assert_eq!(after.1, before.1, "B's record must not be touched");
+                        assert!(w.ranks[0].pending_data_start.is_empty());
+                    }
+                    Step::Done
+                }
+            }
+        }
+
+        fn receiver(&mut self, w: &mut World) -> Step {
+            let now = w.rank_now(1);
+            w.poll(1, now);
+            if self.phase[1] == 2 && self.armed && !self.late_rts_injected {
+                // B occupies the slot A's record had: wait until it is
+                // matched and answered but still without its payload.
+                let b = &w.ranks[1].dmsgs[0];
+                if b.seq == 1 && b.matched_recv.is_some() && b.cts_sent {
+                    assert!(b.data_arrival.is_none());
+                    self.late_rts_injected = true;
+                    let a_sidx = self.sends[0].idx;
+                    let before = w.faults.dup_suppressed;
+                    w.apply_wire(1, Self::rts(0, a_sidx), now);
+                    assert_eq!(w.faults.dup_suppressed, before + 1);
+                    assert!(w.ranks[1].dmsgs[0].cts_sent, "late RTS of A re-armed B");
+                    assert!(w.ranks[1].pending_cts.is_empty());
+                    // A duplicate of B's own RTS is CTS-loss recovery, as
+                    // it always was: B is found by scanning the arena.
+                    w.apply_wire(1, Self::rts(1, self.sends[1].idx), now);
+                    assert_eq!(w.faults.dup_suppressed, before + 2);
+                    assert!(!w.ranks[1].dmsgs[0].cts_sent);
+                    assert_eq!(w.ranks[1].pending_cts, vec![0]);
+                }
+            }
+            if let Some(&h) = self.recvs.last() {
+                if !w.recv_done(h, now) {
+                    return Step::Block;
+                }
+                w.release_recv(h);
+                if self.phase[1] == 2 {
+                    return Step::Done;
+                }
+            }
+            self.phase[1] += 1;
+            let at = now + w.o_recv(1, 0);
+            self.recvs.push(w.irecv(1, 0, Tag(0), MB, at));
+            Step::Busy(w.o_recv(1, 0))
+        }
+    }
+
+    impl RankBehavior for TwoInARow {
+        fn step(&mut self, w: &mut World, r: RankId) -> Step {
+            if r == 0 {
+                self.sender(w)
+            } else {
+                self.receiver(w)
+            }
+        }
+    }
+
+    fn two_in_a_row(armed: bool) -> (World, TwoInARow) {
+        let mut w = world(2);
+        if armed {
+            // Armed, but nothing is ever dropped, duplicated or delayed:
+            // the only stale events are the ones the behaviour injects.
+            w.set_faults(&FaultConfig {
+                arm_timeouts: true,
+                retry_timeout: SimTime::from_millis(50),
+                ..FaultConfig::off()
+            });
+        }
+        let mut b = TwoInARow {
+            armed,
+            phase: [0; 2],
+            sends: Vec::new(),
+            recvs: Vec::new(),
+            late_rts_injected: false,
+        };
+        w.run(&mut b).expect("both messages complete");
+        (w, b)
+    }
+
+    #[test]
+    fn released_records_are_reused_on_a_healthy_world() {
+        let (w, b) = two_in_a_row(false);
+        assert_eq!(b.sends[0], b.sends[1], "B reuses A's send record");
+        assert_eq!(b.recvs[0], b.recvs[1], "B reuses A's receive record");
+        assert_eq!(w.ranks[1].dmsgs.len(), 1, "and A's receiver-side half");
+        assert_eq!(w.ranks[1].dmsgs[0].mid, 1, "trace ids do not recycle");
+        assert_eq!(w.msg_slots_max(), 2);
+    }
+
+    #[test]
+    fn late_duplicates_never_touch_a_reused_record() {
+        let (w, b) = two_in_a_row(true);
+        assert!(
+            b.late_rts_injected,
+            "the window for the injection was missed"
+        );
+        // Fault-path rule: send records stay where retry timers and
+        // duplicated CTSes can find them; receive-side records recycle.
+        assert_ne!(b.sends[0], b.sends[1], "an armed world keeps send records");
+        assert_eq!(b.recvs[0], b.recvs[1]);
+        assert_eq!(w.ranks[1].dmsgs.len(), 1);
+        // Late RTS of A, duplicate RTS of B, the second CTS that one
+        // triggered (swallowed at the sender), late CTS of A.
+        let f = w.fault_stats();
+        assert_eq!((f.dup_suppressed, f.retries, f.timeouts), (4, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "release of an incomplete receive")]
+    fn releasing_a_receive_twice_panics() {
+        let (mut w, b) = two_in_a_row(false);
+        // The behaviour already released it.
+        w.release_recv(b.recvs[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "release of an undrained send")]
+    fn releasing_a_send_before_it_drains_panics() {
+        let mut w = world(2);
+        let h = w.isend(0, 1, Tag(0), 64, SimTime::ZERO);
+        w.release_send(h);
+    }
+
+    #[test]
+    fn reset_keeps_capacity_and_forgets_contents() {
+        let mut w = world(8);
+        let mut b = NeighborExchange::new(8, 6, 2048, 1 << 20);
+        w.run(&mut b).unwrap();
+        let slots = w.msg_slots_max();
+        assert!(slots > 0);
+        w.reset(NoiseConfig::none());
+        assert_eq!(w.msg_slots_max(), 0, "arenas are emptied");
+        assert_eq!(w.event_digest(), world(8).event_digest());
+        let mut b = NeighborExchange::new(8, 6, 2048, 1 << 20);
+        w.run(&mut b).unwrap();
+        assert_eq!(w.msg_slots_max(), slots, "same run, same footprint");
     }
 
     // ---- partitioned engine ---------------------------------------------

@@ -154,18 +154,9 @@ pub(crate) fn plan(world: &World) -> Option<ParPlan> {
         .or_else(override_mode)
         .unwrap_or_else(env_mode);
     let nranks = world.nranks();
-    if nranks == 0 {
-        return None;
-    }
-    let topo = world.network().topology();
-    // Per-node rank counts over the nodes actually occupied.
-    let last_node = (0..nranks).map(|r| topo.node_of(r)).max().unwrap_or(0);
-    let mut counts = vec![0u64; last_node + 1];
-    for r in 0..nranks {
-        counts[topo.node_of(r)] += 1;
-    }
-    let nodes_used = counts.iter().filter(|&&c| c > 0).count();
-    let nparts = match mode {
+    // Decide "serial" before looking at the placement: this runs at the
+    // top of every `World::run`, and the default mode must cost nothing.
+    let wanted = match mode {
         ParMode::Off => return None,
         ParMode::Auto => {
             // Inside a sweep worker the machine is already saturated with
@@ -177,10 +168,22 @@ pub(crate) fn plan(world: &World) -> Option<ParPlan> {
             if hw < 2 || nranks < AUTO_MIN_RANKS {
                 return None;
             }
-            hw.min(AUTO_MAX_PARTS).min(nodes_used)
+            hw.min(AUTO_MAX_PARTS)
         }
-        ParMode::Fixed(n) => n.min(nodes_used),
+        ParMode::Fixed(n) => n,
     };
+    if nranks == 0 {
+        return None;
+    }
+    let topo = world.network().topology();
+    // Per-node rank counts over the nodes actually occupied.
+    let last_node = (0..nranks).map(|r| topo.node_of(r)).max().unwrap_or(0);
+    let mut counts = vec![0u64; last_node + 1];
+    for r in 0..nranks {
+        counts[topo.node_of(r)] += 1;
+    }
+    let nodes_used = counts.iter().filter(|&&c| c > 0).count();
+    let nparts = wanted.min(nodes_used);
     if nparts < 2 {
         return None;
     }

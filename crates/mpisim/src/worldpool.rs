@@ -2,13 +2,16 @@
 //! simulations.
 //!
 //! A sweep runs thousands of independent microbenchmarks, and each one used
-//! to build a `World` from scratch: rank vectors, envelope-sequencing
-//! tables, the event-queue heap and a cold payload pool, all torn down
-//! microseconds later. This module keeps a small per-thread cache of
+//! to build a `World` from scratch: rank vectors, message-record arenas,
+//! channel tables, the event-queue heap and a cold payload pool, all torn
+//! down microseconds later. This module keeps a small per-thread cache of
 //! recently used worlds keyed on their immutable shape — `(platform,
 //! nranks, placement)` — and hands them back through [`World::reset`],
-//! which zeroes all logical state while keeping every allocation (and the
-//! payload-pool slabs) warm.
+//! which zeroes all logical state in place: every container keeps its
+//! allocation (and the payload pool its slabs), so a reused world runs
+//! without touching the allocator. A lease moves the cache entry out and
+//! the release puts the same entry back, so a hit copies nothing either —
+//! not even the platform description it is keyed on.
 //!
 //! The cache is strictly thread-local, so it adds no locks to the sweep hot
 //! path and composes with the persistent worker pool in `simcore::par`:
@@ -98,46 +101,54 @@ pub fn clear_this_thread() {
     CACHE.with(|c| c.borrow_mut().clear());
 }
 
-fn lease(platform: &Platform, nranks: usize, placement: Placement, noise: NoiseConfig) -> World {
-    if !enabled() {
-        return World::new(platform.clone(), nranks, placement, noise);
-    }
+/// Take the calling thread's cached world of this shape out of the cache,
+/// reset for a new run, or build a fresh entry.
+fn lease(
+    platform: &Platform,
+    nranks: usize,
+    placement: Placement,
+    noise: NoiseConfig,
+) -> CachedWorld {
     let par_key = crate::worldpar::mode_key();
-    CACHE.with(|c| {
-        let mut cache = c.borrow_mut();
-        let hit = cache.iter().position(|w| {
+    let find = |cache: &mut Vec<CachedWorld>| {
+        let i = cache.iter().position(|w| {
             w.nranks == nranks
                 && w.placement == placement
                 && w.par_key == par_key
                 && w.platform == *platform
-        });
-        match hit {
-            Some(i) => {
-                let mut entry = cache.swap_remove(i);
-                entry.world.reset(noise);
-                entry.world
-            }
-            None => World::new(platform.clone(), nranks, placement, noise),
+        })?;
+        Some(cache.swap_remove(i))
+    };
+    let hit = if enabled() {
+        CACHE.with(|c| find(&mut c.borrow_mut()))
+    } else {
+        None
+    };
+    match hit {
+        Some(mut entry) => {
+            entry.world.reset(noise);
+            entry
         }
-    })
+        None => CachedWorld {
+            platform: platform.clone(),
+            nranks,
+            placement,
+            par_key,
+            world: World::new(platform.clone(), nranks, placement, noise),
+        },
+    }
 }
 
-fn release(platform: &Platform, nranks: usize, placement: Placement, mut world: World) {
+fn release(mut entry: CachedWorld) {
     // Traces must not wait for the cache entry's destructor: pool worker
     // threads never exit, so their thread-local destructors never run.
-    world.publish_trace();
+    entry.world.publish_trace();
     if !enabled() {
         return;
     }
     CACHE.with(|c| {
         let mut cache = c.borrow_mut();
-        cache.push(CachedWorld {
-            platform: platform.clone(),
-            nranks,
-            placement,
-            par_key: crate::worldpar::mode_key(),
-            world,
-        });
+        cache.push(entry);
         if cache.len() > MAX_CACHED_PER_THREAD {
             cache.remove(0); // evict oldest
         }
@@ -156,9 +167,9 @@ pub fn with_world<R>(
     noise: NoiseConfig,
     f: impl FnOnce(&mut World) -> R,
 ) -> R {
-    let mut world = lease(platform, nranks, placement, noise);
-    let out = f(&mut world);
-    release(platform, nranks, placement, world);
+    let mut entry = lease(platform, nranks, placement, noise);
+    let out = f(&mut entry.world);
+    release(entry);
     out
 }
 

@@ -15,7 +15,7 @@
 //!   frequent progress calls to overlap (paper §IV, Fig. 7).
 
 use crate::schedule::{ActionKind, Schedule};
-use mpisim::{PooledBuf, RankId, RecvHandle, SendHandle, Tag, World};
+use mpisim::{RankId, RecvHandle, SendHandle, Tag, World};
 use simcore::SimTime;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -24,19 +24,17 @@ use std::sync::OnceLock;
 /// How the executor stages message payloads alongside the timing model.
 ///
 /// Payloads never influence simulated time — only `bytes` feeds the network
-/// model — so all three modes produce byte-identical figure output. They
-/// differ only in *host* cost, which is what the perf harness measures:
+/// model — so both modes produce byte-identical figure output (and event
+/// digests: `payload_modes_are_timing_invariant` below). They differ only
+/// in *host* cost:
 ///
-/// * [`PayloadMode::Off`] — no payload engine at all (PR1 behaviour).
-/// * [`PayloadMode::Naive`] — a fresh heap buffer per send and a full copy
-///   per delivery, modelling the per-hop `Vec<u8>` churn this PR removes.
-/// * [`PayloadMode::Pooled`] — buffers come from the rank-local
-///   [`mpisim::BufPool`]; delivery moves an `Arc` handle and completion
-///   recycles the slab. Steady-state rounds allocate nothing.
+/// * [`PayloadMode::Off`] — no payload engine at all.
+/// * [`PayloadMode::Pooled`] — buffers come from the world's
+///   [`mpisim::BufPool`]; delivery moves a handle and completion recycles
+///   the slab. Steady-state rounds allocate nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadMode {
     Off,
-    Naive,
     Pooled,
 }
 
@@ -44,7 +42,6 @@ impl PayloadMode {
     fn from_env_str(s: &str) -> Option<PayloadMode> {
         match s {
             "off" => Some(PayloadMode::Off),
-            "naive" => Some(PayloadMode::Naive),
             "pooled" => Some(PayloadMode::Pooled),
             _ => None,
         }
@@ -53,16 +50,14 @@ impl PayloadMode {
     fn code(self) -> u8 {
         match self {
             PayloadMode::Off => 1,
-            PayloadMode::Naive => 2,
-            PayloadMode::Pooled => 3,
+            PayloadMode::Pooled => 2,
         }
     }
 
     fn from_code(c: u8) -> Option<PayloadMode> {
         match c {
             1 => Some(PayloadMode::Off),
-            2 => Some(PayloadMode::Naive),
-            3 => Some(PayloadMode::Pooled),
+            2 => Some(PayloadMode::Pooled),
             _ => None,
         }
     }
@@ -89,7 +84,7 @@ pub fn clear_default_payload_mode() {
 }
 
 /// The payload mode new [`ScheduleExec`]s start in: the programmatic
-/// override if set, else `NBC_PAYLOADS` (`off` | `naive` | `pooled`),
+/// override if set, else `NBC_PAYLOADS` (`off` | `pooled`),
 /// else [`PayloadMode::Pooled`].
 pub fn default_payload_mode() -> PayloadMode {
     if let Some(m) = PayloadMode::from_code(PAYLOAD_MODE_OVERRIDE.load(Ordering::Relaxed)) {
@@ -128,9 +123,12 @@ pub struct ScheduleExec {
     payload_mode: PayloadMode,
     /// When the outstanding round was posted (start of its trace span).
     round_posted_at: SimTime,
-    /// The outstanding round's completion span has been emitted (guards
-    /// against duplicates when progress is invoked again after `done`).
-    round_traced: bool,
+    /// The round in `sends`/`recvs` has completed and been retired: its
+    /// span emitted and its handles (with the delivered payloads) handed
+    /// back to the world. The handles stay listed (they still count as this
+    /// operation's [`outstanding_actions`](Self::outstanding_actions) until
+    /// the next round replaces them) but must not be dereferenced again.
+    round_retired: bool,
 }
 
 impl ScheduleExec {
@@ -149,7 +147,7 @@ impl ScheduleExec {
             started: false,
             payload_mode: default_payload_mode(),
             round_posted_at: SimTime::ZERO,
-            round_traced: true,
+            round_retired: true,
         }
     }
 
@@ -174,7 +172,7 @@ impl ScheduleExec {
             started: false,
             payload_mode: default_payload_mode(),
             round_posted_at: SimTime::ZERO,
-            round_traced: true,
+            round_retired: true,
         }
     }
 
@@ -186,14 +184,6 @@ impl ScheduleExec {
     /// The payload staging mode in effect for this instance.
     pub fn payload_mode(&self) -> PayloadMode {
         self.payload_mode
-    }
-
-    /// Translate a schedule-local peer index to a global rank.
-    fn global(&self, peer: RankId) -> RankId {
-        match &self.comm {
-            Some(c) => c[peer],
-            None => peer,
-        }
     }
 
     /// The rank executing this schedule.
@@ -223,41 +213,25 @@ impl ScheduleExec {
     }
 
     fn round_complete(&self, w: &World, now: SimTime) -> bool {
-        self.sends.iter().all(|&h| w.send_done(h, now))
-            && self.recvs.iter().all(|&h| w.recv_done(h, now))
+        self.round_retired
+            || (self.sends.iter().all(|&h| w.send_done(h, now))
+                && self.recvs.iter().all(|&h| w.recv_done(h, now)))
     }
 
-    /// Stage an outgoing payload for a `bytes`-byte send according to the
-    /// payload mode. The header stamp models the sender touching its buffer;
-    /// the handle itself never affects simulated time.
-    fn stage_payload(&self, w: &mut World, bytes: usize) -> Option<mpisim::Payload> {
-        let mut buf = match self.payload_mode {
-            PayloadMode::Off => return None,
-            PayloadMode::Naive => PooledBuf::unpooled(bytes),
-            PayloadMode::Pooled => w.payload_pool().acquire(bytes),
-        };
-        let stamp = (((self.rank as u64) << 32) | self.next_round as u64).to_le_bytes();
-        let n = buf.len().min(stamp.len());
-        buf.as_mut_slice()[..n].copy_from_slice(&stamp[..n]);
-        Some(buf.share())
-    }
-
-    /// Collect delivered payloads for the completed round. In `Naive` mode
-    /// each delivery costs a fresh allocation plus a full copy (the per-hop
-    /// churn the pool eliminates); in `Pooled` mode dropping the handle
-    /// recycles the slab into its home pool.
-    fn reap_payloads(&mut self, w: &mut World) {
-        if self.payload_mode == PayloadMode::Off {
+    /// Retire the completed round: emit its span and hand its
+    /// point-to-point records back to the world. Releasing a receive drops
+    /// its delivered payload, which recycles the slab into its home pool.
+    fn retire_round(&mut self, w: &mut World) {
+        if self.round_retired {
             return;
         }
+        self.round_retired = true;
+        self.trace_round_end(w);
         for &h in &self.recvs {
-            if let Some(p) = w.take_recv_payload(h) {
-                if self.payload_mode == PayloadMode::Naive {
-                    let copied = p.as_slice().to_vec();
-                    std::hint::black_box(&copied);
-                    simcore::stats::record_payload_alloc();
-                }
-            }
+            w.release_recv(h);
+        }
+        for &h in &self.sends {
+            w.release_send(h);
         }
     }
 
@@ -268,34 +242,43 @@ impl ScheduleExec {
         self.sends.clear();
         self.recvs.clear();
         self.round_posted_at = now;
-        self.round_traced = false;
-        // Clone the Arc (pointer bump), not the round: `self.sched` can't be
-        // borrowed across the `self.sends`/`self.recvs` pushes below, but the
-        // shared schedule itself is immutable.
-        let sched = Arc::clone(&self.sched);
-        let round = &sched.rounds[self.next_round];
+        self.round_retired = false;
+        // Field-by-field borrows: the round is read out of `self.sched`
+        // while its handles are pushed onto `self.sends`/`self.recvs`.
+        let round = &self.sched.rounds[self.next_round];
+        // The header stamp models the sender touching its buffer.
+        let stamp = (((self.rank as u64) << 32) | self.next_round as u64).to_le_bytes();
         self.next_round += 1;
+        let (rank, tag) = (self.rank, self.tag);
+        let stage = self.payload_mode == PayloadMode::Pooled;
+        let comm = self.comm.as_deref();
+        let global = |peer: RankId| comm.map_or(peer, |c| c[peer]);
         let mut t = now;
         for a in &round.0 {
             match &a.kind {
                 ActionKind::Send { peer, .. } => {
-                    let peer = self.global(*peer);
-                    t += w.o_send(self.rank, peer);
-                    let payload = self.stage_payload(w, a.bytes);
+                    let peer = global(*peer);
+                    t += w.o_send(rank, peer);
+                    // The handle itself never affects simulated time.
+                    let payload = stage.then(|| {
+                        let mut buf = w.acquire_payload(a.bytes);
+                        let n = buf.len().min(stamp.len());
+                        buf.as_mut_slice()[..n].copy_from_slice(&stamp[..n]);
+                        buf.share()
+                    });
                     if payload.is_some() && w.tracing() {
-                        // Payload staged into the send buffer (pool slab or
-                        // naive allocation) just before posting.
+                        // Payload staged into the send buffer (a pool slab)
+                        // just before posting.
                         let args = [("bytes", a.bytes as u64), ("", 0)];
-                        w.trace_instant(self.rank, "stage", "exec", t, args);
+                        w.trace_instant(rank, "stage", "exec", t, args);
                     }
-                    let h = w.isend_payload(self.rank, peer, self.tag, a.bytes, t, payload);
-                    self.sends.push(h);
+                    self.sends
+                        .push(w.isend_payload(rank, peer, tag, a.bytes, t, payload));
                 }
                 ActionKind::Recv { peer } => {
-                    let peer = self.global(*peer);
-                    t += w.o_recv(self.rank, peer);
-                    let h = w.irecv(self.rank, peer, self.tag, a.bytes, t);
-                    self.recvs.push(h);
+                    let peer = global(*peer);
+                    t += w.o_recv(rank, peer);
+                    self.recvs.push(w.irecv(rank, peer, tag, a.bytes, t));
                 }
                 ActionKind::Copy => {
                     t += w.platform().intra.serialize(a.bytes);
@@ -309,7 +292,7 @@ impl ScheduleExec {
         }
         // Posting happens inside the library: flush protocol actions
         // (answer RTSs for receives just posted, act on pending CTSs).
-        w.poll(self.rank, t);
+        w.poll(rank, t);
         t - now
     }
 
@@ -328,13 +311,11 @@ impl ScheduleExec {
 
     /// Emit the completed round's span: from its posting to the latest
     /// send-drain / receive-delivery among its handles. No-op when tracing
-    /// is off, the round had no point-to-point actions, or the span was
-    /// already emitted.
-    fn trace_round_end(&mut self, w: &mut World) {
-        if self.round_traced || !w.tracing() || (self.sends.is_empty() && self.recvs.is_empty()) {
+    /// is off or the round had no point-to-point actions.
+    fn trace_round_end(&self, w: &mut World) {
+        if !w.tracing() || (self.sends.is_empty() && self.recvs.is_empty()) {
             return;
         }
-        self.round_traced = true;
         let mut end = self.round_posted_at;
         for &h in &self.sends {
             if let Some(t) = w.send_complete_time(h) {
@@ -365,8 +346,7 @@ impl ScheduleExec {
             if !self.round_complete(w, t) {
                 return (cost, false);
             }
-            self.trace_round_end(w);
-            self.reap_payloads(w);
+            self.retire_round(w);
             if self.next_round >= self.sched.rounds.len() {
                 return (cost, true);
             }
@@ -537,7 +517,21 @@ mod tests {
         mode: PayloadMode,
         build: impl Fn(usize) -> Schedule,
     ) -> (SimTime, mpisim::BufPoolStats) {
+        let (makespan, w) = run_collective_world(platform, nranks, mode, None, build);
+        (makespan, w.payload_pool().stats())
+    }
+
+    fn run_collective_world(
+        platform: Platform,
+        nranks: usize,
+        mode: PayloadMode,
+        faults: Option<&mpisim::FaultConfig>,
+        build: impl Fn(usize) -> Schedule,
+    ) -> (SimTime, World) {
         let mut w = World::new(platform, nranks, Placement::Block, NoiseConfig::none());
+        if let Some(cfg) = faults {
+            w.set_faults(cfg);
+        }
         let tag = w.alloc_tag();
         let execs = (0..nranks)
             .map(|r| {
@@ -548,7 +542,7 @@ mod tests {
             .collect();
         let mut b = OneShot::new(execs);
         let makespan = w.run(&mut b).expect("no deadlock");
-        (makespan, w.payload_pool().stats())
+        (makespan, w)
     }
 
     #[test]
@@ -558,13 +552,156 @@ mod tests {
         let p = 16;
         let spec = CollSpec::new(p, 64 * 1024);
         let build = |r: usize| build_bcast(BcastAlgo::Binomial, 32 * 1024, r, &spec);
-        let (off, _) = run_collective_mode(Platform::whale(), p, PayloadMode::Off, build);
-        let (naive, _) = run_collective_mode(Platform::whale(), p, PayloadMode::Naive, build);
-        let (pooled, stats) = run_collective_mode(Platform::whale(), p, PayloadMode::Pooled, build);
-        assert_eq!(off, naive);
+        let (off, w_off) =
+            run_collective_world(Platform::whale(), p, PayloadMode::Off, None, build);
+        let (pooled, w_pooled) =
+            run_collective_world(Platform::whale(), p, PayloadMode::Pooled, None, build);
         assert_eq!(off, pooled);
-        // Pooled mode actually exercised the pool.
+        assert_eq!(w_off.event_digest(), w_pooled.event_digest());
+        assert_eq!(w_off.events_processed(), w_pooled.events_processed());
+        // Pooled mode actually exercised the pool; off mode never touched it.
+        let stats = w_pooled.payload_pool().stats();
         assert!(stats.acquires > 0, "{stats:?}");
+        assert_eq!(w_off.payload_pool().stats().acquires, 0);
+    }
+
+    #[test]
+    fn payload_modes_are_timing_invariant_under_faults() {
+        // Retransmissions resend the staged handle and duplicates are
+        // swallowed with theirs: still nothing the clock can see.
+        let p = 8;
+        let spec = CollSpec::new(p, 128 * 1024);
+        let build = |r: usize| build_alltoall(AlltoallAlgo::Linear, r, &spec);
+        let cfg = storm();
+        let (off, w_off) =
+            run_collective_world(Platform::whale(), p, PayloadMode::Off, Some(&cfg), build);
+        let (pooled, w_pooled) =
+            run_collective_world(Platform::whale(), p, PayloadMode::Pooled, Some(&cfg), build);
+        assert_eq!(off, pooled);
+        assert_eq!(w_off.event_digest(), w_pooled.event_digest());
+        assert_eq!(w_off.fault_stats(), w_pooled.fault_stats());
+        assert!(w_off.fault_stats().retries > 0);
+    }
+
+    /// Every fifth transmission lost and almost every third duplicated.
+    fn storm() -> mpisim::FaultConfig {
+        mpisim::FaultConfig {
+            seed: 9,
+            drop_prob: 0.2,
+            dup_prob: 0.3,
+            jitter: 0.3,
+            retry_timeout: SimTime::from_micros(500),
+            max_retries: 12,
+            arm_timeouts: true,
+            ..mpisim::FaultConfig::off()
+        }
+    }
+
+    #[test]
+    fn rounds_hand_their_records_back() {
+        // A pairwise exchange is one send and one receive per round, and
+        // rendezvous keeps the ranks in step. With every retired round's
+        // records recycled a rank holds a few rounds' worth at its busiest,
+        // where it used to keep every round's three (45 and up).
+        let p = 16;
+        let spec = CollSpec::new(p, 128 * 1024);
+        let build = |r: usize| build_alltoall(AlltoallAlgo::Pairwise, r, &spec);
+        assert!(build(1).rounds.len() >= p - 1);
+        let (_, w) = run_collective_world(Platform::whale(), p, PayloadMode::Pooled, None, build);
+        assert!(
+            w.msg_slots_max() <= 6,
+            "{} record slots on one rank",
+            w.msg_slots_max()
+        );
+    }
+
+    /// One collective as the commit before message records were recycled
+    /// ran it: retiring rounds must not move any of these.
+    struct Golden {
+        coll: &'static str,
+        profile: &'static str,
+        digest: u64,
+        makespan_ns: u64,
+        events: u64,
+        dup_suppressed: u64,
+        retries: u64,
+    }
+
+    const fn golden(
+        coll: &'static str,
+        profile: &'static str,
+        digest: u64,
+        makespan_ns: u64,
+        events: u64,
+        dup_suppressed: u64,
+        retries: u64,
+    ) -> Golden {
+        Golden {
+            coll,
+            profile,
+            digest,
+            makespan_ns,
+            events,
+            dup_suppressed,
+            retries,
+        }
+    }
+
+    #[rustfmt::skip]
+    const GOLDEN: [Golden; 12] = [
+        golden("bcast", "off", 0x84e5_9293_7da8_50b6, 279_670, 392, 0, 0),
+        golden("a2a-eager", "off", 0x728d_b8f4_abe2_2548, 6_248, 176, 0, 0),
+        golden("a2a-rdv", "off", 0x15fd_f16c_abc7_ccfe, 265_994, 288, 0, 0),
+        golden("a2a-diss", "off", 0x78ec_4241_bea2_f1b1, 34_568, 80, 0, 0),
+        golden("bcast", "heavy", 0x6c34_991a_0f59_3909, 4_166_663, 516, 2, 2),
+        golden("a2a-eager", "heavy", 0x52a0_e417_d557_3f9c, 4_522_972, 247, 0, 3),
+        golden("a2a-rdv", "heavy", 0xe25b_997e_9850_fc0f, 2_073_764, 347, 0, 3),
+        golden("a2a-diss", "heavy", 0x44fd_278b_bb92_92a6, 2_233_077, 108, 0, 1),
+        golden("bcast", "storm", 0xb5e7_73e1_3354_4204, 2_942_271, 604, 49, 26),
+        golden("a2a-eager", "storm", 0xc874_b646_3c52_1bcd, 2_717_372, 283, 24, 11),
+        golden("a2a-rdv", "storm", 0x82f5_ca7f_9f91_d458, 3_573_786, 435, 71, 20),
+        golden("a2a-diss", "storm", 0xc619_8bcf_f134_64b1, 2_596_333, 124, 9, 7),
+    ];
+
+    #[test]
+    fn executor_runs_match_the_parent_commit() {
+        for g in &GOLDEN {
+            let Golden { coll, profile, .. } = *g;
+            let faults = match profile {
+                "off" => None,
+                "heavy" => Some(mpisim::FaultConfig::heavy(22)),
+                _ => Some(storm()),
+            };
+            let p = if coll == "bcast" { 16 } else { 8 };
+            let build = |r: usize| match coll {
+                "bcast" => build_bcast(
+                    BcastAlgo::Binomial,
+                    32 * 1024,
+                    r,
+                    &CollSpec::new(p, 256 * 1024),
+                ),
+                "a2a-eager" => build_alltoall(AlltoallAlgo::Pairwise, r, &CollSpec::new(p, 1024)),
+                "a2a-rdv" => build_alltoall(AlltoallAlgo::Linear, r, &CollSpec::new(p, 128 * 1024)),
+                _ => build_alltoall(AlltoallAlgo::Dissemination, r, &CollSpec::new(p, 4096)),
+            };
+            let (makespan, w) = run_collective_world(
+                Platform::whale(),
+                p,
+                PayloadMode::Pooled,
+                faults.as_ref(),
+                build,
+            );
+            let what = format!("{coll}/{profile}");
+            assert_eq!(w.event_digest(), g.digest, "{what}: event digest");
+            assert_eq!(makespan.as_nanos(), g.makespan_ns, "{what}: makespan");
+            assert_eq!(w.events_processed(), g.events, "{what}: events");
+            let f = w.fault_stats();
+            assert_eq!(
+                (f.dup_suppressed, f.retries),
+                (g.dup_suppressed, g.retries),
+                "{what}"
+            );
+        }
     }
 
     #[test]
@@ -585,22 +722,9 @@ mod tests {
     }
 
     #[test]
-    fn naive_mode_counts_per_hop_allocations() {
-        let before = simcore::stats::payload_allocs();
-        let p = 8;
-        let spec = CollSpec::new(p, 64 * 1024);
-        run_collective_mode(Platform::whale(), p, PayloadMode::Naive, |r| {
-            build_bcast(BcastAlgo::Binomial, 32 * 1024, r, &spec)
-        });
-        let delta = simcore::stats::payload_allocs() - before;
-        // One alloc per staged send plus one per delivered copy.
-        assert!(delta > 0, "naive mode should record allocations");
-    }
-
-    #[test]
     fn default_payload_mode_override_round_trips() {
-        set_default_payload_mode(PayloadMode::Naive);
-        assert_eq!(default_payload_mode(), PayloadMode::Naive);
+        set_default_payload_mode(PayloadMode::Pooled);
+        assert_eq!(default_payload_mode(), PayloadMode::Pooled);
         set_default_payload_mode(PayloadMode::Off);
         assert_eq!(default_payload_mode(), PayloadMode::Off);
         clear_default_payload_mode();

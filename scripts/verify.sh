@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification pass: formatting, lints, build, tests, the smoke-sized
-# figure suite (serial vs parallel, payload modes, memo replay, and the
+# figure suite (serial vs parallel, payloads on/off, memo replay, and the
 # intra-world partitioned engine under NBC_WORLD_PAR must all be
 # byte-identical), a bench regression guard against the committed
 # BENCH_engine.json, a refresh of the engine perf trajectory (including the
@@ -42,6 +42,23 @@ cargo build --release --workspace --all-targets
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== message-layer memory contract, optimized build (zero allocations on a reused world)"
+# Debug builds keep the overflow checks and asserts the release build drops;
+# the allocation count must hold in the build that is measured.
+cargo test --release -q -p mpisim --test alloc_free --test golden_digest
+
+echo "== miri: bufpool's unsafe code (best effort: needs an installed miri)"
+if cargo miri --version >/dev/null 2>&1; then
+    if cargo miri test --offline -p mpisim --lib bufpool; then
+        echo "   miri: bufpool unit tests clean"
+    else
+        echo "FAIL: miri rejected the bufpool unit tests" >&2
+        exit 1
+    fi
+else
+    echo "   miri: unavailable"
+fi
+
 echo "== quick figure suite: --jobs 1 vs --jobs 8 must be byte-identical"
 for bin in table_verification_stats table_fft_stats; do
     s1=$(./target/release/"$bin" --quick --jobs 1)
@@ -54,17 +71,15 @@ for bin in table_verification_stats table_fft_stats; do
     echo "   $bin: identical ($(printf '%s' "$s1" | wc -c) bytes)"
 done
 
-echo "== payload modes: pooled vs naive vs off must be byte-identical"
+echo "== payload modes: pooled vs off must be byte-identical"
 ref=$(NBC_PAYLOADS=pooled NBC_MEMO=off ./target/release/table_verification_stats --quick --jobs 1)
-for mode in naive off; do
-    out=$(NBC_PAYLOADS=$mode NBC_MEMO=off ./target/release/table_verification_stats --quick --jobs 1)
-    if [ "$ref" != "$out" ]; then
-        echo "FAIL: table_verification_stats differs between NBC_PAYLOADS=pooled and =$mode" >&2
-        diff <(printf '%s\n' "$ref") <(printf '%s\n' "$out") >&2 || true
-        exit 1
-    fi
-    echo "   NBC_PAYLOADS=$mode: identical"
-done
+out=$(NBC_PAYLOADS=off NBC_MEMO=off ./target/release/table_verification_stats --quick --jobs 1)
+if [ "$ref" != "$out" ]; then
+    echo "FAIL: table_verification_stats differs between NBC_PAYLOADS=pooled and =off" >&2
+    diff <(printf '%s\n' "$ref") <(printf '%s\n' "$out") >&2 || true
+    exit 1
+fi
+echo "   NBC_PAYLOADS=off: identical"
 
 echo "== sim memo: memoized re-run must be byte-identical to fresh"
 fresh=$(NBC_MEMO=off ./target/release/table_verification_stats --quick --jobs 1)
