@@ -397,84 +397,34 @@ fn main() {
     println!("tiny_sweep: serial-cutoff parity OK (>= 0.95x at jobs = 2 and 8)");
     adcl::simmemo::clear_enabled_override();
 
-    // 2e. world_scale: one >= 4096-rank world on the synthetic HPC machine
-    // (synth-hpc: 512 nodes x 32 cores), run serially and partitioned
-    // through the intra-world conservative engine. Two passes:
-    //
-    //   - an untimed identity pass that forces Fixed(2) and Fixed(8)
-    //     regardless of host size — the event digests must match the
-    //     serial run bit-for-bit (the conservative-sync contract verify.sh
-    //     gates on) and the partition diagnostics feed the --profile
-    //     imbalance stats;
-    //   - timed rows at partitions 1/2/8, hardware-clamped like the sweep
-    //     engine (a 1-CPU host would only measure thread oversubscription;
-    //     the clamped rows land in the report as `clamped: true` and read
-    //     ~1x instead of a fake sub-serial regression).
+    // 2e. world_scale: one 4096-rank world on the synthetic HPC machine
+    // (synth-hpc: 512 nodes x 32 cores) — the only large-world timing. Its
+    // quick shape is pinned in crates/mpisim/tests/golden_digest.rs.
     let ws_ranks = 4096usize;
     let ws_rounds = args.pick3(3, 6, 10);
     let (ws_small, ws_large) = (2 * 1024usize, 64 * 1024usize);
     let ws_platform = Platform::synth_hpc();
-    let hw = simcore::par::hardware_parallelism();
-    let run_world_scale = |mode: mpisim::ParMode| {
+    const WS_SAMPLES: usize = 2;
+    let mut ws_wall = f64::INFINITY;
+    let mut ws_events = 0;
+    for _ in 0..WS_SAMPLES {
         let mut world = mpisim::World::new(
             ws_platform.clone(),
             ws_ranks,
             Placement::RoundRobin,
             NoiseConfig::none(),
         );
-        world.set_par_mode(Some(mode));
         let mut b = mpisim::NeighborExchange::new(ws_ranks, ws_rounds, ws_small, ws_large);
         let t0 = Instant::now();
         world.run(&mut b).expect("world_scale run failed");
-        let wall = t0.elapsed().as_secs_f64();
-        let digest = world.event_digest();
-        let events = world.events_processed();
-        let info = world.par_info().cloned();
-        let rank_events = world.rank_event_counts();
-        (wall, digest, events, info, rank_events)
-    };
-    let (_, ws_digest, ws_events, _, ws_rank_events) = run_world_scale(mpisim::ParMode::Off);
-    let mut ws_part_infos: Vec<mpisim::ParRunInfo> = Vec::new();
-    for n in [2usize, 8] {
-        let (_, d, _, info, _) = run_world_scale(mpisim::ParMode::Fixed(n));
-        if d != ws_digest {
-            eprintln!(
-                "FAIL: world_scale digest differs at {n} partitions: {d:#018x} != {ws_digest:#018x}"
-            );
-            std::process::exit(1);
-        }
-        let info = info.expect("forced Fixed(n) run must report partition diagnostics");
-        println!(
-            "world_scale parts={n} : digest matches serial, {} windows, events/part {:?}, peak depth/part {:?}",
-            info.windows, info.per_part_events, info.per_part_max_depth
-        );
-        ws_part_infos.push(info);
+        ws_wall = ws_wall.min(t0.elapsed().as_secs_f64());
+        ws_events = world.events_processed();
     }
-    println!("world_scale: partition-invariance OK ({ws_ranks} ranks, parts 1/2/8)");
-    const WS_SAMPLES: usize = 2;
-    for n in [1usize, 2, 8] {
-        // Timed rows: clamp to the hardware like plan_participants does.
-        let eff = n.min(hw);
-        let mode = if eff < 2 {
-            mpisim::ParMode::Off
-        } else {
-            mpisim::ParMode::Fixed(eff)
-        };
-        let mut wall = f64::INFINITY;
-        for _ in 0..WS_SAMPLES {
-            wall = wall.min(run_world_scale(mode).0);
-        }
-        let e = report.record_timed("world_scale", n, wall, ws_events);
-        println!(
-            "world_scale @{n}       : {:.3} s, {} events, {:.0} ev/s  (speedup {:.2}x{}{})",
-            e.wall_secs,
-            e.sim_events,
-            e.events_per_sec,
-            e.speedup_vs_serial.unwrap_or(0.0),
-            if eff < n { ", hw-clamped" } else { "" },
-            if e.clamped { ", clamped row" } else { "" },
-        );
-    }
+    let e = report.record_timed("world_scale", 1, ws_wall, ws_events);
+    println!(
+        "world_scale @1       : {:.3} s, {} events, {:.0} ev/s",
+        e.wall_secs, e.sim_events, e.events_per_sec
+    );
 
     // 3. FFT kernel point: the §IV-B unit of work (one pattern, two modes).
     let cfg = fft_cfg(&args);
@@ -728,67 +678,19 @@ fn main() {
         // Per-phase wall-time breakdown next to the main report: "build"
         // is the untimed pre-warm/pre-build, "merge" the digest/stats/
         // report tail, "sim" everything in between (the measured regions
-        // and their sampling overhead). Schema v2 adds the world_scale
-        // imbalance block: per-rank event-count summary stats and, for
-        // each forced partition count, the per-partition event totals and
-        // peak queue depths from the engine's partition diagnostics.
+        // and their sampling overhead).
         let merge_secs = t_merge.elapsed().as_secs_f64();
         let sim_secs = (t_main.elapsed().as_secs_f64() - merge_secs - build_secs).max(0.0);
         let ppath = "BENCH_profile.json";
-        let (re_min, re_max) = ws_rank_events
-            .iter()
-            .fold((u64::MAX, 0u64), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        let re_total: u64 = ws_rank_events.iter().sum();
-        let re_mean = re_total as f64 / ws_rank_events.len().max(1) as f64;
-        let fmt_u64s = |v: &[u64]| {
-            v.iter()
-                .map(|x| x.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut parts = String::new();
-        for (i, info) in ws_part_infos.iter().enumerate() {
-            let ev_max = info.per_part_events.iter().copied().max().unwrap_or(0);
-            let ev_mean = info.per_part_events.iter().sum::<u64>() as f64
-                / info.per_part_events.len().max(1) as f64;
-            let imb = if ev_mean > 0.0 {
-                ev_max as f64 / ev_mean
-            } else {
-                0.0
-            };
-            let comma = if i + 1 == ws_part_infos.len() {
-                ""
-            } else {
-                ","
-            };
-            parts.push_str(&format!(
-                "      {{ \"nparts\": {}, \"windows\": {}, \"lookahead_ns\": {}, \
-                 \"per_part_events\": [{}], \"per_part_max_depth\": [{}], \
-                 \"event_imbalance\": {:.4} }}{}\n",
-                info.nparts,
-                info.windows,
-                info.lookahead.as_nanos(),
-                fmt_u64s(&info.per_part_events),
-                fmt_u64s(&info.per_part_max_depth),
-                imb,
-                comma
-            ));
-        }
         let body = format!(
-            "{{\n  \"schema\": \"adcl-bench-profile-v2\",\n  \"jobs\": {jobs},\n  \
+            "{{\n  \"schema\": \"adcl-bench-profile-v3\",\n  \"jobs\": {jobs},\n  \
              \"phases\": [\n    {{ \"name\": \"build\", \"wall_secs\": {build_secs:.6} }},\n    \
              {{ \"name\": \"sim\", \"wall_secs\": {sim_secs:.6} }},\n    \
-             {{ \"name\": \"merge\", \"wall_secs\": {merge_secs:.6} }}\n  ],\n  \
-             \"world_scale\": {{\n    \"ranks\": {ranks},\n    \"rank_events\": \
-             {{ \"total\": {re_total}, \"min\": {re_min}, \"max\": {re_max}, \
-             \"mean\": {re_mean:.2} }},\n    \"partitions\": [\n{parts}    ]\n  }}\n}}\n",
-            ranks = ws_rank_events.len(),
+             {{ \"name\": \"merge\", \"wall_secs\": {merge_secs:.6} }}\n  ]\n}}\n",
         );
         std::fs::write(ppath, body).expect("write BENCH_profile.json");
         println!(
-            "wrote {ppath} (build {build_secs:.3}s, sim {sim_secs:.3}s, merge {merge_secs:.3}s, \
-             world_scale imbalance over {} partition plans)",
-            ws_part_infos.len()
+            "wrote {ppath} (build {build_secs:.3}s, sim {sim_secs:.3}s, merge {merge_secs:.3}s)"
         );
     }
     bench::write_trace_if_requested();

@@ -7,24 +7,11 @@
 //! the tuner decision audit log. Exits non-zero if the file does not parse
 //! as the expected document.
 //!
-//! With `--parts N` the summary becomes partition-aware: ranks are mapped
-//! onto the same node-aligned partitions the intra-world parallel engine
-//! would use (`mpisim::worldpar::partition_owners`; give the run's shape
-//! via `--platform` and `--placement`), the accounting is rolled up per
-//! partition, and each stall span is attributed by its peer: a stall whose
-//! sender sits in *another* partition resolves under the engine's
-//! conservative lookahead window (the null-message analogue — cross-
-//! partition traffic is what the safe-time protocol waits on), while an
-//! intra-partition stall is a genuine progress-engine stall that no amount
-//! of partitioning changes.
-//!
 //! ```text
 //! NBC_TRACE=trace.json cargo run --release --bin fig6_progress_cost
 //! cargo run --release --bin trace_inspect trace.json
-//! cargo run --release --bin trace_inspect trace.json -- --parts 4 --platform whale
 //! ```
 
-use netmodel::{Placement, Platform};
 use simcore::json::{self, Json};
 use std::collections::BTreeMap;
 use std::process::exit;
@@ -39,8 +26,6 @@ struct Ev {
     /// Microseconds, as written by the exporter.
     ts: f64,
     dur: f64,
-    /// The `src` span argument (peer rank of a stall span), if recorded.
-    src: Option<u64>,
 }
 
 fn field_str(obj: &Json, key: &str) -> String {
@@ -66,11 +51,6 @@ fn parse_events(doc: &Json) -> Option<Vec<Ev>> {
                 tid: field_f64(e, "tid") as u64,
                 ts: field_f64(e, "ts"),
                 dur: field_f64(e, "dur"),
-                src: e
-                    .get("args")
-                    .and_then(|a| a.get("src"))
-                    .and_then(|v| v.as_f64())
-                    .map(|v| v as u64),
             })
             .collect(),
     )
@@ -105,85 +85,32 @@ fn fmt_us(us: f64) -> String {
     }
 }
 
-/// Command line: path plus the optional partition-attribution flags.
-struct Cli {
-    path: String,
-    parts: Option<usize>,
-    platform: Platform,
-    placement: Placement,
-}
+const USAGE: &str = "usage: trace_inspect <trace.json>";
 
-const USAGE: &str = "usage: trace_inspect <trace.json> [--parts N] [--platform NAME] \
-                     [--placement block|roundrobin]";
-
-fn parse_cli() -> Cli {
-    let usage = USAGE;
+/// The one positional argument: the trace file.
+fn parse_cli() -> String {
     let mut path = None;
-    let mut parts = None;
-    let mut platform = Platform::whale();
-    let mut placement = Placement::Block;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut take = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value\n{usage}");
-                exit(2);
-            })
-        };
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--parts" => match take("--parts").parse::<usize>() {
-                Ok(n) if n >= 2 => parts = Some(n),
-                _ => {
-                    eprintln!("--parts needs an integer >= 2\n{usage}");
-                    exit(2);
-                }
-            },
-            "--platform" => {
-                let name = take("--platform");
-                platform = Platform::by_name(&name).unwrap_or_else(|| {
-                    eprintln!(
-                        "unknown platform {name:?} (presets: {})",
-                        Platform::preset_names().join(", ")
-                    );
-                    exit(2);
-                });
-            }
-            "--placement" => {
-                placement = match take("--placement").as_str() {
-                    "block" => Placement::Block,
-                    "roundrobin" | "rr" => Placement::RoundRobin,
-                    other => {
-                        eprintln!("unknown placement {other:?} (block | roundrobin)\n{usage}");
-                        exit(2);
-                    }
-                }
-            }
             "--help" | "-h" => {
-                println!("{usage}");
+                println!("{USAGE}");
                 exit(0);
             }
             _ if path.is_none() && !a.starts_with("--") => path = Some(a),
             other => {
-                eprintln!("unknown argument {other:?}\n{usage}");
+                eprintln!("unknown argument {other:?}\n{USAGE}");
                 exit(2);
             }
         }
     }
-    let Some(path) = path else {
-        eprintln!("{usage}");
+    path.unwrap_or_else(|| {
+        eprintln!("{USAGE}");
         exit(2);
-    };
-    Cli {
-        path,
-        parts,
-        platform,
-        placement,
-    }
+    })
 }
 
 fn main() {
-    let cli = parse_cli();
-    let path = &cli.path;
+    let path = &parse_cli();
     // Bad input files are a usage error (exit 2 + usage line), matching
     // the CLI hardening contract of the other binaries — never a panic,
     // never a bare failure code.
@@ -203,30 +130,6 @@ fn main() {
 
     println!("{path}: {} events", events.len());
 
-    // Partition attribution (--parts): map the traced ranks onto the
-    // node-aligned partitions the intra-world engine would use for this
-    // shape. The rank count is recovered from the trace itself (highest
-    // rank-timeline tid seen).
-    let nranks = events
-        .iter()
-        .filter(|e| e.cat == "rank" || e.name == "rdv_stall" || e.name == "unexpected")
-        .map(|e| e.tid as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let owners: Option<Vec<u32>> = cli.parts.and_then(|n| {
-        let o = mpisim::worldpar::partition_owners(&cli.platform, nranks, cli.placement, n);
-        if o.is_none() {
-            println!(
-                "partition attribution: {nranks} ranks on {} ({:?}) are not \
-                 node-partitionable into {n} — reporting unpartitioned",
-                cli.platform.name, cli.placement
-            );
-        }
-        o
-    });
-    let part_of =
-        |rank: u64| -> Option<u32> { owners.as_ref().and_then(|o| o.get(rank as usize)).copied() };
-
     // Per-(pid, tid) accounting from the cat="rank" state spans. The three
     // states tile each rank's active time, so the overlap ratio is
     // compute / (compute + library + blocked): 1.0 means communication was
@@ -244,74 +147,31 @@ fn main() {
         }
     }
     let mut last_pid = u64::MAX;
-    // Per-(pid, partition) rollup, flushed after each run's rank table.
-    let mut part_acct: BTreeMap<u32, [f64; 3]> = BTreeMap::new();
-    let flush_parts = |part_acct: &mut BTreeMap<u32, [f64; 3]>| {
-        if part_acct.is_empty() {
-            return;
-        }
-        println!("  per-partition rollup:");
-        for (&p, &[comp, lib, blk]) in part_acct.iter() {
-            let busy = comp + lib + blk;
-            let overlap = if busy > 0.0 { comp / busy } else { 0.0 };
-            println!(
-                "  P{:>3}  {:>12} {:>12} {:>12} {:>7.1}%",
-                p,
-                fmt_us(comp),
-                fmt_us(lib),
-                fmt_us(blk),
-                overlap * 100.0
-            );
-        }
-        part_acct.clear();
-    };
     for (&(pid, tid), &[comp, lib, blk]) in &acct {
         if pid != last_pid {
-            flush_parts(&mut part_acct);
             let label = names.get(&pid).cloned().unwrap_or_default();
             println!();
             println!("run {pid}: {label}");
             println!(
-                "  {:>4}{}  {:>12} {:>12} {:>12} {:>8}",
-                "rank",
-                if owners.is_some() { " part" } else { "" },
-                "compute",
-                "library",
-                "blocked",
-                "overlap"
+                "  {:>4}  {:>12} {:>12} {:>12} {:>8}",
+                "rank", "compute", "library", "blocked", "overlap"
             );
             last_pid = pid;
         }
         let busy = comp + lib + blk;
         let overlap = if busy > 0.0 { comp / busy } else { 0.0 };
-        let part_col = match part_of(tid) {
-            Some(p) => {
-                let s = part_acct.entry(p).or_default();
-                s[0] += comp;
-                s[1] += lib;
-                s[2] += blk;
-                format!(" P{p:<3}")
-            }
-            None => String::new(),
-        };
         println!(
-            "  {:>4}{}  {:>12} {:>12} {:>12} {:>7.1}%",
+            "  {:>4}  {:>12} {:>12} {:>12} {:>7.1}%",
             tid,
-            part_col,
             fmt_us(comp),
             fmt_us(lib),
             fmt_us(blk),
             overlap * 100.0
         );
     }
-    flush_parts(&mut part_acct);
 
     // Largest stall spans: rendezvous handshakes waiting for a progress
-    // call, and receives matched against already-buffered messages. With a
-    // partition mapping, each span is attributed by its peer: a cross-
-    // partition stall is what the conservative engine's lookahead window
-    // (null-message analogue) covers, an intra-partition one is a genuine
-    // progress stall partitioning cannot touch.
+    // call, and receives matched against already-buffered messages.
     for (cat_name, title) in [
         (
             "rdv_stall",
@@ -336,43 +196,13 @@ fn main() {
         }
         let total: f64 = stalls.iter().map(|e| e.dur).sum();
         println!("{title}: {} spans, {} total", stalls.len(), fmt_us(total));
-        if owners.is_some() {
-            let mut cross = (0usize, 0.0f64);
-            let mut local = (0usize, 0.0f64);
-            for e in &stalls {
-                match (part_of(e.tid), e.src.and_then(part_of)) {
-                    (Some(a), Some(b)) if a != b => {
-                        cross.0 += 1;
-                        cross.1 += e.dur;
-                    }
-                    _ => {
-                        local.0 += 1;
-                        local.1 += e.dur;
-                    }
-                }
-            }
-            println!(
-                "  partition split: {} cross-partition spans, {} (lookahead-window bound); \
-                 {} intra-partition spans, {} (genuine stalls)",
-                cross.0,
-                fmt_us(cross.1),
-                local.0,
-                fmt_us(local.1)
-            );
-        }
         for e in stalls.iter().take(5) {
-            let kind = match (owners.is_some(), part_of(e.tid), e.src.and_then(part_of)) {
-                (true, Some(a), Some(b)) if a != b => "  x-part",
-                (true, _, _) => "  local",
-                _ => "",
-            };
             println!(
-                "  run {} rank {:>3}  at {:>12}  for {:>10}{}",
+                "  run {} rank {:>3}  at {:>12}  for {:>10}",
                 e.pid,
                 e.tid,
                 fmt_us(e.ts),
-                fmt_us(e.dur),
-                kind
+                fmt_us(e.dur)
             );
         }
     }

@@ -49,8 +49,8 @@ pub struct PerfEntry {
     /// was measured earlier in the session.
     pub speedup_vs_serial: Option<f64>,
     /// True when the row requested more workers than the host has hardware
-    /// threads, so the hardware clamp (or the intra-world partition clamp)
-    /// ran it at reduced or serial parallelism. Clamped rows measure host
+    /// threads, so the hardware clamp ran it at reduced or serial
+    /// parallelism. Clamped rows measure host
     /// constraint, not engine scaling: consumers (the `verify.sh` scaling
     /// gate) must skip them instead of reading ~1x as a regression.
     pub clamped: bool,

@@ -31,8 +31,7 @@
 //! `allocs_per_event`. Reused slabs are *not* zeroed: the content of a
 //! freshly acquired buffer is unspecified, the acquirer must write what it
 //! needs. The pool is internally synchronized (shelves and counters behind
-//! one mutex), so handles may drop on any thread of a parallel sweep or a
-//! partitioned world.
+//! one mutex), so handles may drop on any thread of a parallel sweep.
 //!
 //! # Soundness
 //!

@@ -3,8 +3,8 @@
 //!
 //! A rank only talks to a handful of peers, so the table is open-addressed
 //! over the peers actually seen — O(peers) memory, where per-rank
-//! `nranks`-length vectors would cost O(nranks²) at the 4096-rank scale the
-//! partitioned engine exists for. One [`Chan`] per peer holds both
+//! `nranks`-length vectors would cost O(nranks²) at the 4096-rank scale of
+//! the `world_scale` runs. One [`Chan`] per peer holds both
 //! directions: the next sequence number this rank will *send* to the peer,
 //! and for messages *from* the peer the next sequence number the matching
 //! logic expects (`env_next`, MPI non-overtaking) plus a window of the

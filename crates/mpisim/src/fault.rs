@@ -304,13 +304,11 @@ pub fn current() -> FaultConfig {
 /// dedicated RNG stream *per rank*, and the straggler assignment. Built
 /// once per world; `None` when the configuration is off.
 ///
-/// Per-rank streams are what keeps fault injection deterministic under the
-/// partitioned engine: every draw is made by the rank acting at that
-/// moment (the sender of the transmission being perturbed), from that
-/// rank's own stream. A rank's events are processed in the same order by
-/// the serial and partitioned engines, so the draw sequence — and thus the
-/// whole fault timeline — is identical regardless of partition count.
-#[derive(Debug, Clone)]
+/// Every draw is made by the rank acting at that moment (the sender of
+/// the transmission being perturbed), from that rank's own stream, so a
+/// rank's fault timeline depends only on the order of its own events, not
+/// on how other ranks' events interleave with them.
+#[derive(Debug)]
 pub struct FaultModel {
     cfg: FaultConfig,
     rngs: Vec<SplitMix64>,
@@ -449,14 +447,6 @@ impl FaultModel {
     pub fn max_retries(&self) -> u32 {
         self.cfg.max_retries
     }
-
-    /// Copy rank `rank`'s stream position back from a shard's model. The
-    /// partitioned engine clones the whole model into each shard; a shard
-    /// only ever draws from its owned ranks' streams, so merging is a plain
-    /// per-owned-rank copy.
-    pub fn adopt_rank_stream(&mut self, shard: &FaultModel, rank: usize) {
-        self.rngs[rank] = shard.rngs[rank].clone();
-    }
 }
 
 #[cfg(test)]
@@ -533,11 +523,6 @@ mod tests {
             })
             .collect();
         assert_eq!(seq_a, seq_b);
-        // Shard merge: adopting rank 5's stream makes a fresh model continue
-        // exactly where the shard left off.
-        let mut parent = mk();
-        parent.adopt_rank_stream(&a, 5);
-        assert_eq!(parent.drop_event(5), a.drop_event(5));
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod message;
 pub mod types;
 pub mod workload;
 pub mod world;
-pub mod worldpar;
 pub mod worldpool;
 
 pub use bufpool::{BufPool, BufPoolStats, Payload, PooledBuf};
@@ -42,4 +41,3 @@ pub use world::{
     sim_events_total, FaultStats, RankAccounting, RankBehavior, SegmentKind, SimError, Step,
     TraceSegment, World,
 };
-pub use worldpar::{ParMode, ParRunInfo};

@@ -2,11 +2,9 @@
 //!
 //! In-flight message state is split into a sender-side half ([`SendMsg`],
 //! stored in the *sending* rank's arena) and a receiver-side half
-//! ([`DstMsg`], stored in the *destination* rank's arena). The split is what
-//! lets the partitioned world engine give each partition exclusive
-//! ownership of its ranks' state: everything a handler mutates lives on the
-//! rank the event targets, and the two halves only communicate through wire
-//! events.
+//! ([`DstMsg`], stored in the *destination* rank's arena): everything a
+//! handler mutates lives on the rank the event targets, and the two halves
+//! only communicate through wire events.
 //!
 //! Records live in per-rank arenas whose slots are recycled: the owner of a
 //! handle returns a completed send or receive with `World::release_send` /

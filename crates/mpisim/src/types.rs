@@ -10,9 +10,7 @@ pub type RankId = usize;
 pub struct Tag(pub u64);
 
 /// Handle to a posted non-blocking send: an index into the *sending*
-/// rank's message arena. Per-rank arenas (rather than one world-global
-/// `Vec`) are what lets the partitioned engine give each partition
-/// exclusive ownership of its ranks' message state.
+/// rank's message arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SendHandle {
     pub(crate) rank: u32,

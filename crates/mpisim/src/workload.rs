@@ -1,17 +1,12 @@
 //! Reusable [`RankBehavior`] workloads.
 //!
-//! [`NeighborExchange`] is the reference *splittable* behaviour: a
-//! multi-round ring exchange whose per-rank state sits behind an
-//! `Arc<Vec<Mutex<..>>>`, so [`RankBehavior::split_par`] can hand every
-//! partition a clone. Partitions own disjoint rank sets, so the per-rank
-//! locks are never contended — they exist to make the sharing safe, not to
-//! synchronize. Identity tests, benchmarks, and the scaling gate all drive
-//! the engine through it.
+//! [`NeighborExchange`] is a multi-round ring exchange that alternates
+//! eager and rendezvous sizes. The golden digests, the allocation test and
+//! the engine benchmarks all drive [`World`] through it.
 
 use crate::types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
 use crate::world::{RankBehavior, Step, World};
 use simcore::SimTime;
-use std::sync::{Arc, Mutex};
 
 /// Where one rank is inside its current round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,15 +50,14 @@ impl RankProg {
 /// message size, so one run exercises both protocol paths.
 ///
 /// Tags are `Tag(round)` — allocated identically on every rank without
-/// touching the world-global tag counter, which keeps the behaviour
-/// partition-safe.
+/// touching the world-global tag counter.
 pub struct NeighborExchange {
     nranks: usize,
     rounds: usize,
     small: usize,
     large: usize,
     compute: SimTime,
-    progs: Arc<Vec<Mutex<RankProg>>>,
+    progs: Vec<RankProg>,
 }
 
 impl NeighborExchange {
@@ -77,33 +71,19 @@ impl NeighborExchange {
             small,
             large,
             compute: SimTime::from_micros(20),
-            progs: Arc::new((0..nranks).map(|_| Mutex::new(RankProg::new())).collect()),
+            progs: (0..nranks).map(|_| RankProg::new()).collect(),
         }
     }
 
     /// Per-rank finish times (valid after a completed run).
     pub fn finish_times(&self) -> Vec<SimTime> {
-        self.progs
-            .iter()
-            .map(|p| p.lock().unwrap().finish)
-            .collect()
-    }
-
-    fn clone_shared(&self) -> NeighborExchange {
-        NeighborExchange {
-            nranks: self.nranks,
-            rounds: self.rounds,
-            small: self.small,
-            large: self.large,
-            compute: self.compute,
-            progs: Arc::clone(&self.progs),
-        }
+        self.progs.iter().map(|p| p.finish).collect()
     }
 }
 
 impl RankBehavior for NeighborExchange {
     fn step(&mut self, w: &mut World, r: RankId) -> Step {
-        let mut p = self.progs[r].lock().unwrap();
+        let p = &mut self.progs[r];
         loop {
             if p.round >= self.rounds {
                 p.finish = w.rank_now(r);
@@ -160,19 +140,6 @@ impl RankBehavior for NeighborExchange {
             }
         }
     }
-
-    fn split_par(
-        &mut self,
-        nparts: usize,
-        _owner: &[u32],
-    ) -> Option<Vec<Box<dyn RankBehavior + Send>>> {
-        Some(
-            (0..nparts)
-                .map(|_| Box::new(self.clone_shared()) as Box<dyn RankBehavior + Send>)
-                .collect(),
-        )
-    }
-    // merge_par: default no-op — all state lives behind the shared Arc.
 }
 
 /// Convenience used by tests and benchmarks: run `NeighborExchange` on a

@@ -1,41 +1,28 @@
 //! The discrete-event world: rank scheduling, point-to-point messaging and
-//! the progress engine — runnable serially or partitioned across threads.
+//! the progress engine, drained by one event loop on the calling thread.
 //!
-//! # Partitioned execution
+//! # Event order
 //!
-//! A world's ranks can be split into node-aligned partitions, each driven by
-//! its own thread running the same event loop over a sub-`World` that owns
-//! the partition's rank state, network shard, fault streams and event queue.
-//! Cross-partition events travel through bounded SPSC rings and the threads
-//! advance in lockstep *safe-time windows* of width `L`, the minimum LogGP
-//! latency between ranks of different partitions (conservative "null
-//! message"-free synchronization): an event processed at time `t` can only
-//! schedule work on a foreign rank at `t + L` or later, so every event with
-//! a timestamp inside the current window is already present in its owner's
-//! queue when the window opens.
-//!
-//! Determinism is anchored in a *content-keyed* total order: every scheduled
-//! event carries a `(time, (acting_rank, per-rank counter))` key instead of
-//! a global insertion counter, so the serial and partitioned engines pop the
-//! same per-rank event sequences — same state machines, same RNG draws, same
-//! metrics deltas, same traces, byte for byte, for any partition count
-//! ([`World::event_digest`] asserts it cheaply).
+//! Every scheduled event carries a *content-derived* key
+//! `(time, (acting_rank, per-rank counter))` instead of a global insertion
+//! counter: ties in time break by which rank's handler scheduled the event
+//! and how many events that rank had scheduled before. The order — and with
+//! it every RNG draw, metrics delta and trace — is therefore a function of
+//! the simulated program alone. [`World::event_digest`] folds the dispatched
+//! keys per rank; the golden tables in `tests/golden_digest.rs` and
+//! `nbc::executor` pin it.
 
 use crate::bufpool::{BufPool, Payload, PooledBuf};
 use crate::chan::{ChanTable, Seen};
 use crate::fault::{self, FaultConfig, FaultModel};
 use crate::message::{Arena, DstMsg, Protocol, RecvReq, RecvState, SendMsg, SendState};
 use crate::types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
-use crate::worldpar::{self, ParMode, ParPlan, ParRunInfo};
 use netmodel::{NetworkState, Placement, Platform};
 use simcore::metrics::{self, Counter, Gauge, Histogram};
 use simcore::rng::NoiseModel;
-use simcore::spsc::Spsc;
 use simcore::trace::{self, WorldTrace};
 use simcore::{EventQueue, SimTime};
-use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 // Registry-backed engine metrics. Handles are cached in `OnceLock`s so the
 // registry lock is taken once per metric, not per update; the hot counts
@@ -140,27 +127,6 @@ pub trait RankBehavior {
     /// Decide the next action for `rank` at its current local time
     /// (`world.rank_now(rank)`).
     fn step(&mut self, world: &mut World, rank: RankId) -> Step;
-
-    /// Split this behaviour into `nparts` independently steppable parts for
-    /// the partitioned engine; `owner[rank]` names the partition that will
-    /// drive `rank`. Part `p` is only ever stepped for ranks it owns.
-    ///
-    /// Returning `None` (the default) declares the behaviour unsplittable
-    /// and makes the engine fall back to serial execution — existing
-    /// behaviours keep working unchanged. Implementations typically share
-    /// per-rank state behind an `Arc` of per-rank locks: partitions own
-    /// disjoint rank sets, so the locks are never contended.
-    fn split_par(
-        &mut self,
-        _nparts: usize,
-        _owner: &[u32],
-    ) -> Option<Vec<Box<dyn RankBehavior + Send>>> {
-        None
-    }
-
-    /// Re-absorb the parts handed out by [`RankBehavior::split_par`] after a
-    /// partitioned run. A no-op by default (shared-state splits need none).
-    fn merge_par(&mut self, _parts: Vec<Box<dyn RankBehavior + Send>>) {}
 }
 
 /// Why a simulation run failed.
@@ -239,14 +205,6 @@ impl FaultStats {
             timeouts: self.timeouts - flushed.timeouts,
         }
     }
-
-    fn accumulate(&mut self, other: &FaultStats) {
-        self.drops += other.drops;
-        self.dups += other.dups;
-        self.dup_suppressed += other.dup_suppressed;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,8 +217,8 @@ enum RankStatus {
     Done,
 }
 
-/// An event local to the target rank's own partition: indices resolve
-/// against that rank's arenas.
+/// An event a rank scheduled for itself: indices resolve against that
+/// rank's arenas.
 #[derive(Debug, Clone, Copy)]
 enum LocalEv {
     /// The source buffer of send `sidx` (on the target rank) drained.
@@ -274,9 +232,8 @@ enum LocalEv {
     DeliverData(u32),
 }
 
-/// A message crossing the wire between two ranks — the only event kind that
-/// can cross partitions. Carries everything the destination needs so no
-/// foreign rank state is ever read.
+/// A message crossing the wire between two ranks. Carries everything the
+/// destination needs, so its handler reads no state of the sending rank.
 enum WireMsg {
     /// An eager payload's leading edge reached the destination.
     Eager {
@@ -340,25 +297,12 @@ impl Event {
         Event::Local(r as u32, le)
     }
 
-    /// The rank whose partition must process this event.
+    /// The rank whose handler processes this event.
     fn target(&self) -> RankId {
         match self {
             Event::Wake(r) | Event::Local(r, _) | Event::Wire(r, _) => *r as RankId,
         }
     }
-}
-
-/// A wire message in flight between partitions: the body travels inline
-/// (pool indices are meaningless across worlds) and is interned into the
-/// destination partition's arena on ingest.
-type Handoff = (SimTime, u64, RankId, WireMsg);
-
-/// Shared routing table of one partitioned run: rank ownership plus an SPSC
-/// ring per ordered partition pair (`outbox[from * nparts + to]`).
-struct ParRoute {
-    owner: Vec<u32>,
-    nparts: usize,
-    outbox: Vec<Spsc<Handoff>>,
 }
 
 /// Mix one event key into a rank's running digest (an FNV/xorshift hybrid;
@@ -431,8 +375,7 @@ impl RankAccounting {
 }
 
 /// Everything one rank owns. All messaging state a handler mutates lives on
-/// the rank the event targets, which is what lets a partition take its
-/// ranks wholesale and run without synchronization.
+/// the rank the event targets.
 struct RankState {
     now: SimTime,
     status: RankStatus,
@@ -458,8 +401,8 @@ struct RankState {
     pending_cts: Vec<u32>,
     /// Sends whose CTS arrived, awaiting payload injection (src side).
     pending_data_start: Vec<u32>,
-    /// Per-rank event-key counter: the deterministic tie-breaker replacing
-    /// the queue's global insertion counter.
+    /// Per-rank event-key counter: the content-derived tie-breaker used
+    /// instead of the queue's global insertion counter.
     key_seq: u64,
     /// Running digest of every event key dispatched to this rank.
     digest: u64,
@@ -501,14 +444,6 @@ impl RankState {
             ev_count: 0,
             tseg: Vec::new(),
         }
-    }
-
-    /// A cheap stand-in for a rank owned by another partition (~400 bytes,
-    /// never touched by the partition holding it).
-    fn placeholder() -> RankState {
-        let mut rs = RankState::fresh(0, &NoiseConfig::none());
-        rs.status = RankStatus::Done;
-        rs
     }
 
     /// Return to the state of `RankState::fresh(r, cfg)` without giving
@@ -561,9 +496,7 @@ impl RankState {
 }
 
 /// The simulated machine: ranks, network, in-flight messages and the event
-/// queue. In a partitioned run, each worker thread drives a sub-`World`
-/// holding the moved-in state of its owned ranks; `part`/`route` identify
-/// the partition, and the parent world re-absorbs everything afterwards.
+/// queue.
 pub struct World {
     net: NetworkState,
     ranks: Vec<RankState>,
@@ -601,17 +534,14 @@ pub struct World {
     /// `None` when tracing is off, making every instrumentation site a
     /// single branch. Published to the global collector on drop.
     otrace: Option<Box<WorldTrace>>,
-    /// Payload buffer pool shared by every rank of this world. The pool is
-    /// thread-safe, so partition sub-worlds share it by handle clone.
+    /// Payload buffer pool shared by every rank of this world.
     pool: BufPool,
     /// Fault-injection model; `None` (the default) makes every injection
     /// site a single branch and guarantees byte-identical behaviour to a
-    /// build without fault support. Carries one RNG stream per rank, so a
-    /// partition's clone only ever advances its owned ranks' streams.
+    /// build without fault support. Carries one RNG stream per rank.
     fault: Option<Box<FaultModel>>,
-    /// First (by event key) retransmission-budget exhaustion observed. The
-    /// run keeps draining — both engines must do identical work — and
-    /// `outcome` surfaces the error that the *serial* order hits first.
+    /// Retransmission-budget exhaustion with the smallest event key seen so
+    /// far. The run keeps draining; `outcome` surfaces this error.
     timed_out: Option<(u128, SimError)>,
     /// Key of the event currently being dispatched.
     cur_key: u128,
@@ -619,16 +549,6 @@ pub struct World {
     /// metrics registry (same delta scheme as `polls_flushed`).
     faults: FaultStats,
     faults_flushed: FaultStats,
-    /// Per-world partitioning override (None: follow `NBC_WORLD_PAR` / the
-    /// process override). Survives `reset` — it describes how to run, not
-    /// what was run.
-    par_mode: Option<ParMode>,
-    /// Which partition this sub-world is (0 and `route: None` for a
-    /// serial/parent world).
-    part: u32,
-    route: Option<Arc<ParRoute>>,
-    /// Diagnostics of the last partitioned run (None after a serial run).
-    last_par: Option<ParRunInfo>,
 }
 
 impl World {
@@ -667,10 +587,6 @@ impl World {
             cur_key: 0,
             faults: FaultStats::default(),
             faults_flushed: FaultStats::default(),
-            par_mode: None,
-            part: 0,
-            route: None,
-            last_par: None,
         }
     }
 
@@ -695,43 +611,16 @@ impl World {
         self.faults
     }
 
-    /// Override how this world parallelizes its event loop: `Some(mode)`
-    /// wins over the process override and `NBC_WORLD_PAR`; `None` restores
-    /// environment resolution. Survives [`World::reset`]. The partition
-    /// count only changes *how* the simulation executes — results are
-    /// byte-identical for every setting.
-    pub fn set_par_mode(&mut self, mode: Option<ParMode>) {
-        self.par_mode = mode;
-    }
-
-    /// The per-world partitioning override, if any.
-    pub fn par_mode(&self) -> Option<ParMode> {
-        self.par_mode
-    }
-
-    /// Diagnostics of the last `run` if it executed partitioned (`None`
-    /// after a serial run).
-    pub fn par_info(&self) -> Option<&ParRunInfo> {
-        self.last_par.as_ref()
-    }
-
     /// Order-sensitive digest of every event dispatched so far, folded
     /// per-rank then combined in rank order. Two runs that processed the
-    /// same per-rank event sequences — the partitioned-engine contract —
-    /// produce the same digest; any ordering or content divergence shows up
-    /// with overwhelming probability.
+    /// same per-rank event sequences produce the same digest; any ordering
+    /// or content divergence shows up with overwhelming probability.
     pub fn event_digest(&self) -> u64 {
         let mut d = 0xcbf2_9ce4_8422_2325u64;
         for rs in &self.ranks {
             d = fold_digest(d, rs.digest, rs.ev_count);
         }
         d
-    }
-
-    /// Events dispatched per rank (imbalance diagnostics for the
-    /// partition planner and the `--profile` report).
-    pub fn rank_event_counts(&self) -> Vec<u64> {
-        self.ranks.iter().map(|r| r.ev_count).collect()
     }
 
     /// A handle to this world's payload buffer pool, for statistics and
@@ -772,8 +661,7 @@ impl World {
 
     /// Events applied by this world so far (the per-run analogue of the
     /// process-wide [`sim_events_total`] — exact even when other worlds run
-    /// concurrently on other threads). Partitioned runs fold every
-    /// partition's count back in, so the value is engine-independent.
+    /// concurrently on other threads).
     pub fn events_processed(&self) -> u64 {
         self.events.popped() - self.popped_at_reset
     }
@@ -801,11 +689,10 @@ impl World {
     /// process-global fault/trace configuration: noise models are re-seeded
     /// from `noise`, the fault model is rebuilt from [`fault::current`],
     /// and all logical state (clocks, tags, sequence numbers, in-flight
-    /// messages, event digests, partition diagnostics) is zeroed. Only
-    /// allocation capacity and recycled payload slab contents differ —
-    /// neither is observable in simulated time or simulation output, so
-    /// results stay byte-identical whether a world is fresh or reused, and
-    /// regardless of the partition count of any previous run.
+    /// messages, event digests) is zeroed. Only allocation capacity and
+    /// recycled payload slab contents differ — neither is observable in
+    /// simulated time or simulation output, so results stay byte-identical
+    /// whether a world is fresh or reused.
     pub fn reset(&mut self, noise: NoiseConfig) {
         self.publish_trace();
         let nranks = self.ranks.len();
@@ -841,11 +728,6 @@ impl World {
         self.cur_key = 0;
         self.faults = FaultStats::default();
         self.faults_flushed = FaultStats::default();
-        // `par_mode` intentionally survives: it configures the engine, not
-        // the run. Partition-local residue does not.
-        self.part = 0;
-        self.route = None;
-        self.last_par = None;
     }
 
     /// Start recording per-rank timeline segments (compute / library /
@@ -1018,23 +900,12 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Partition plumbing
+    // Event scheduling
     // ------------------------------------------------------------------
-
-    /// Does this world's partition own `rank`? Serial/parent worlds own
-    /// everything.
-    #[inline]
-    fn owns(&self, rank: RankId) -> bool {
-        match &self.route {
-            None => true,
-            Some(rt) => rt.owner[rank] as usize == self.part as usize,
-        }
-    }
 
     /// Next content-derived tie-break key for an event scheduled by
     /// `acting`'s handler. The sequence depends only on the order of
-    /// `acting`'s own events — identical in serial and partitioned runs —
-    /// so ties in `t` break the same way under every engine.
+    /// `acting`'s own events, never on how other ranks' events interleave.
     #[inline]
     fn next_subkey(&mut self, acting: RankId) -> u64 {
         let ks = &mut self.ranks[acting].key_seq;
@@ -1068,36 +939,24 @@ impl World {
         )
     }
 
-    /// Schedule a rank-local event (`Wake`/`Local`) at `t`. These always
-    /// target `acting`'s own partition; only wire messages cross (via
-    /// [`World::push_wire`]).
+    /// Schedule a rank-local event (`Wake`/`Local`) for `acting` itself at
+    /// `t`.
     fn push_ev(&mut self, acting: RankId, t: SimTime, ev: Event) {
         let subkey = self.next_subkey(acting);
-        debug_assert!(self.owns(ev.target()), "only wire events cross partitions");
+        debug_assert_eq!(ev.target(), acting, "only wire events cross ranks");
         self.events.push_at(t, subkey, ev);
     }
 
     /// Schedule wire message `wm` for `dst` at `t`, keyed by `acting`'s
-    /// counter. A message whose destination lives in another partition is
-    /// handed off through the route's SPSC ring instead of the local queue;
-    /// locally-targeted bodies are interned so the heap entry stays small.
+    /// counter. The body is interned so the heap entry stays small.
     fn push_wire(&mut self, acting: RankId, t: SimTime, dst: RankId, wm: WireMsg) {
         let subkey = self.next_subkey(acting);
-        if self.owns(dst) {
-            let idx = self.intern_wire(wm);
-            self.events.push_at(t, subkey, Event::Wire(dst as u32, idx));
-        } else {
-            let rt = self
-                .route
-                .as_ref()
-                .expect("cross-partition push without route");
-            let to = rt.owner[dst] as usize;
-            rt.outbox[self.part as usize * rt.nparts + to].push((t, subkey, dst, wm));
-        }
+        let idx = self.intern_wire(wm);
+        self.events.push_at(t, subkey, Event::Wire(dst as u32, idx));
     }
 
-    /// Record a retransmission-budget exhaustion, keeping the one the
-    /// serial event order reaches first (smallest event key).
+    /// Record a retransmission-budget exhaustion, keeping the one with the
+    /// smallest event key.
     fn record_timeout(&mut self, err: SimError) {
         match &self.timed_out {
             Some((k, _)) if *k <= self.cur_key => {}
@@ -1111,10 +970,10 @@ impl World {
 
     /// Draw the per-transmission fault decisions for one control/eager
     /// transmission performed by `acting` (always the rank whose handler is
-    /// running, so draws come from its own stream in the same order under
-    /// every engine). Returns `None` if the transmission is dropped,
-    /// otherwise `Some((jitter_frac, duplicate_lag))`. With no fault model
-    /// armed this is `Some((0.0, None))` and consumes no randomness.
+    /// running, so draws come from its own stream in its own event order).
+    /// Returns `None` if the transmission is dropped, otherwise
+    /// `Some((jitter_frac, duplicate_lag))`. With no fault model armed this
+    /// is `Some((0.0, None))` and consumes no randomness.
     fn fault_tx(&mut self, acting: RankId) -> Option<(f64, Option<SimTime>)> {
         let Some(f) = self.fault.as_mut() else {
             return Some((0.0, None));
@@ -1192,7 +1051,6 @@ impl World {
         payload: Option<Payload>,
     ) -> SendHandle {
         assert_ne!(src, dst, "self-sends are expressed as schedule copies");
-        debug_assert!(self.owns(src), "send posted by a foreign partition");
         let seq = self.ranks[src].chans.next_send_seq(dst);
         let sidx;
         if self.net.is_eager(src, dst, bytes) {
@@ -1340,7 +1198,6 @@ impl World {
         bytes: usize,
         at: SimTime,
     ) -> RecvHandle {
-        debug_assert!(self.owns(rank), "receive posted by a foreign partition");
         let rid = self.ranks[rank].recvs.alloc(RecvReq::new(src, tag, bytes));
         // Try to match an already-arrived (unexpected) message, FIFO.
         let pos = self.ranks[rank].unexpected.iter().position(|&m| {
@@ -2031,7 +1888,7 @@ impl World {
     /// folded into the *target* rank's digest first, so the digest
     /// witnesses the dispatch order itself, not just the handler effects.
     fn dispatch(&mut self, behavior: &mut dyn RankBehavior, t: SimTime, subkey: u64, ev: Event) {
-        // `cur_key` feeds `record_timeout`'s serial-order tie-break, which
+        // `cur_key` feeds `record_timeout`'s smallest-key rule, which
         // only fault-armed runs can reach — skip the store on healthy runs.
         if self.fault.is_some() {
             self.cur_key = ((t.as_nanos() as u128) << 64) | subkey as u128;
@@ -2121,22 +1978,18 @@ impl World {
         }
     }
 
-    /// Seed the initial wake of every rank this world owns.
+    /// Seed the initial wake of every rank.
     fn seed_wakes(&mut self) {
         for r in 0..self.ranks.len() {
-            if !self.owns(r) {
-                continue;
-            }
             self.ranks[r].status = RankStatus::Scheduled;
             let now = self.ranks[r].now;
             self.push_ev(r, now, Event::wake(r));
         }
     }
 
-    /// Resolve the result of a fully drained run. Both engines drain the
-    /// queue completely, so the outcome is a pure function of final state:
-    /// a recorded timeout (first in serial event order) wins, then a
-    /// deadlock if any rank never finished, else the makespan.
+    /// Resolve the result of a fully drained run — a pure function of final
+    /// state: a recorded timeout wins, then a deadlock if any rank never
+    /// finished, else the makespan.
     fn outcome(&mut self) -> Result<SimTime, SimError> {
         if let Some((_, err)) = self.timed_out.take() {
             return Err(err);
@@ -2161,29 +2014,13 @@ impl World {
 
     /// Run `behavior` to completion. Returns the largest rank local time
     /// (the makespan).
-    ///
-    /// The engine is chosen per run: if partitioning is profitable (see
-    /// [`crate::worldpar`]) *and* the behaviour supports
-    /// [`RankBehavior::split_par`], the ranks are partitioned across
-    /// threads under conservative LogGP-lookahead synchronization;
-    /// otherwise a single thread drains the queue. The results — event
-    /// digests, completion times, metrics deltas, traces, error outcomes —
-    /// are byte-identical either way.
     pub fn run(&mut self, behavior: &mut dyn RankBehavior) -> Result<SimTime, SimError> {
         let popped_at_start = self.events.popped();
-        let out = match worldpar::plan(self) {
-            Some(plan) => match behavior.split_par(plan.nparts, &plan.owner) {
-                Some(parts) => self.run_partitioned(behavior, &plan, parts),
-                None => {
-                    self.last_par = None;
-                    self.run_serial(behavior)
-                }
-            },
-            None => {
-                self.last_par = None;
-                self.run_serial(behavior)
-            }
-        };
+        self.seed_wakes();
+        while let Some((t, k, ev)) = self.events.pop_keyed() {
+            self.dispatch(behavior, t, k, ev);
+        }
+        let out = self.outcome();
         // Flush this run's per-world tallies to the registry in one shot —
         // the hot loop itself never touches shared cache lines.
         m_sim_events().add(self.events.popped() - popped_at_start);
@@ -2207,274 +2044,6 @@ impl World {
         }
         out
     }
-
-    fn run_serial(&mut self, behavior: &mut dyn RankBehavior) -> Result<SimTime, SimError> {
-        self.seed_wakes();
-        while let Some((t, k, ev)) = self.events.pop_keyed() {
-            self.dispatch(behavior, t, k, ev);
-        }
-        self.outcome()
-    }
-
-    fn run_partitioned(
-        &mut self,
-        behavior: &mut dyn RankBehavior,
-        plan: &ParPlan,
-        mut parts: Vec<Box<dyn RankBehavior + Send>>,
-    ) -> Result<SimTime, SimError> {
-        let nparts = plan.nparts;
-        assert_eq!(parts.len(), nparts, "split_par returned wrong part count");
-        let route = Arc::new(ParRoute {
-            owner: plan.owner.clone(),
-            nparts,
-            outbox: (0..nparts * nparts).map(|_| Spsc::new()).collect(),
-        });
-        let mut subs: Vec<World> = (0..nparts as u32)
-            .map(|p| self.extract_subworld(plan, &route, p))
-            .collect();
-        let lookahead_ns = plan.lookahead.as_nanos();
-        let next_min: Vec<AtomicU64> = (0..nparts).map(|_| AtomicU64::new(0)).collect();
-        let barrier = Barrier::new(nparts);
-        let panicked = AtomicBool::new(false);
-        let panic_slot: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-        let windows = std::thread::scope(|s| {
-            let mut pairs = subs.iter_mut().zip(parts.iter_mut());
-            let (w0, b0) = pairs.next().expect("at least one partition");
-            for (w, b) in pairs {
-                let barrier = &barrier;
-                let next_min = &next_min[..];
-                let panicked = &panicked;
-                let panic_slot = &panic_slot;
-                s.spawn(move || {
-                    window_loop(
-                        w,
-                        &mut **b,
-                        barrier,
-                        next_min,
-                        lookahead_ns,
-                        panicked,
-                        panic_slot,
-                    );
-                });
-            }
-            // Partition 0 runs on the calling thread; its window count
-            // equals everyone's (all partitions leave the loop together).
-            window_loop(
-                w0,
-                &mut **b0,
-                &barrier,
-                &next_min,
-                lookahead_ns,
-                &panicked,
-                &panic_slot,
-            )
-        });
-        if let Some(p) = panic_slot.into_inner().unwrap() {
-            // A partition panicked: drop the sub-worlds (the parent world
-            // is left unusable, as after any panic mid-`run`) and re-raise
-            // on the caller's thread.
-            drop(subs);
-            std::panic::resume_unwind(p);
-        }
-        let mut per_part_events = Vec::with_capacity(nparts);
-        let mut per_part_max_depth = Vec::with_capacity(nparts);
-        for (p, sub) in subs.into_iter().enumerate() {
-            let (popped, max_depth) = self.absorb_subworld(sub, plan, p as u32);
-            per_part_events.push(popped);
-            per_part_max_depth.push(max_depth);
-        }
-        behavior.merge_par(parts);
-        self.last_par = Some(ParRunInfo {
-            nparts,
-            lookahead: plan.lookahead,
-            windows,
-            per_part_events,
-            per_part_max_depth,
-        });
-        self.outcome()
-    }
-
-    /// Move partition `part`'s slice of this world — its ranks' state, its
-    /// network shard, its fault streams — into a sub-`World` that a worker
-    /// thread can drive without any locking.
-    fn extract_subworld(&mut self, plan: &ParPlan, route: &Arc<ParRoute>, part: u32) -> World {
-        let nranks = self.ranks.len();
-        let mut ranks = Vec::with_capacity(nranks);
-        for r in 0..nranks {
-            if plan.owner[r] == part {
-                ranks.push(std::mem::replace(
-                    &mut self.ranks[r],
-                    RankState::placeholder(),
-                ));
-            } else {
-                ranks.push(RankState::placeholder());
-            }
-        }
-        World {
-            net: self.net.extract_shard(&plan.owner, part),
-            ranks,
-            events: EventQueue::with_capacity(nranks * 4),
-            scratch_cts: Vec::new(),
-            scratch_starts: Vec::new(),
-            wire_pool: Vec::new(),
-            wire_free: Vec::new(),
-            next_tag: self.next_tag,
-            polls: 0,
-            protocol_actions: 0,
-            polls_flushed: 0,
-            unexpected_msgs: 0,
-            rdv_stalls: 0,
-            rdv_stall_ns: metrics::LocalHistogram::new(),
-            fault_backoff_ns: metrics::LocalHistogram::new(),
-            popped_at_reset: 0,
-            trace_on: self.trace_on,
-            otrace: self
-                .otrace
-                .is_some()
-                .then(|| Box::new(WorldTrace::new(nranks))),
-            pool: self.pool.clone(),
-            fault: self.fault.clone(),
-            timed_out: None,
-            cur_key: 0,
-            faults: FaultStats::default(),
-            faults_flushed: FaultStats::default(),
-            par_mode: Some(ParMode::Off),
-            part,
-            route: Some(route.clone()),
-            last_par: None,
-        }
-    }
-
-    /// Fold a finished partition sub-world back into the parent. Returns
-    /// `(events popped, peak queue depth)` for the diagnostics report.
-    fn absorb_subworld(&mut self, mut sub: World, plan: &ParPlan, part: u32) -> (u64, u64) {
-        let nranks = self.ranks.len();
-        for r in 0..nranks {
-            if plan.owner[r] != part {
-                continue;
-            }
-            self.ranks[r] = std::mem::replace(&mut sub.ranks[r], RankState::placeholder());
-            if let Some(f) = self.fault.as_mut() {
-                // Take back the advanced RNG stream so a later serial run
-                // (or reset-free rerun) continues where the partition left
-                // off, exactly as a serial run would have.
-                f.adopt_rank_stream(sub.fault.as_ref().expect("sub-world lost fault model"), r);
-            }
-        }
-        let shard = std::mem::replace(
-            &mut sub.net,
-            NetworkState::new(self.net.platform().clone(), 0, Placement::Block),
-        );
-        self.net.absorb_shard(shard, &plan.owner, part);
-        self.polls += sub.polls;
-        self.protocol_actions += sub.protocol_actions;
-        self.unexpected_msgs += sub.unexpected_msgs;
-        self.rdv_stalls += sub.rdv_stalls;
-        self.rdv_stall_ns.merge(&sub.rdv_stall_ns);
-        self.fault_backoff_ns.merge(&sub.fault_backoff_ns);
-        self.faults.accumulate(&sub.faults);
-        self.next_tag = self.next_tag.max(sub.next_tag);
-        let popped = sub.events.popped();
-        self.events.add_popped(popped);
-        let max_depth = sub.events.max_len() as u64;
-        if let Some(ot) = sub.otrace.take() {
-            if let Some(mine) = self.otrace.as_mut() {
-                mine.absorb(*ot);
-            }
-        }
-        if let Some((k, err)) = sub.timed_out.take() {
-            match &self.timed_out {
-                Some((k0, _)) if *k0 <= k => {}
-                _ => self.timed_out = Some((k, err)),
-            }
-        }
-        (popped, max_depth)
-    }
-}
-
-/// One partition's conservative event loop.
-///
-/// Windows alternate between a *sync* step and an *execute* step, separated
-/// by barriers. In the sync step every partition drains its inbound SPSC
-/// rings, then publishes the timestamp of its earliest pending event; the
-/// global minimum `wmin` defines the window `[wmin, wmin + lookahead)`. In
-/// the execute step each partition processes exactly its events inside the
-/// window. Every cross-partition event lands at least `lookahead` (the
-/// minimum LogGP wire latency between cross-partition node pairs) after the
-/// handler that produced it, so nothing can arrive *inside* the current
-/// window — each partition's per-rank dispatch order is provably the serial
-/// order.
-///
-/// Returns the number of windows executed. A panic in any partition is
-/// parked in `panic_slot`, every partition exits at the next barrier, and
-/// the caller re-raises.
-fn window_loop(
-    w: &mut World,
-    behavior: &mut dyn RankBehavior,
-    barrier: &Barrier,
-    next_min: &[AtomicU64],
-    lookahead_ns: u64,
-    panicked: &AtomicBool,
-    panic_slot: &Mutex<Option<Box<dyn Any + Send>>>,
-) -> u64 {
-    let mut windows = 0u64;
-    w.seed_wakes();
-    let route = w.route.clone().expect("partitioned world without route");
-    let me = w.part as usize;
-    let nparts = route.nparts;
-    let mut inbox: Vec<Handoff> = Vec::new();
-    loop {
-        // Sync step: collect cross-partition arrivals produced during the
-        // previous window (their producers all passed the last barrier).
-        for sp in 0..nparts {
-            if sp != me {
-                route.outbox[sp * nparts + me].drain_into(&mut inbox);
-            }
-        }
-        for (t, k, r, wm) in inbox.drain(..) {
-            let idx = w.intern_wire(wm);
-            w.events.push_at(t, k, Event::Wire(r as u32, idx));
-        }
-        let head = w.events.peek_key().map_or(u64::MAX, |k| (k >> 64) as u64);
-        next_min[me].store(head, Ordering::Release);
-        barrier.wait();
-        if panicked.load(Ordering::Acquire) {
-            return windows;
-        }
-        let wmin = next_min
-            .iter()
-            .map(|a| a.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(u64::MAX);
-        if wmin == u64::MAX {
-            // No partition has anything left and nothing is in flight:
-            // the simulation is fully drained everywhere.
-            return windows;
-        }
-        windows += 1;
-        // Execute step: everything strictly before wmin + lookahead is
-        // safe — no in-flight or future cross-partition event can land
-        // there.
-        let w_end = wmin.saturating_add(lookahead_ns);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            while let Some(k) = w.events.peek_key() {
-                if (k >> 64) as u64 >= w_end {
-                    break;
-                }
-                let (t, sk, ev) = w.events.pop_keyed().expect("peeked event vanished");
-                w.dispatch(behavior, t, sk, ev);
-            }
-        }));
-        if let Err(p) = res {
-            panicked.store(true, Ordering::Release);
-            let mut slot = panic_slot.lock().unwrap();
-            slot.get_or_insert(p);
-        }
-        barrier.wait();
-        if panicked.load(Ordering::Acquire) {
-            return windows;
-        }
-    }
 }
 
 impl Drop for World {
@@ -2491,6 +2060,7 @@ impl Drop for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::NeighborExchange;
 
     fn world(nranks: usize) -> World {
         World::new(
@@ -3434,175 +3004,5 @@ mod tests {
         let mut b = NeighborExchange::new(8, 6, 2048, 1 << 20);
         w.run(&mut b).unwrap();
         assert_eq!(w.msg_slots_max(), slots, "same run, same footprint");
-    }
-
-    // ---- partitioned engine ---------------------------------------------
-
-    use crate::workload::NeighborExchange;
-    use crate::worldpar::ParMode;
-
-    /// Run `NeighborExchange` on a fresh 8-rank whale world under `mode`,
-    /// returning every observable the identity contract covers.
-    #[allow(clippy::type_complexity)]
-    fn neighbor_run(
-        mode: ParMode,
-        faults: Option<FaultConfig>,
-        traced: bool,
-    ) -> (
-        Result<SimTime, SimError>,
-        u64,
-        Vec<SimTime>,
-        u64,
-        Vec<u64>,
-        u64,
-        FaultStats,
-        Vec<TraceSegment>,
-    ) {
-        // 8 ranks round-robin over whale's 64 nodes: 8 distinct nodes, so
-        // every partition count from 2 to 8 is node-aligned.
-        let mut w = world(8);
-        w.set_par_mode(Some(mode));
-        if let Some(cfg) = &faults {
-            w.set_faults(cfg);
-        }
-        if traced {
-            w.enable_trace();
-        }
-        let mut b = NeighborExchange::new(8, 6, 2048, 1 << 20);
-        let out = w.run(&mut b);
-        if let Some(info) = w.par_info() {
-            assert!(info.nparts >= 2);
-            assert!(info.windows > 0, "a partitioned run must open windows");
-            assert_eq!(
-                info.per_part_events.iter().sum::<u64>(),
-                w.events_processed(),
-                "partition event counts must add up"
-            );
-        }
-        (
-            out,
-            w.event_digest(),
-            b.finish_times(),
-            w.events_processed(),
-            w.rank_event_counts(),
-            w.protocol_actions(),
-            w.fault_stats(),
-            w.trace(),
-        )
-    }
-
-    #[test]
-    fn partitioned_identity_eager_rdv_mix() {
-        let serial = neighbor_run(ParMode::Off, None, false);
-        for n in [2usize, 4, 8] {
-            let par = neighbor_run(ParMode::Fixed(n), None, false);
-            assert_eq!(serial, par, "divergence at {n} partitions");
-        }
-    }
-
-    #[test]
-    fn partitioned_identity_under_faults() {
-        for cfg in [FaultConfig::light(21), FaultConfig::heavy(22)] {
-            let serial = neighbor_run(ParMode::Off, Some(cfg), false);
-            for n in [2usize, 4, 8] {
-                let par = neighbor_run(ParMode::Fixed(n), Some(cfg), false);
-                assert_eq!(serial, par, "fault divergence at {n} partitions");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_identity_with_trace() {
-        let serial = neighbor_run(ParMode::Off, None, true);
-        assert!(!serial.7.is_empty(), "tracing must record segments");
-        let par = neighbor_run(ParMode::Fixed(4), None, true);
-        assert_eq!(serial, par, "trace divergence at 4 partitions");
-    }
-
-    #[test]
-    fn unsplittable_behavior_falls_back_serial() {
-        let mk = || {
-            Script::new(
-                (0..8)
-                    .map(|r| {
-                        vec![
-                            Ins::Send {
-                                dst: (r + 1) % 8,
-                                bytes: 2048,
-                            },
-                            Ins::Recv {
-                                src: (r + 7) % 8,
-                                bytes: 2048,
-                            },
-                            Ins::WaitAll,
-                        ]
-                    })
-                    .collect(),
-            )
-        };
-        let mut ws = world(8);
-        let ms = ws.run(&mut mk()).unwrap();
-        let mut wp = world(8);
-        wp.set_par_mode(Some(ParMode::Fixed(4)));
-        let mp = wp.run(&mut mk()).unwrap();
-        // Script has no split_par: the engine must fall back to serial and
-        // still produce the same run.
-        assert!(wp.par_info().is_none(), "unsplittable must run serial");
-        assert_eq!(ms, mp);
-        assert_eq!(ws.event_digest(), wp.event_digest());
-    }
-
-    #[test]
-    fn partitioned_timeout_identical() {
-        let cfg = FaultConfig {
-            drop_prob: 1.0,
-            retry_timeout: SimTime::from_micros(200),
-            max_retries: 2,
-            arm_timeouts: true,
-            ..FaultConfig::off()
-        };
-        let serial = neighbor_run(ParMode::Off, Some(cfg), false);
-        assert!(
-            matches!(serial.0, Err(SimError::Timeout { .. })),
-            "total loss must time out: {:?}",
-            serial.0
-        );
-        for n in [2usize, 4] {
-            let par = neighbor_run(ParMode::Fixed(n), Some(cfg), false);
-            assert_eq!(serial, par, "timeout divergence at {n} partitions");
-        }
-    }
-
-    #[test]
-    fn reset_clears_partition_state() {
-        let mut w = world(8);
-        w.set_par_mode(Some(ParMode::Fixed(4)));
-        let mut b = NeighborExchange::new(8, 2, 2048, 1 << 20);
-        w.run(&mut b).unwrap();
-        assert!(w.par_info().is_some(), "expected a partitioned run");
-        w.reset(NoiseConfig::none());
-        assert!(w.par_info().is_none(), "reset must clear diagnostics");
-        // par_mode survives reset (it configures the engine, not the run) —
-        // and the reused world must still match a fresh serial one.
-        let mut b2 = NeighborExchange::new(8, 6, 2048, 1 << 20);
-        let mp = w.run(&mut b2).unwrap();
-        let serial = neighbor_run(ParMode::Off, None, false);
-        assert_eq!(serial.0.as_ref().unwrap(), &mp);
-        assert_eq!(serial.1, w.event_digest());
-        assert_eq!(serial.2, b2.finish_times());
-    }
-
-    #[test]
-    fn par_info_reports_plan_shape() {
-        let mut w = world(8);
-        w.set_par_mode(Some(ParMode::Fixed(2)));
-        let mut b = NeighborExchange::new(8, 4, 2048, 1 << 20);
-        w.run(&mut b).unwrap();
-        let info = w.par_info().expect("partitioned run");
-        assert_eq!(info.nparts, 2);
-        assert!(info.lookahead > SimTime::ZERO);
-        assert_eq!(info.per_part_events.len(), 2);
-        assert_eq!(info.per_part_max_depth.len(), 2);
-        assert!(info.per_part_events.iter().all(|&e| e > 0));
     }
 }

@@ -23,19 +23,19 @@
 //! process-global config, same virtual-time behaviour), so simulation
 //! output never depends on which thread ran a point or how many points it
 //! ran before — the `jobs`-invariance contract is preserved by
-//! construction. Set `NBC_WORLD_REUSE=off` (or `0`) to bypass the cache and
-//! build every world fresh; outputs must be byte-identical either way.
+//! construction. The oracle is in `world::tests`:
+//! `reset_reproduces_fresh_world_byte_identically` and
+//! `reset_reseeds_noise_like_a_fresh_world`.
 
 use crate::types::NoiseConfig;
 use crate::world::World;
 use netmodel::{Placement, Platform};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Worlds cached per thread. Sweeps alternate between a handful of shapes
-/// (one per platform × rank-count in the sweep grid); beyond that, oldest
-/// entries are evicted — a miss only costs what it always cost: `World::new`.
+/// (one per platform × rank-count in the sweep grid); beyond that, the
+/// least recently used entry is evicted — a miss only costs what it always
+/// cost: `World::new`.
 /// Sized for the bench sweep grids (up to 2 platforms × 4 rank counts) so
 /// coarse per-worker batches never thrash shapes out mid-sweep.
 const MAX_CACHED_PER_THREAD: usize = 8;
@@ -44,51 +44,11 @@ struct CachedWorld {
     platform: Platform,
     nranks: usize,
     placement: Placement,
-    /// The partitioning mode (`crate::worldpar::mode_key`) the world was
-    /// cached under. Results are mode-independent, but a cached world's
-    /// engine configuration and partition diagnostics are not — and a mode
-    /// flip mid-sweep (tests, A/B drivers) must not hand back a world
-    /// leased under the old mode.
-    par_key: u32,
     world: World,
 }
 
 thread_local! {
     static CACHE: RefCell<Vec<CachedWorld>> = const { RefCell::new(Vec::new()) };
-}
-
-/// 0 = follow `NBC_WORLD_REUSE`, 1 = forced off, 2 = forced on.
-static ENABLED_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn enabled_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        !matches!(
-            std::env::var("NBC_WORLD_REUSE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
-}
-
-/// Is world reuse active? On by default; `NBC_WORLD_REUSE=off` or
-/// [`set_enabled`]`(false)` disables it (every lease builds a fresh world).
-pub fn enabled() -> bool {
-    match ENABLED_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => enabled_env(),
-    }
-}
-
-/// Programmatic override for tests and A/B comparisons: `Some(on)` forces
-/// the state, `None` restores `NBC_WORLD_REUSE` resolution.
-pub fn set_enabled(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    ENABLED_OVERRIDE.store(v, Ordering::Relaxed);
 }
 
 /// Number of worlds cached on the calling thread (test hook).
@@ -109,21 +69,15 @@ fn lease(
     placement: Placement,
     noise: NoiseConfig,
 ) -> CachedWorld {
-    let par_key = crate::worldpar::mode_key();
-    let find = |cache: &mut Vec<CachedWorld>| {
+    let hit = CACHE.with(|c| {
+        let mut cache = c.borrow_mut();
         let i = cache.iter().position(|w| {
-            w.nranks == nranks
-                && w.placement == placement
-                && w.par_key == par_key
-                && w.platform == *platform
+            w.nranks == nranks && w.placement == placement && w.platform == *platform
         })?;
-        Some(cache.swap_remove(i))
-    };
-    let hit = if enabled() {
-        CACHE.with(|c| find(&mut c.borrow_mut()))
-    } else {
-        None
-    };
+        // `remove`, not `swap_remove`: the vector is in least-recently-used
+        // order and `release` evicts from the front.
+        Some(cache.remove(i))
+    });
     match hit {
         Some(mut entry) => {
             entry.world.reset(noise);
@@ -133,7 +87,6 @@ fn lease(
             platform: platform.clone(),
             nranks,
             placement,
-            par_key,
             world: World::new(platform.clone(), nranks, placement, noise),
         },
     }
@@ -143,14 +96,11 @@ fn release(mut entry: CachedWorld) {
     // Traces must not wait for the cache entry's destructor: pool worker
     // threads never exit, so their thread-local destructors never run.
     entry.world.publish_trace();
-    if !enabled() {
-        return;
-    }
     CACHE.with(|c| {
         let mut cache = c.borrow_mut();
         cache.push(entry);
         if cache.len() > MAX_CACHED_PER_THREAD {
-            cache.remove(0); // evict oldest
+            cache.remove(0); // evict the least recently used
         }
     });
 }
@@ -178,8 +128,7 @@ pub fn with_world<R>(
 /// size class — the untimed pre-build hook for sweep drivers: run this on
 /// every thread a sweep will use (e.g. via `simcore::par::on_all_workers`)
 /// before the clock starts, and the measured region neither constructs
-/// worlds nor faults payload slabs in. A no-op when reuse is disabled
-/// (there is nothing to keep the warm world alive in).
+/// worlds nor faults payload slabs in.
 pub fn prewarm(
     platform: &Platform,
     nranks: usize,
@@ -188,9 +137,6 @@ pub fn prewarm(
     payload_bytes: usize,
     payload_slabs: usize,
 ) {
-    if !enabled() {
-        return;
-    }
     with_world(platform, nranks, placement, noise, |w| {
         if payload_slabs > 0 {
             w.prewarm_payloads(payload_bytes, payload_slabs);
@@ -201,10 +147,6 @@ pub fn prewarm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// `set_enabled` is process-global; serialize the tests that toggle it.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     fn shape() -> (Platform, usize, Placement, NoiseConfig) {
         (
@@ -217,10 +159,8 @@ mod tests {
 
     #[test]
     fn with_world_caches_and_reuses() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (p, n, pl, noise) = shape();
         clear_this_thread();
-        set_enabled(Some(true));
         with_world(&p, n, pl, noise, |w| assert_eq!(w.nranks(), 4));
         assert_eq!(cached_on_this_thread(), 1);
         // Second lease of the same shape must not grow the cache.
@@ -229,27 +169,13 @@ mod tests {
         // A different shape coexists.
         with_world(&p, 8, pl, noise, |w| assert_eq!(w.nranks(), 8));
         assert_eq!(cached_on_this_thread(), 2);
-        set_enabled(None);
         clear_this_thread();
-    }
-
-    #[test]
-    fn disabled_reuse_caches_nothing() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (p, n, pl, noise) = shape();
-        clear_this_thread();
-        set_enabled(Some(false));
-        with_world(&p, n, pl, noise, |_| ());
-        assert_eq!(cached_on_this_thread(), 0);
-        set_enabled(None);
     }
 
     #[test]
     fn prewarm_populates_cache_and_slabs() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (p, n, pl, noise) = shape();
         clear_this_thread();
-        set_enabled(Some(true));
         prewarm(&p, n, pl, noise, 64 * 1024, 8);
         assert_eq!(cached_on_this_thread(), 1);
         // The warm world must come back on the next lease with its slabs.
@@ -259,21 +185,35 @@ mod tests {
                 "prewarmed slabs missing"
             );
         });
-        set_enabled(None);
         clear_this_thread();
     }
 
     #[test]
     fn cache_is_bounded() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (p, _, pl, noise) = shape();
         clear_this_thread();
-        set_enabled(Some(true));
         for n in 2..2 + MAX_CACHED_PER_THREAD + 3 {
             with_world(&p, n, pl, noise, |_| ());
         }
         assert_eq!(cached_on_this_thread(), MAX_CACHED_PER_THREAD);
-        set_enabled(None);
+        clear_this_thread();
+    }
+
+    #[test]
+    fn eviction_takes_the_least_recently_used() {
+        let (p, _, pl, noise) = shape();
+        clear_this_thread();
+        // Shapes A..H are 2..=9 ranks, oldest first.
+        for n in 2..2 + MAX_CACHED_PER_THREAD {
+            with_world(&p, n, pl, noise, |_| ());
+        }
+        with_world(&p, 2, pl, noise, |_| ()); // touch A, the oldest
+        with_world(&p, 10, pl, noise, |_| ()); // a 9th shape
+        let now: Vec<usize> = CACHE.with(|c| c.borrow().iter().map(|w| w.nranks).collect());
+        assert!(!now.contains(&3), "B was least recently used: {now:?}");
+        for kept in [2, 9, 10] {
+            assert!(now.contains(&kept), "{kept} ranks evicted: {now:?}");
+        }
         clear_this_thread();
     }
 }

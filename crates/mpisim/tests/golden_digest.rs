@@ -1,16 +1,17 @@
-//! Golden runs captured from the commit *before* message records were
-//! recycled, the channel maps flattened and payload slabs made intrusive.
-//! Those changes may only move host time: simulated time, the event digest,
-//! the event count and the fault tallies must stay exactly what they were,
-//! under every fault profile and under both engines.
+//! Golden runs of the event loop. The 8-rank table was captured from the
+//! commit *before* message records were recycled, the channel maps
+//! flattened and payload slabs made intrusive; the 4096-rank row from the
+//! serial run of the commit before the partitioned engine was deleted.
+//! Engine changes may only move host time: simulated time, the event
+//! digest, the event count and the fault tallies must stay exactly what
+//! they were, under every fault profile.
 
 use mpisim::workload::{test_world, NeighborExchange};
-use mpisim::{FaultConfig, ParMode};
+use mpisim::FaultConfig;
 use netmodel::Platform;
 use simcore::SimTime;
 
-/// One 40-round 8-rank [`NeighborExchange`] on whale as the parent commit
-/// ran it, identically under the serial engine and `ParMode::Fixed(2)`.
+/// One [`NeighborExchange`] run as the capturing commit ran it.
 struct Golden {
     mix: &'static str,
     profile: &'static str,
@@ -39,6 +40,7 @@ const fn golden(
     }
 }
 
+/// 40 rounds over 8 ranks on whale: one rank per node.
 #[rustfmt::skip]
 const GOLDEN: [Golden; 12] = [
     golden("eager", "off", 0xa9ed_27fc_f238_a2aa, 985_480, 1288, [0, 0, 0, 0]),
@@ -55,11 +57,23 @@ const GOLDEN: [Golden; 12] = [
     golden("mixed", "storm", 0x50fd_1460_4006_8042, 73_592_376, 2489, [163, 172, 288, 190]),
 ];
 
+/// `perf_trajectory`'s `world_scale` quick shape — 3 rounds over 4096 ranks
+/// on synth-hpc, round-robin, so eight ranks share each node's NICs.
+const WORLD_SCALE: Golden = golden(
+    "scale",
+    "off",
+    0x756c_0290_69d7_a780,
+    112_952,
+    61_444,
+    [0, 0, 0, 0],
+);
+
 fn sizes(mix: &str) -> (usize, usize) {
     match mix {
         "eager" => (1024, 1024),
         "rdv" => (256 * 1024, 256 * 1024),
         "mixed" => (2048, 1 << 20),
+        "scale" => (2048, 64 * 1024),
         other => panic!("unknown mix {other}"),
     }
 }
@@ -86,30 +100,38 @@ fn faults(profile: &str) -> Option<FaultConfig> {
     }
 }
 
-#[test]
-fn runs_match_the_parent_commit_under_every_engine_and_fault_profile() {
-    for g in &GOLDEN {
-        let (small, large) = sizes(g.mix);
-        for mode in [ParMode::Off, ParMode::Fixed(2)] {
-            let mut w = test_world(Platform::whale(), 8);
-            w.set_par_mode(Some(mode));
-            if let Some(cfg) = faults(g.profile) {
-                w.set_faults(&cfg);
-            }
-            let mut b = NeighborExchange::new(8, 40, small, large);
-            let makespan = w.run(&mut b).expect("golden runs complete");
-            let what = format!("{}/{}/{mode:?}", g.mix, g.profile);
-            assert_eq!(w.par_info().is_some(), mode != ParMode::Off, "{what}");
-            assert_eq!(w.event_digest(), g.digest, "{what}: event digest");
-            assert_eq!(makespan.as_nanos(), g.makespan_ns, "{what}: makespan");
-            assert_eq!(w.events_processed(), g.events, "{what}: events");
-            let f = w.fault_stats();
-            assert_eq!(
-                [f.drops, f.dups, f.dup_suppressed, f.retries],
-                g.tallies,
-                "{what}: fault tallies"
-            );
-            assert_eq!(f.timeouts, 0, "{what}");
-        }
+fn check(g: &Golden, platform: Platform, nranks: usize, rounds: usize) {
+    let (small, large) = sizes(g.mix);
+    let mut w = test_world(platform, nranks);
+    if let Some(cfg) = faults(g.profile) {
+        w.set_faults(&cfg);
     }
+    let mut b = NeighborExchange::new(nranks, rounds, small, large);
+    let polls = simcore::metrics::counter("mpisim.polls");
+    let (events0, polls0) = (mpisim::sim_events_total(), polls.get());
+    let makespan = w.run(&mut b).expect("golden runs complete");
+    let what = format!("{}/{}", g.mix, g.profile);
+    assert_eq!(w.event_digest(), g.digest, "{what}: event digest");
+    assert_eq!(makespan.as_nanos(), g.makespan_ns, "{what}: makespan");
+    assert_eq!(w.events_processed(), g.events, "{what}: events");
+    // What a run flushes into the registry is what the world counted.
+    assert_eq!(mpisim::sim_events_total() - events0, g.events, "{what}");
+    assert_eq!(polls.get() - polls0, w.polls(), "{what}: polls");
+    let f = w.fault_stats();
+    assert_eq!(
+        [f.drops, f.dups, f.dup_suppressed, f.retries],
+        g.tallies,
+        "{what}: fault tallies"
+    );
+    assert_eq!(f.timeouts, 0, "{what}");
+}
+
+/// One `#[test]` on purpose: the registry counters `check` reads are
+/// process-global, so concurrently running cases would blur them.
+#[test]
+fn runs_match_the_golden_tables_under_every_fault_profile() {
+    for g in &GOLDEN {
+        check(g, Platform::whale(), 8, 40);
+    }
+    check(&WORLD_SCALE, Platform::synth_hpc(), 4096, 3);
 }

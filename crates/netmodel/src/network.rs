@@ -26,11 +26,11 @@ pub struct TransferPlan {
 
 /// Source-side half of a transfer plan ([`NetworkState::tx_plan`]).
 ///
-/// The partitioned engine splits transfer planning in two so that each half
-/// touches only resources owned by one rank's partition: the source
-/// reserves its transmit (or copy) engine and learns when the leading edge
-/// reaches the destination; the destination then reserves its receive
-/// engine when that wire event is processed ([`NetworkState::rx_reserve`]).
+/// `mpisim` plans a transfer in two halves, each touching only resources of
+/// the rank whose event is being handled: the source reserves its transmit
+/// (or copy) engine and learns when the leading edge reaches the
+/// destination; the destination reserves its receive engine when that wire
+/// event is processed ([`NetworkState::rx_reserve`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxPlan {
     /// When the source side is done with the message.
@@ -88,10 +88,14 @@ impl NetworkState {
             platform.torus,
         );
         let nic_slots = platform.nodes * platform.nics_per_node;
+        // Not `vec![FifoResource::new(); n]`: that clones an empty `VecDeque`
+        // per slot, which costs several times what building one does.
+        let idle =
+            |n: usize| -> Vec<FifoResource> { (0..n).map(|_| FifoResource::new()).collect() };
         NetworkState {
-            nic_tx: vec![FifoResource::new(); nic_slots],
-            nic_rx: vec![FifoResource::new(); nic_slots],
-            copy_engine: vec![FifoResource::new(); nranks],
+            nic_tx: idle(nic_slots),
+            nic_rx: idle(nic_slots),
+            copy_engine: idle(nranks),
             topo,
             platform,
             bytes_moved: 0,
@@ -255,111 +259,6 @@ impl NetworkState {
         self.messages
     }
 
-    /// Minimum one-way latency between any two ranks owned by *different*
-    /// partitions under `owner` (`owner[rank] = partition`), or `None` if
-    /// every rank is in one partition. This is the conservative-sync
-    /// lookahead: any event a rank processes at time `t` can only schedule
-    /// work on a rank in another partition at `t + L` or later, because
-    /// every cross-partition interaction pays at least one wire latency.
-    ///
-    /// Partitions are required to be node-aligned (no node's ranks split
-    /// across partitions), so every cross-partition pair is inter-node and
-    /// the latency floor is `inter.latency + hop_latency × min hops`,
-    /// minimized over cross-partition node pairs rather than rank pairs.
-    pub fn lookahead(&self, owner: &[u32]) -> Option<SimTime> {
-        let mut node_part: Vec<Option<u32>> = vec![None; self.platform.nodes];
-        for (rank, &part) in owner.iter().enumerate() {
-            let node = self.topo.node_of(rank);
-            debug_assert!(
-                node_part[node].is_none() || node_part[node] == Some(part),
-                "partition split a node across owners"
-            );
-            node_part[node] = Some(part);
-        }
-        let mut best: Option<SimTime> = None;
-        for a in 0..self.platform.nodes {
-            let Some(pa) = node_part[a] else { continue };
-            for (b, &slot) in node_part.iter().enumerate().skip(a + 1) {
-                let Some(pb) = slot else { continue };
-                if pa == pb {
-                    continue;
-                }
-                let lat = self.platform.inter.latency
-                    + self.platform.hop_latency * self.topo.hops(a, b) as u64;
-                best = Some(best.map_or(lat, |cur: SimTime| cur.min(lat)));
-                if self.platform.hop_latency == SimTime::ZERO {
-                    // Flat network: every cross pair costs the same.
-                    return best;
-                }
-            }
-        }
-        best
-    }
-
-    /// Move the contention state owned by partition `part` (under the
-    /// node-aligned `owner` map) out into a standalone `NetworkState` that
-    /// a shard thread can mutate without synchronization. Non-owned slots
-    /// in the returned state are fresh idle resources that the shard, by
-    /// construction, never touches: sends reserve the source's tx/copy
-    /// engines, receive reservations happen on the destination's shard.
-    ///
-    /// The parent's moved-out slots are left idle; [`NetworkState::absorb_shard`]
-    /// restores them. Byte/message statistics start at zero in the shard
-    /// and are summed back on absorb.
-    pub fn extract_shard(&mut self, owner: &[u32], part: u32) -> NetworkState {
-        let nranks = self.copy_engine.len();
-        let mut shard = NetworkState {
-            nic_tx: vec![FifoResource::new(); self.nic_tx.len()],
-            nic_rx: vec![FifoResource::new(); self.nic_rx.len()],
-            copy_engine: vec![FifoResource::new(); nranks],
-            topo: self.topo.clone(),
-            platform: self.platform.clone(),
-            bytes_moved: 0,
-            messages: 0,
-        };
-        let mut node_done = vec![false; self.platform.nodes];
-        for (rank, &o) in owner.iter().enumerate().take(nranks) {
-            if o != part {
-                continue;
-            }
-            std::mem::swap(&mut shard.copy_engine[rank], &mut self.copy_engine[rank]);
-            let node = self.topo.node_of(rank);
-            if !node_done[node] {
-                node_done[node] = true;
-                for rail in 0..self.platform.nics_per_node {
-                    let slot = node * self.platform.nics_per_node + rail;
-                    std::mem::swap(&mut shard.nic_tx[slot], &mut self.nic_tx[slot]);
-                    std::mem::swap(&mut shard.nic_rx[slot], &mut self.nic_rx[slot]);
-                }
-            }
-        }
-        shard
-    }
-
-    /// Move partition `part`'s contention state back from `shard` (the
-    /// inverse of [`NetworkState::extract_shard`]) and add its statistics.
-    pub fn absorb_shard(&mut self, mut shard: NetworkState, owner: &[u32], part: u32) {
-        let nranks = self.copy_engine.len();
-        let mut node_done = vec![false; self.platform.nodes];
-        for (rank, &o) in owner.iter().enumerate().take(nranks) {
-            if o != part {
-                continue;
-            }
-            std::mem::swap(&mut self.copy_engine[rank], &mut shard.copy_engine[rank]);
-            let node = self.topo.node_of(rank);
-            if !node_done[node] {
-                node_done[node] = true;
-                for rail in 0..self.platform.nics_per_node {
-                    let slot = node * self.platform.nics_per_node + rail;
-                    std::mem::swap(&mut self.nic_tx[slot], &mut shard.nic_tx[slot]);
-                    std::mem::swap(&mut self.nic_rx[slot], &mut shard.nic_rx[slot]);
-                }
-            }
-        }
-        self.bytes_moved += shard.bytes_moved;
-        self.messages += shard.messages;
-    }
-
     /// Reset all contention state (between independent experiment runs).
     pub fn reset(&mut self) {
         for r in self
@@ -486,55 +385,6 @@ mod tests {
         }
         assert_eq!(whole.bytes_moved(), split.bytes_moved());
         assert_eq!(whole.messages(), split.messages());
-    }
-
-    #[test]
-    fn shard_extract_absorb_roundtrip() {
-        // Partition whale's 16 ranks (2 nodes of 8) into two node-aligned
-        // halves; run the same transfers via shards as a serial state would,
-        // then verify the absorbed state plans future transfers identically.
-        let owner: Vec<u32> = (0..16).map(|r| (r / 8) as u32).collect();
-        let mut serial = net(16);
-        let mut parted = net(16);
-        let mut s0 = parted.extract_shard(&owner, 0);
-        let mut s1 = parted.extract_shard(&owner, 1);
-
-        // Rank 0 (part 0) sends to rank 8 (part 1): tx on shard 0, rx on
-        // shard 1 — mirrored on the serial state via the same split calls.
-        let tx = s0.tx_plan(SimTime::ZERO, 0, 8, 100_000);
-        let rx = s1.rx_reserve(tx.wire_at, 8, 100_000);
-        let tx_ref = serial.tx_plan(SimTime::ZERO, 0, 8, 100_000);
-        let rx_ref = serial.rx_reserve(tx_ref.wire_at, 8, 100_000);
-        assert_eq!(tx, tx_ref);
-        assert_eq!(rx, rx_ref);
-        // Intra-node on shard 1.
-        let p_intra = s1.tx_plan(SimTime::ZERO, 8, 9, 4_000);
-        let p_intra_ref = serial.tx_plan(SimTime::ZERO, 8, 9, 4_000);
-        assert_eq!(p_intra, p_intra_ref);
-
-        parted.absorb_shard(s0, &owner, 0);
-        parted.absorb_shard(s1, &owner, 1);
-        assert_eq!(parted.bytes_moved(), serial.bytes_moved());
-        assert_eq!(parted.messages(), serial.messages());
-        // Contention state carried over: a follow-up send from rank 0
-        // queues behind the earlier one identically in both states.
-        let follow = parted.plan_transfer(SimTime::ZERO, 0, 9, 100_000);
-        let follow_ref = serial.plan_transfer(SimTime::ZERO, 0, 9, 100_000);
-        assert_eq!(follow, follow_ref);
-    }
-
-    #[test]
-    fn lookahead_is_min_cross_partition_latency() {
-        let n = net(16); // whale: flat network, hop_latency 0
-        let owner: Vec<u32> = (0..16).map(|r| (r / 8) as u32).collect();
-        assert_eq!(n.lookahead(&owner), Some(n.platform().inter.latency));
-        // Single partition: no cross pairs.
-        assert_eq!(n.lookahead(&[0u32; 16]), None);
-        // Torus: lookahead includes the minimum hop cost between partitions.
-        let bgp = NetworkState::new(Platform::bluegene_p(), 1024, Placement::Block);
-        let owner: Vec<u32> = (0..1024).map(|r| (r / 512) as u32).collect();
-        let l = bgp.lookahead(&owner).unwrap();
-        assert!(l >= bgp.platform().inter.latency + bgp.platform().hop_latency);
     }
 
     #[test]

@@ -262,8 +262,8 @@ impl Platform {
     /// *synth-hpc*: a synthetic modern-HPC machine sized for the 4k–16k-rank
     /// scale experiments (beyond any of the paper's clusters): 512 nodes ×
     /// 32 cores, dual-rail 100 Gb/s-class fabric with sub-microsecond
-    /// latency. Used by the `world_scale` benchmark and the partitioned-
-    /// engine tests; not a paper machine.
+    /// latency. Used by the `world_scale` benchmark and the 4096-rank
+    /// golden digest; not a paper machine.
     pub fn synth_hpc() -> Platform {
         Platform {
             name: "synth-hpc".into(),

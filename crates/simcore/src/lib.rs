@@ -14,8 +14,6 @@
 //! * [`par`] — a dependency-free parallel sweep engine (`std::thread::scope`
 //!   with a chunked work queue) that runs independent simulations on many
 //!   cores while keeping output bit-identical to a serial run,
-//! * [`spsc`] — bounded never-blocking single-producer/single-consumer
-//!   rings carrying cross-partition events in the parallel world engine,
 //! * [`check`] — a tiny deterministic property-test harness so the test
 //!   suite needs no external crates,
 //! * [`metrics`] — a process-wide registry of named counters/gauges/
@@ -34,7 +32,6 @@ pub mod par;
 pub mod queue;
 pub mod resource;
 pub mod rng;
-pub mod spsc;
 pub mod stats;
 pub mod time;
 pub mod trace;

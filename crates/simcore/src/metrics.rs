@@ -235,19 +235,6 @@ impl LocalHistogram {
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
-
-    /// Fold another local accumulator into this one (no atomics). The
-    /// partitioned world engine gives every partition its own accumulator
-    /// and merges them at the join point; addition is commutative, so the
-    /// merged totals are independent of partition count.
-    pub fn merge(&mut self, other: &LocalHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
 }
 
 enum Metric {

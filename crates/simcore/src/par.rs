@@ -243,15 +243,6 @@ pub fn pool_size() -> usize {
     lock_state(pool()).threads
 }
 
-/// True when the calling thread is a persistent pool worker. Nested
-/// parallelism (a sweep item that would itself fan out — e.g. the
-/// partitioned world engine in `auto` mode) uses this to degrade to its
-/// serial path instead of oversubscribing a machine the pool already
-/// saturates.
-pub fn in_pool_worker() -> bool {
-    IN_POOL_WORKER.with(|w| w.get())
-}
-
 /// Sweep-barrier flush hooks.
 ///
 /// Hot-path caches (`nbc::cache`, `adcl::simmemo`) keep per-thread state —

@@ -61,7 +61,6 @@ pub struct EventQueue<E> {
     seq: u64,
     now: SimTime,
     popped: u64,
-    max_len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -78,7 +77,6 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
-            max_len: 0,
         }
     }
 
@@ -89,7 +87,6 @@ impl<E> EventQueue<E> {
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
-            max_len: 0,
         }
     }
 
@@ -99,14 +96,6 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn popped(&self) -> u64 {
         self.popped
-    }
-
-    /// High-water mark of pending events over the queue's lifetime
-    /// (survives [`EventQueue::reset`], like [`EventQueue::popped`]). Feeds
-    /// the per-partition queue-depth imbalance stats in the perf harness.
-    #[inline]
-    pub fn max_len(&self) -> usize {
-        self.max_len
     }
 
     /// The time of the most recently popped event (the current simulation
@@ -158,20 +147,15 @@ impl<E> EventQueue<E> {
             key: pack(time, seq),
             event,
         });
-        if self.heap.len() > self.max_len {
-            self.max_len = self.heap.len();
-        }
     }
 
     /// Schedule `event` at `time` under a caller-supplied tie-break key
     /// instead of the insertion counter.
     ///
-    /// The partitioned world engine orders same-timestamp events by a
-    /// *content-derived* subkey (acting rank + per-rank counter) so that the
-    /// global `(time, subkey)` order is identical no matter how events are
-    /// distributed over per-partition queues — an insertion counter cannot
-    /// provide that, because insertion order differs between one queue and
-    /// many. Same monotonicity/sentinel panics as [`EventQueue::push`].
+    /// `mpisim::World` orders same-timestamp events by a *content-derived*
+    /// subkey (acting rank + per-rank counter); that `(time, subkey)` order
+    /// is what its golden event digests pin. Same monotonicity/sentinel
+    /// panics as [`EventQueue::push`].
     /// Callers must not mix `push` and `push_at` on one queue: the insertion
     /// counter and explicit subkeys occupy the same tie-break space.
     pub fn push_at(&mut self, time: SimTime, subkey: u64, event: E) {
@@ -190,20 +174,11 @@ impl<E> EventQueue<E> {
             key: pack(time, subkey),
             event,
         });
-        if self.heap.len() > self.max_len {
-            self.max_len = self.heap.len();
-        }
     }
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| unpack_time(e.key))
-    }
-
-    /// Full packed `(time << 64) | subkey` key of the next pending event, if
-    /// any — the partitioned engine compares heads across queues with it.
-    pub fn peek_key(&self) -> Option<u128> {
-        self.heap.peek().map(|e| e.key)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -225,14 +200,6 @@ impl<E> EventQueue<E> {
         self.now = time;
         self.popped += 1;
         Some((time, entry.key as u64, entry.event))
-    }
-
-    /// Credit `n` externally popped events to this queue's lifetime counter.
-    /// Used when a run is executed on per-partition queues: the partitions'
-    /// pop counts are merged back so `popped()` reports the same total a
-    /// serial run would.
-    pub fn add_popped(&mut self, n: u64) {
-        self.popped += n;
     }
 
     /// Remove all pending events and reset the clock to zero.
@@ -317,12 +284,10 @@ mod tests {
         for i in 0..5u64 {
             q.push(SimTime::from_nanos(i), i);
         }
-        assert_eq!(q.max_len(), 5);
         while q.pop().is_some() {}
         assert_eq!(q.popped(), 5);
         q.reset();
         assert_eq!(q.popped(), 5);
-        assert_eq!(q.max_len(), 5);
         q.push(SimTime::ZERO, 0);
         q.pop();
         assert_eq!(q.popped(), 6);

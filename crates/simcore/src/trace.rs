@@ -24,9 +24,7 @@
 //! accepting whole runs past a fixed budget — better a truncated trace
 //! than an OOM on a 512-rank sweep. The cap is enforced *per rank* rather
 //! than per world so the keep/drop decision for an event depends only on
-//! that rank's own history: the partitioned engine records each rank's
-//! events on whichever thread owns it, and a world-global cap would make
-//! truncation depend on cross-rank interleaving.
+//! that rank's own history, not on how ranks interleave.
 
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -157,16 +155,6 @@ pub struct WorldTrace {
     rank_cap: usize,
 }
 
-/// Snapshot of a [`WorldTrace`]'s high-water marks, taken with
-/// [`WorldTrace::mark`] so an errored run can be rolled back with
-/// [`WorldTrace::truncate_to`].
-#[derive(Debug, Clone)]
-pub struct TraceMark {
-    lens: Vec<usize>,
-    dropped: u64,
-    events: usize,
-}
-
 impl WorldTrace {
     /// Fresh empty trace for `nranks` ranks. The per-world event budget
     /// ([`world_event_cap`]) is divided evenly into per-rank caps.
@@ -248,47 +236,6 @@ impl WorldTrace {
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.events == 0
-    }
-
-    /// Snapshot current per-rank lengths and drop counters, so a run that
-    /// later fails can be erased with [`WorldTrace::truncate_to`].
-    pub fn mark(&self) -> TraceMark {
-        TraceMark {
-            lens: self.ranks.iter().map(Vec::len).collect(),
-            dropped: self.dropped,
-            events: self.events,
-        }
-    }
-
-    /// Discard everything recorded after `mark` was taken. Used on the
-    /// `Err` path of a run: an errored run's trace contents are not part of
-    /// the determinism contract, so the world rolls its buffers back to the
-    /// run-start mark rather than publishing a partial timeline.
-    pub fn truncate_to(&mut self, mark: &TraceMark) {
-        debug_assert_eq!(mark.lens.len(), self.ranks.len());
-        for (r, &len) in self.ranks.iter_mut().zip(mark.lens.iter()) {
-            r.truncate(len);
-        }
-        self.dropped = mark.dropped;
-        self.events = mark.events;
-    }
-
-    /// Append another trace's per-rank buffers onto this one. The
-    /// partitioned engine gives each shard its own `WorldTrace` (full rank
-    /// fan-out, only owned ranks populated) and absorbs them back after the
-    /// run; per-rank caps make the keep/drop decisions rank-local, so the
-    /// merged buffers are identical to a serial recording.
-    pub fn absorb(&mut self, other: WorldTrace) {
-        debug_assert_eq!(self.ranks.len(), other.ranks.len());
-        for (mine, theirs) in self.ranks.iter_mut().zip(other.ranks) {
-            self.events += theirs.len();
-            if mine.is_empty() {
-                *mine = theirs;
-            } else {
-                mine.extend(theirs);
-            }
-        }
-        self.dropped += other.dropped;
     }
 }
 
@@ -451,39 +398,6 @@ mod tests {
         assert_eq!(t.dropped, 1);
         assert_eq!(t.ranks[0].len(), 2);
         assert_eq!(t.ranks[1].len(), 2);
-    }
-
-    #[test]
-    fn mark_and_truncate_roll_back() {
-        let mut t = WorldTrace::new(2);
-        t.rank_cap = 2;
-        t.instant(0, "keep", "test", SimTime::ZERO, NO_ARGS);
-        let m = t.mark();
-        t.instant(0, "rollback", "test", SimTime::from_nanos(1), NO_ARGS);
-        t.instant(0, "dropped", "test", SimTime::from_nanos(2), NO_ARGS); // over cap
-        t.instant(1, "rollback", "test", SimTime::from_nanos(3), NO_ARGS);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped, 1);
-        t.truncate_to(&m);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.dropped, 0);
-        assert_eq!(t.ranks[0].len(), 1);
-        assert!(t.ranks[1].is_empty());
-        assert_eq!(t.ranks[0][0].name, "keep");
-    }
-
-    #[test]
-    fn absorb_merges_rank_major() {
-        let mut a = WorldTrace::new(2);
-        let mut b = WorldTrace::new(2);
-        a.instant(0, "a0", "test", SimTime::ZERO, NO_ARGS);
-        b.instant(1, "b1", "test", SimTime::from_nanos(5), NO_ARGS);
-        b.dropped = 3;
-        a.absorb(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.dropped, 3);
-        assert_eq!(a.ranks[0][0].name, "a0");
-        assert_eq!(a.ranks[1][0].name, "b1");
     }
 
     #[test]

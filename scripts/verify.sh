@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # Full verification pass: formatting, lints, build, tests, the smoke-sized
-# figure suite (serial vs parallel, payloads on/off, memo replay, and the
-# intra-world partitioned engine under NBC_WORLD_PAR must all be
-# byte-identical), a bench regression guard against the committed
-# BENCH_engine.json, a refresh of the engine perf trajectory (including the
-# 4096-rank world_scale partition-identity check), and a clamped-aware
-# scaling gate (rows marked "clamped": true are skipped explicitly; hard
+# figure suite (serial vs parallel, payloads on/off and memo replay must
+# all be byte-identical), a tiny run of the benchmark/ ledger, a bench
+# regression guard against the committed BENCH_engine.json, a refresh of the
+# engine perf trajectory, and a clamped-aware scaling gate (rows marked "clamped": true are skipped explicitly; hard
 # floors apply to the physically meaningful rows).
 #
 # Usage: scripts/verify.sh [--profile] [--guidelines]
@@ -46,6 +44,9 @@ echo "== message-layer memory contract, optimized build (zero allocations on a r
 # Debug builds keep the overflow checks and asserts the release build drops;
 # the allocation count must hold in the build that is measured.
 cargo test --release -q -p mpisim --test alloc_free --test golden_digest
+
+echo "== ledger: benchmark/ must build and run against this tree (tiny sizes)"
+bash benchmark/run.sh --check
 
 echo "== miri: bufpool's unsafe code (best effort: needs an installed miri)"
 if cargo miri --version >/dev/null 2>&1; then
@@ -126,29 +127,6 @@ if [ "$fa" = "$fref" ]; then
 fi
 echo "   NBC_FAULTS=light:42: deterministic and distinct from healthy run"
 
-echo "== intra-world partitioning: NBC_WORLD_PAR must be byte-identical to serial"
-# The whole figure run — network timings, metrics lines, tuner decisions —
-# must not move by a single byte under any forced partition count, with and
-# without fault injection. (The mpisim integration test covers digests,
-# traces and registry deltas at the engine level; this gate covers the
-# user-visible output end to end.)
-for n in 2 4 8; do
-    wout=$(NBC_WORLD_PAR=$n ./target/release/fig6_progress_cost --quick)
-    if [ "$wout" != "$fref" ]; then
-        echo "FAIL: fig6_progress_cost differs between NBC_WORLD_PAR=$n and serial" >&2
-        diff <(printf '%s\n' "$fref") <(printf '%s\n' "$wout") >&2 || true
-        exit 1
-    fi
-    echo "   NBC_WORLD_PAR=$n: identical"
-done
-wfl=$(NBC_FAULTS=light:42 NBC_WORLD_PAR=4 ./target/release/fig6_progress_cost --quick)
-if [ "$wfl" != "$fa" ]; then
-    echo "FAIL: fig6_progress_cost under NBC_FAULTS=light:42 differs between NBC_WORLD_PAR=4 and serial" >&2
-    diff <(printf '%s\n' "$fa") <(printf '%s\n' "$wfl") >&2 || true
-    exit 1
-fi
-echo "   NBC_WORLD_PAR=4 + NBC_FAULTS=light:42: identical"
-
 echo "== ablation_faults smoke run (retry absorption + graceful demotion)"
 ab1=$(./target/release/ablation_faults --quick)
 ab2=$(./target/release/ablation_faults --quick)
@@ -176,13 +154,7 @@ if ! printf '%s\n' "$inspect" | grep -q 'adcl audit:'; then
     exit 1
 fi
 echo "   trace_inspect: parsed $(printf '%s' "$inspect" | head -1 | sed 's/.*: //')"
-pinspect=$(./target/release/trace_inspect "$trace_file" --parts 2 --platform whale)
 rm -f "$trace_file"
-if ! printf '%s\n' "$pinspect" | grep -qi 'partition'; then
-    echo "FAIL: trace_inspect --parts 2 produced no partition attribution" >&2
-    exit 1
-fi
-echo "   trace_inspect --parts 2: partition attribution present"
 
 echo "== guidelines: quick sweep is a hard gate (zero severe violations)"
 # The decision-quality observatory: every registered performance guideline
@@ -414,11 +386,11 @@ for pair in "BENCH_engine.json adcl-bench-engine-v8" "BENCH_guidelines.json adcl
     echo "   $file: $tag"
 done
 if [ -n "$PROFILE_FLAG" ]; then
-    if ! grep -q '"schema": "adcl-bench-profile-v2"' BENCH_profile.json; then
-        echo "FAIL: BENCH_profile.json does not carry schema tag adcl-bench-profile-v2" >&2
+    if ! grep -q '"schema": "adcl-bench-profile-v3"' BENCH_profile.json; then
+        echo "FAIL: BENCH_profile.json does not carry schema tag adcl-bench-profile-v3" >&2
         exit 1
     fi
-    echo "   BENCH_profile.json: adcl-bench-profile-v2"
+    echo "   BENCH_profile.json: adcl-bench-profile-v3"
 fi
 
 echo "== sweep_scale: cross-jobs digest must match the serial run"
@@ -430,17 +402,6 @@ if ! printf '%s\n' "$traj" | grep -q 'sweep_scale: jobs-invariance OK'; then
     exit 1
 fi
 echo "   $(printf '%s\n' "$traj" | grep 'sweep_scale: jobs-invariance OK')"
-
-echo "== world_scale: partitioned runs must match the serial digest (hard)"
-# perf_trajectory forces Fixed(2) and Fixed(8) on the 4096-rank world and
-# exits non-zero on any digest divergence — even on a 1-CPU host, so the
-# partition-identity contract is exercised everywhere. Require the OK line
-# so a silently skipped section can't pass.
-if ! printf '%s\n' "$traj" | grep -q 'world_scale: partition-invariance OK'; then
-    echo "FAIL: perf_trajectory did not report world_scale partition-invariance" >&2
-    exit 1
-fi
-echo "   $(printf '%s\n' "$traj" | grep 'world_scale: partition-invariance OK')"
 
 echo "== adcld_serve: warm traffic must be history/memo hits only (hard)"
 # perf_trajectory drives the in-process daemon through cold/warm/mixed
@@ -480,9 +441,6 @@ echo "== scaling gate (clamped-aware, hard)"
 # the engine, and are skipped explicitly (no host heuristic). For the
 # remaining (physically meaningful) rows:
 #   - sweep_scale at jobs >= 4 must reach 2.0x (hard floor; 4.0x target),
-#   - world_scale at jobs >= 8 should reach 2.0x (soft: the intra-world
-#     windows pay barrier latency that the embarrassingly parallel sweep
-#     does not, so a miss warns instead of failing),
 #   - every other parallel row must stay >= 0.75x of serial (hard; the
 #     pre-clamp regressions sat at 0.54x) with parity (0.95x) as target.
 host_threads=$(grep -o '"host_threads": *[0-9]*' BENCH_engine.json | head -1 | grep -o '[0-9]*$')
@@ -511,8 +469,6 @@ awk '
         if (name == "sweep_scale" && jobs >= 4) {
             if (s < 2.0) { bad = 1; note = "  FAIL: below 2.0x hard floor" }
             else if (s < 4.0) note = "  WARN: below 4.0x target"
-        } else if (name == "world_scale" && jobs >= 8) {
-            if (s < 2.0) note = "  WARN: below 2.0x soft target (window barriers?)"
         } else if (s < 0.75) {
             bad = 1
             note = "  FAIL: parallel row below 0.75x serial (clamp/cutoff broken?)"
