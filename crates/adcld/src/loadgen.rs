@@ -20,13 +20,12 @@
 //!   replay cache) — the acceptance bar for the tuning service.
 //! * **mixed** — 50/50 interleave of new and repeat keys.
 //!
-//! Results land in `BENCH_engine.json` as the `adcld_serve` section
-//! (schema `engine-v7`), written by `perf_trajectory`.
+//! `adcld_bench` prints the result; the `benchmark/` ledger measures the
+//! same daemon as `serve_warm` / `serve_mixed`.
 
 use crate::protocol;
 use crate::server::Server;
 use crate::service::ServiceConfig;
-use simcore::json::Json;
 use simcore::rng::SplitMix64;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -77,27 +76,6 @@ impl PhaseReport {
     pub fn warm_served(&self) -> usize {
         self.history_hits + self.memo_replays
     }
-
-    /// The `adcld_serve` entry of this phase. That section is measured
-    /// closed loop, so the lateness fields stay out of its schema.
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("clients", Json::num(self.clients as f64)),
-            ("errors", Json::num(self.errors as f64)),
-            ("fresh_sweeps", Json::num(self.fresh_sweeps as f64)),
-            (
-                "guideline_flagged",
-                Json::num(self.guideline_flagged as f64),
-            ),
-            ("history_hits", Json::num(self.history_hits as f64)),
-            ("memo_replays", Json::num(self.memo_replays as f64)),
-            ("p50_us", Json::num(self.p50_us as f64)),
-            ("p99_us", Json::num(self.p99_us as f64)),
-            ("requests", Json::num(self.requests as f64)),
-            ("rps", Json::num(self.rps)),
-            ("wall_secs", Json::num(self.wall_secs)),
-        ])
-    }
 }
 
 /// All phases of one load run.
@@ -111,17 +89,6 @@ impl LoadSummary {
     /// Find a phase by name.
     pub fn phase(&self, name: &str) -> Option<&PhaseReport> {
         self.phases.iter().find(|p| p.name == name)
-    }
-
-    /// Render the `adcld_serve` JSON section (an object keyed by phase).
-    pub fn render_section(&self) -> String {
-        Json::Obj(
-            self.phases
-                .iter()
-                .map(|p| (p.name.to_string(), p.to_json()))
-                .collect(),
-        )
-        .render()
     }
 }
 
@@ -450,31 +417,5 @@ mod tests {
         assert_eq!(percentile(&v, 99), 99);
         assert_eq!(percentile(&[], 50), 0);
         assert_eq!(percentile(&[7], 99), 7);
-    }
-
-    #[test]
-    fn section_renders_valid_json() {
-        let summary = LoadSummary {
-            phases: vec![PhaseReport {
-                name: "cold",
-                clients: 2,
-                requests: 8,
-                wall_secs: 0.25,
-                rps: 32.0,
-                p50_us: 1500,
-                p99_us: 9000,
-                history_hits: 0,
-                memo_replays: 0,
-                fresh_sweeps: 8,
-                guideline_flagged: 0,
-                errors: 0,
-                late_share: 0.0,
-                late_max_us: 0,
-            }],
-        };
-        let doc = simcore::json::parse(&summary.render_section()).unwrap();
-        let cold = doc.get("cold").expect("cold phase");
-        assert_eq!(cold.get("requests").and_then(|v| v.as_u64()), Some(8));
-        assert_eq!(cold.get("rps").and_then(|v| v.as_f64()), Some(32.0));
     }
 }

@@ -451,3 +451,16 @@ fn shutdown_command_stops_the_daemon_and_checkpoints() {
     assert_eq!(store.len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The acceptance bar for the tuning service: once every key has been
+/// swept, repeat traffic is answered from the history store (or at worst
+/// the memo) and never re-simulates.
+#[test]
+fn warm_traffic_never_resimulates() {
+    let summary = adcld::loadgen::bench_serve(true, 2, 2, None).expect("bench_serve");
+    let warm = summary.phase("warm").expect("warm phase present");
+    assert!(warm.requests > 0);
+    assert_eq!(warm.errors, 0);
+    assert_eq!(warm.fresh_sweeps, 0);
+    assert_eq!(warm.warm_served(), warm.requests);
+}

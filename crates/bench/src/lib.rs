@@ -7,9 +7,6 @@
 //! completes in seconds; pass `--full` to use the paper-scale process
 //! counts (slower, same shape).
 
-pub mod harness;
-pub mod perf;
-
 use autonbc::driver::{CollectiveOp, MicrobenchSpec};
 use autonbc::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,15 +38,11 @@ pub struct Args {
     /// Requested worker threads; 0 means auto (`NBC_JOBS` env var, then
     /// the host's available parallelism).
     pub jobs: usize,
-    /// Dump a per-phase wall-time breakdown (schedule/world pre-build,
-    /// timed simulation, result merge + report) next to the main report
-    /// (`perf_trajectory` writes `BENCH_profile.json`).
-    pub profile: bool,
 }
 
 impl Args {
     /// Parse from `std::env::args`. Recognized: `--full`, `--quick`,
-    /// `--profile`, `--jobs N` (also `--jobs=N`; `0` = auto), `--trace-out FILE` (also
+    /// `--jobs N` (also `--jobs=N`; `0` = auto), `--trace-out FILE` (also
     /// `--trace-out=FILE`; enables tracing to that file, like
     /// `NBC_TRACE=FILE`), `--faults SPEC` (also `--faults=SPEC`; enables
     /// deterministic fault injection, like `NBC_FAULTS=SPEC`) and `--help`.
@@ -57,14 +50,12 @@ impl Args {
     pub fn parse() -> Args {
         let mut full = false;
         let mut quick = false;
-        let mut profile = false;
         let mut jobs: Option<usize> = None;
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--full" => full = true,
                 "--quick" => quick = true,
-                "--profile" => profile = true,
                 "--jobs" => {
                     let v = it.next().unwrap_or_else(|| {
                         eprintln!("--jobs needs a value (0 = auto)");
@@ -97,8 +88,6 @@ impl Args {
                     println!("  --full           paper-scale process counts (slower)");
                     println!("  --quick          minimal smoke-sized sweep (fast)");
                     println!("  --jobs N         worker threads for the sweep (0 = auto)");
-                    println!("  --profile        write a per-phase wall-time breakdown");
-                    println!("                   (build/sim/merge) next to the main report");
                     println!("  --trace-out FILE write a Chrome trace_event timeline plus the");
                     println!("                   tuner audit log (same as NBC_TRACE=FILE)");
                     println!("  --faults SPEC    deterministic fault injection (same as");
@@ -117,7 +106,7 @@ impl Args {
                         set_faults(v);
                     } else {
                         eprintln!(
-                            "unknown argument {other}; supported: --full --quick --jobs N --profile --trace-out FILE --faults SPEC"
+                            "unknown argument {other}; supported: --full --quick --jobs N --trace-out FILE --faults SPEC"
                         );
                         std::process::exit(2);
                     }
@@ -131,7 +120,6 @@ impl Args {
         let args = Args {
             full,
             quick,
-            profile,
             jobs: jobs.unwrap_or(0),
         };
         set_jobs(args.effective_jobs());
@@ -424,7 +412,6 @@ mod tests {
         let a = Args {
             full: false,
             quick: false,
-            profile: false,
             jobs: 0,
         };
         assert_eq!(a.pick(1, 2), 1);
@@ -432,7 +419,6 @@ mod tests {
         let a = Args {
             full: true,
             quick: false,
-            profile: false,
             jobs: 0,
         };
         assert_eq!(a.pick(1, 2), 2);
@@ -440,7 +426,6 @@ mod tests {
         let a = Args {
             full: false,
             quick: true,
-            profile: false,
             jobs: 0,
         };
         assert_eq!(a.pick(1, 2), 1);

@@ -33,8 +33,8 @@
 //! race just adopts the winner's value. The sharded map remains the sole
 //! source of truth — front caches are filled only from it, so inserts are
 //! never lost to a thread-local copy. Front-cache hit tallies flush to
-//! the registry at sweep barriers (`simcore::par::register_sweep_flush`)
-//! and on [`stats`].
+//! the registry (`adcl.simmemo.*`) at sweep barriers
+//! (`simcore::par::register_sweep_flush`).
 
 use simcore::metrics::{self, Counter};
 use std::any::Any;
@@ -64,15 +64,9 @@ fn write_shard(
 
 struct Memo {
     shards: Vec<Shard>,
-    /// Registry counters (`adcl.simmemo.*`) with subtractive baselines so
-    /// the process-wide metrics dump stays monotone while [`stats`] keeps
-    /// its "since last [`reset_stats`]" contract.
     hits: &'static Counter,
     misses: &'static Counter,
     replayed_events: &'static Counter,
-    hits_base: AtomicU64,
-    misses_base: AtomicU64,
-    replayed_base: AtomicU64,
 }
 
 fn memo() -> &'static Memo {
@@ -86,9 +80,6 @@ fn memo() -> &'static Memo {
             hits: metrics::counter("adcl.simmemo.hits"),
             misses: metrics::counter("adcl.simmemo.misses"),
             replayed_events: metrics::counter("adcl.simmemo.replayed_events"),
-            hits_base: AtomicU64::new(0),
-            misses_base: AtomicU64::new(0),
-            replayed_base: AtomicU64::new(0),
         }
     })
 }
@@ -161,27 +152,6 @@ fn shard_of(key: &str) -> usize {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     (h as usize) % NSHARDS
-}
-
-/// Hit/miss counters plus the number of simulation events credited to
-/// replays (events a cache hit avoided re-simulating).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub replayed_events: u64,
-}
-
-impl MemoStats {
-    /// Hit rate in [0, 1]; 0 when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Process-wide enable override: 0 = unset (consult `NBC_MEMO`),
@@ -282,44 +252,9 @@ where
 }
 
 /// Credit `events` simulation events to the replay counter: a cache hit
-/// stood in for a run that would have processed this many events. The perf
-/// harness folds this into effective events/sec.
+/// stood in for a run that would have processed this many events.
 pub fn credit_replay(events: u64) {
     memo().replayed_events.add(events);
-}
-
-/// Current counters.
-///
-/// Flushes the calling thread's front-cache tally first; worker tallies
-/// flush at sweep barriers, so totals observed between sweeps are exact
-/// for every `jobs` value.
-pub fn stats() -> MemoStats {
-    flush_front_stats();
-    let m = memo();
-    MemoStats {
-        hits: m
-            .hits
-            .get()
-            .saturating_sub(m.hits_base.load(Ordering::Relaxed)),
-        misses: m
-            .misses
-            .get()
-            .saturating_sub(m.misses_base.load(Ordering::Relaxed)),
-        replayed_events: m
-            .replayed_events
-            .get()
-            .saturating_sub(m.replayed_base.load(Ordering::Relaxed)),
-    }
-}
-
-/// Zero the counters (entries are kept; the underlying registry counters
-/// keep their monotone totals).
-pub fn reset_stats() {
-    let m = memo();
-    m.hits_base.store(m.hits.get(), Ordering::Relaxed);
-    m.misses_base.store(m.misses.get(), Ordering::Relaxed);
-    m.replayed_base
-        .store(m.replayed_events.get(), Ordering::Relaxed);
 }
 
 /// Number of memoized outcomes.
@@ -345,11 +280,29 @@ mod tests {
     /// toggle them must not interleave.
     static LOCK: StdMutex<()> = StdMutex::new(());
 
+    /// `(hits, misses, replayed_events)` the registry gained since `scope`
+    /// began, this thread's front-cache tally included.
+    fn counted(scope: &metrics::Scope) -> (u64, u64, u64) {
+        simcore::par::run_sweep_flush_hooks();
+        let d = scope.delta();
+        let get = |name| d.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
+        (
+            get("adcl.simmemo.hits"),
+            get("adcl.simmemo.misses"),
+            get("adcl.simmemo.replayed_events"),
+        )
+    }
+
+    /// A scope that starts with nothing of this thread's left to flush.
+    fn begin_scope() -> metrics::Scope {
+        simcore::par::run_sweep_flush_hooks();
+        metrics::Scope::begin()
+    }
+
     fn with_memo_on<R>(f: impl FnOnce() -> R) -> R {
         let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_enabled(true);
         clear();
-        reset_stats();
         let r = f();
         clear_enabled_override();
         r
@@ -358,6 +311,7 @@ mod tests {
     #[test]
     fn second_lookup_is_a_replay() {
         with_memo_on(|| {
+            let scope = begin_scope();
             let mut runs = 0;
             let (a, replay_a) = get_or_run("k/test/1", || {
                 runs += 1;
@@ -371,9 +325,8 @@ mod tests {
             assert_eq!(*a, *b);
             assert!(!replay_a);
             assert!(replay_b);
-            let s = stats();
-            assert_eq!((s.hits, s.misses), (1, 1));
-            assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+            let (hits, misses, _) = counted(&scope);
+            assert_eq!((hits, misses), (1, 1));
         });
     }
 
@@ -421,7 +374,7 @@ mod tests {
     fn disabled_cache_always_runs() {
         let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         set_enabled(false);
-        let before = stats();
+        let scope = begin_scope();
         let mut runs = 0;
         for _ in 0..3 {
             let (v, replay) = get_or_run("k/disabled", || {
@@ -432,8 +385,11 @@ mod tests {
             assert!(!replay);
         }
         assert_eq!(runs, 3);
-        let after = stats();
-        assert_eq!(before, after, "disabled runs must not touch counters");
+        assert_eq!(
+            counted(&scope),
+            (0, 0, 0),
+            "disabled runs must not touch counters"
+        );
         clear_enabled_override();
     }
 
@@ -453,16 +409,17 @@ mod tests {
     #[test]
     fn front_cache_replays_and_flushes_hits_through_stats() {
         with_memo_on(|| {
+            let scope = begin_scope();
             let (_, _) = get_or_run("k/front/1", || 11u64);
             // These replays come from the thread-local front cache; their
-            // tallies must appear once stats() flushes the calling thread.
+            // tallies must appear once the calling thread's hooks flush.
             for _ in 0..5 {
                 let (v, replay) = get_or_run("k/front/1", || -> u64 { unreachable!() });
                 assert_eq!(*v, 11u64);
                 assert!(replay);
             }
-            let s = stats();
-            assert_eq!((s.hits, s.misses), (5, 1));
+            let (hits, misses, _) = counted(&scope);
+            assert_eq!((hits, misses), (5, 1));
         });
     }
 
@@ -508,10 +465,10 @@ mod tests {
     #[test]
     fn replay_crediting_accumulates() {
         with_memo_on(|| {
-            let before = stats().replayed_events;
+            let scope = begin_scope();
             credit_replay(100);
             credit_replay(23);
-            assert_eq!(stats().replayed_events, before + 123);
+            assert_eq!(counted(&scope).2, 123);
         });
     }
 }

@@ -27,8 +27,8 @@
 //! Buffers are grouped in power-of-two size classes (minimum
 //! [`MIN_CLASS_BYTES`]); an acquire pops a free slab of the right class or,
 //! on a miss, heap-allocates one and records it via
-//! [`simcore::stats::record_payload_alloc`] so the perf harness can report
-//! `allocs_per_event`. Reused slabs are *not* zeroed: the content of a
+//! [`simcore::stats::record_payload_alloc`] (`simcore.payload_allocs`).
+//! Reused slabs are *not* zeroed: the content of a
 //! freshly acquired buffer is unspecified, the acquirer must write what it
 //! needs. The pool is internally synchronized (shelves and counters behind
 //! one mutex), so handles may drop on any thread of a parallel sweep.

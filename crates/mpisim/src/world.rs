@@ -61,7 +61,7 @@ fn m_rdv_stall_ns() -> &'static Histogram {
 
 // Fault-injection metrics. Touched only when a world actually carries a
 // fault model, so a healthy process never even registers them (keeping the
-// default metrics dump, and thus BENCH_engine.json, unchanged).
+// default metrics dump unchanged).
 fn m_fault_drops() -> &'static Counter {
     static M: OnceLock<&'static Counter> = OnceLock::new();
     M.get_or_init(|| metrics::counter("mpisim.fault.drops"))

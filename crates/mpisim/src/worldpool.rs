@@ -51,16 +51,6 @@ thread_local! {
     static CACHE: RefCell<Vec<CachedWorld>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Number of worlds cached on the calling thread (test hook).
-pub fn cached_on_this_thread() -> usize {
-    CACHE.with(|c| c.borrow().len())
-}
-
-/// Drop every world cached on the calling thread.
-pub fn clear_this_thread() {
-    CACHE.with(|c| c.borrow_mut().clear());
-}
-
 /// Take the calling thread's cached world of this shape out of the cache,
 /// reset for a new run, or build a fresh entry.
 fn lease(
@@ -147,6 +137,14 @@ pub fn prewarm(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cached_on_this_thread() -> usize {
+        CACHE.with(|c| c.borrow().len())
+    }
+
+    fn clear_this_thread() {
+        CACHE.with(|c| c.borrow_mut().clear());
+    }
 
     fn shape() -> (Platform, usize, Placement, NoiseConfig) {
         (

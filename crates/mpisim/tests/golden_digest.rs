@@ -57,8 +57,8 @@ const GOLDEN: [Golden; 12] = [
     golden("mixed", "storm", 0x50fd_1460_4006_8042, 73_592_376, 2489, [163, 172, 288, 190]),
 ];
 
-/// `perf_trajectory`'s `world_scale` quick shape — 3 rounds over 4096 ranks
-/// on synth-hpc, round-robin, so eight ranks share each node's NICs.
+/// The one large world in the suite — 3 rounds over 4096 ranks on
+/// synth-hpc, round-robin, so eight ranks share each node's NICs.
 const WORLD_SCALE: Golden = golden(
     "scale",
     "off",

@@ -20,11 +20,10 @@
 //! insert can be lost to a thread-local copy.
 //!
 //! Hit/miss counts live on the `simcore::metrics` registry
-//! (`nbc.cache.hits` / `nbc.cache.misses`) and feed the perf harness
-//! (`BENCH_engine.json`). Front-cache hits are tallied thread-locally and
-//! flushed into the registry at sweep barriers (via
-//! `simcore::par::register_sweep_flush`) and on every [`stats`] call, so
-//! totals observed between sweeps are exact for every `jobs` value.
+//! (`nbc.cache.hits` / `nbc.cache.misses`). Front-cache hits are tallied
+//! thread-locally and flushed into the registry at sweep barriers (via
+//! `simcore::par::register_sweep_flush`), so totals observed between
+//! sweeps are exact for every `jobs` value.
 //!
 //! Correctness: entries are immutable once inserted, and the key captures
 //! every input of the builders, so a cached schedule is structurally
@@ -84,13 +83,8 @@ fn shard_index(k: &Key) -> usize {
 
 struct ScheduleCache {
     shards: Vec<RwLock<HashMap<Key, Arc<Schedule>>>>,
-    /// Registry counters plus subtractive baselines: the registry values
-    /// stay monotone for the process-wide metrics dump while [`stats`]
-    /// keeps its "since last [`reset_stats`]" contract.
     hits: &'static Counter,
     misses: &'static Counter,
-    hits_base: AtomicU64,
-    misses_base: AtomicU64,
 }
 
 fn cache() -> &'static ScheduleCache {
@@ -103,8 +97,6 @@ fn cache() -> &'static ScheduleCache {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             hits: metrics::counter("nbc.cache.hits"),
             misses: metrics::counter("nbc.cache.misses"),
-            hits_base: AtomicU64::new(0),
-            misses_base: AtomicU64::new(0),
         }
     })
 }
@@ -129,8 +121,8 @@ thread_local! {
 }
 
 /// Flush this thread's front-cache hit tally into the registry counter.
-/// Runs on every sweep participant at sweep barriers and at the top of
-/// [`stats`], so cross-thread totals are exact at observation points.
+/// Runs on every sweep participant at sweep barriers, so cross-thread
+/// totals are exact at observation points.
 fn flush_front_stats() {
     let pending = FRONT_HITS.with(|h| h.replace(0));
     if pending > 0 {
@@ -212,32 +204,6 @@ fn get_or_build(key: Key, build: impl FnOnce() -> Schedule) -> Arc<Schedule> {
     let adopted = Arc::clone(write_shard(shard).entry(key).or_insert(built));
     front_put(key, Arc::clone(&adopted), epoch);
     adopted
-}
-
-/// `(hits, misses)` since process start (or the last [`reset_stats`]).
-///
-/// Flushes the calling thread's front-cache tally first; worker tallies
-/// are flushed at sweep barriers, so after a `par_map` returns the totals
-/// here are exact regardless of how the sweep was threaded.
-pub fn stats() -> (u64, u64) {
-    flush_front_stats();
-    let c = cache();
-    (
-        c.hits
-            .get()
-            .saturating_sub(c.hits_base.load(Ordering::Relaxed)),
-        c.misses
-            .get()
-            .saturating_sub(c.misses_base.load(Ordering::Relaxed)),
-    )
-}
-
-/// Reset the hit/miss counters (the cached entries stay; the underlying
-/// registry counters keep their monotone totals).
-pub fn reset_stats() {
-    let c = cache();
-    c.hits_base.store(c.hits.get(), Ordering::Relaxed);
-    c.misses_base.store(c.misses.get(), Ordering::Relaxed);
 }
 
 /// Number of distinct schedules currently interned.
@@ -537,12 +503,18 @@ mod tests {
         let _g = clear_lock();
         // Use a shape no other test uses so counters are attributable.
         let spec = CollSpec::new(31, 777);
-        reset_stats();
-        let (h0, m0) = stats();
-        assert_eq!((h0, m0), (0, 0));
+        simcore::par::run_sweep_flush_hooks();
+        let scope = metrics::Scope::begin();
+        let counted = || {
+            simcore::par::run_sweep_flush_hooks();
+            let d = scope.delta();
+            let get = |name| d.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
+            (get("nbc.cache.hits"), get("nbc.cache.misses"))
+        };
+        assert_eq!(counted(), (0, 0));
         let _ = cached_barrier(17, &spec);
         let _ = cached_barrier(17, &spec);
-        let (h, m) = stats();
+        let (h, m) = counted();
         // Other tests may run concurrently; at minimum our miss + hit landed.
         assert!(m >= 1, "misses {m}");
         assert!(h >= 1, "hits {h}");

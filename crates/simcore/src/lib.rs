@@ -17,7 +17,7 @@
 //! * [`check`] — a tiny deterministic property-test harness so the test
 //!   suite needs no external crates,
 //! * [`metrics`] — a process-wide registry of named counters/gauges/
-//!   histograms feeding `BENCH_engine.json` and `perf_trajectory`,
+//!   histograms, read by name by the `benchmark/` ledger,
 //! * [`trace`] — a zero-overhead-when-off span/instant recorder stamped
 //!   with simulated time, exportable as Chrome `trace_event` JSON,
 //! * [`json`] — a minimal JSON parser so trace consumers need no deps.

@@ -3,9 +3,8 @@
 //! Every subsystem that wants a counter registers it here by name instead of
 //! declaring its own `static AtomicU64` (the pattern `PAYLOAD_ALLOCS` in
 //! [`crate::stats`] used before this module existed). The registry gives one
-//! place to snapshot, reset and report *all* engine metrics — the perf
-//! trajectory harness dumps it into `BENCH_engine.json` (schema v3) and
-//! `perf_trajectory` prints it at the end of a session.
+//! place to snapshot, reset and report *all* engine metrics — the
+//! `benchmark/` ledger reads it by name around every workload.
 //!
 //! Naming convention: `crate.subsystem.metric`, lowercase, dot-separated —
 //! e.g. `mpisim.rdv_stalls`, `nbc.cache.hits`, `simcore.payload_allocs`.

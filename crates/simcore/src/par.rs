@@ -237,12 +237,6 @@ fn pool() -> &'static Pool {
     })
 }
 
-/// Number of persistent pool worker threads spawned so far (0 before the
-/// first parallel sweep). Reported as `pool_threads` in BENCH_engine.json.
-pub fn pool_size() -> usize {
-    lock_state(pool()).threads
-}
-
 /// Sweep-barrier flush hooks.
 ///
 /// Hot-path caches (`nbc::cache`, `adcl::simmemo`) keep per-thread state —
@@ -440,8 +434,7 @@ where
 /// index.
 ///
 /// `jobs <= 1` (or a single item) short-circuits to a plain serial loop on
-/// the calling thread, which keeps `--jobs 1` a true serial baseline for
-/// the perf harness.
+/// the calling thread, which keeps `--jobs 1` a true serial baseline.
 ///
 /// Every participant (including the caller, including the serial path)
 /// runs the registered sweep-flush hooks after finishing its share, so

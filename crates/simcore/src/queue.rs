@@ -91,8 +91,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Total number of events popped over the queue's lifetime (survives
-    /// [`EventQueue::reset`]). Used by the perf harness as a measure of
-    /// simulation work done.
+    /// [`EventQueue::reset`]): the measure of simulation work done behind
+    /// `mpisim.sim_events`.
     #[inline]
     pub fn popped(&self) -> u64 {
         self.popped

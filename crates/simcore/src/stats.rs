@@ -10,13 +10,12 @@
 
 use crate::metrics::{self, Counter};
 use crate::time::SimTime;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// The `simcore.payload_allocs` counter: payload-buffer heap allocations —
 /// every buffer-pool miss (a fresh slab had to be allocated) and every
 /// unpooled per-message allocation. Lives on the [`metrics`] registry; the
-/// three functions below are thin shims kept so call sites don't churn.
+/// two functions below are thin shims kept so call sites don't churn.
 fn payload_alloc_counter() -> &'static Counter {
     static C: OnceLock<&'static Counter> = OnceLock::new();
     C.get_or_init(|| metrics::counter("simcore.payload_allocs"))
@@ -28,22 +27,10 @@ pub fn record_payload_alloc() {
     payload_alloc_counter().inc();
 }
 
-/// Total payload-buffer heap allocations since process start (or the last
-/// [`reset_payload_allocs`]).
+/// Total payload-buffer heap allocations since process start.
 pub fn payload_allocs() -> u64 {
-    payload_alloc_counter()
-        .get()
-        .saturating_sub(PAYLOAD_ALLOC_BASE.load(Ordering::Relaxed))
+    payload_alloc_counter().get()
 }
-
-/// Reset the payload-allocation counter (for per-measurement deltas). The
-/// registry counter stays monotone (registry counters are never rewound);
-/// this shim subtracts a baseline instead.
-pub fn reset_payload_allocs() {
-    PAYLOAD_ALLOC_BASE.store(payload_alloc_counter().get(), Ordering::Relaxed);
-}
-
-static PAYLOAD_ALLOC_BASE: AtomicU64 = AtomicU64::new(0);
 
 /// Arithmetic mean of a sample (0 for an empty sample).
 pub fn mean(xs: &[f64]) -> f64 {

@@ -1,28 +1,25 @@
 #!/usr/bin/env bash
-# Full verification pass: formatting, lints, build, tests, the smoke-sized
-# figure suite (serial vs parallel, payloads on/off and memo replay must
-# all be byte-identical), a tiny run of the benchmark/ ledger, a bench
-# regression guard against the committed BENCH_engine.json, a refresh of the
-# engine perf trajectory, and a clamped-aware scaling gate (rows marked "clamped": true are skipped explicitly; hard
-# floors apply to the physically meaningful rows).
+# Full verification pass: formatting, lints, build, tests, the release-mode
+# mpisim allocation/golden-digest tests, a tiny run of the benchmark/ ledger,
+# miri on bufpool (best effort), the smoke-sized figure suite (serial vs
+# parallel, payloads on/off, memo replay, tracing and NBC_FAULTS=off must all
+# be byte-identical), the guideline gates and the adcld smoke / open-loop /
+# NBC_RACING=off / admission gates. Nothing here times the engine: a speed
+# regression is what `benchmark/run.sh compare A.json B.json` is for.
 #
-# Usage: scripts/verify.sh [--profile] [--guidelines]
-#   --profile     also write BENCH_profile.json (per-phase wall-time
-#                 breakdown: build / sim / merge) next to BENCH_engine.json
+# Usage: scripts/verify.sh [--guidelines]
 #   --guidelines  also run the FULL guideline sweep twice and require the
 #                 two BENCH_guidelines.json documents byte-identical (the
 #                 quick sweep always runs as a hard gate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PROFILE_FLAG=""
 GUIDELINES_FULL=""
 for arg in "$@"; do
     case "$arg" in
-        --profile) PROFILE_FLAG="--profile" ;;
         --guidelines) GUIDELINES_FULL=1 ;;
         *)
-            echo "unknown argument: $arg (supported: --profile --guidelines)" >&2
+            echo "unknown argument: $arg (supported: --guidelines)" >&2
             exit 2
             ;;
     esac
@@ -369,14 +366,8 @@ if ! printf '%s\n' "$gate_out" | grep -q 'adcld_admission: .* OK'; then
     exit 1
 fi
 
-echo "== refresh BENCH_engine.json"
-baseline=$(git show HEAD:BENCH_engine.json 2>/dev/null || true)
-# shellcheck disable=SC2086  # PROFILE_FLAG is intentionally word-split
-traj=$(./target/release/perf_trajectory --quick --jobs 8 $PROFILE_FLAG)
-printf '%s\n' "$traj"
-
 echo "== schema tags: every BENCH document must carry its expected version"
-for pair in "BENCH_engine.json adcl-bench-engine-v8" "BENCH_guidelines.json adcl-guidelines-v1"; do
+for pair in "BENCH_guidelines.json adcl-guidelines-v1"; do
     file=${pair%% *}
     tag=${pair##* }
     if ! grep -q "\"schema\": \"$tag\"" "$file"; then
@@ -385,148 +376,5 @@ for pair in "BENCH_engine.json adcl-bench-engine-v8" "BENCH_guidelines.json adcl
     fi
     echo "   $file: $tag"
 done
-if [ -n "$PROFILE_FLAG" ]; then
-    if ! grep -q '"schema": "adcl-bench-profile-v3"' BENCH_profile.json; then
-        echo "FAIL: BENCH_profile.json does not carry schema tag adcl-bench-profile-v3" >&2
-        exit 1
-    fi
-    echo "   BENCH_profile.json: adcl-bench-profile-v3"
-fi
-
-echo "== sweep_scale: cross-jobs digest must match the serial run"
-# perf_trajectory computes a result digest at jobs 1/2/8 and exits non-zero
-# on mismatch; require the explicit OK line so a silently skipped check
-# can't pass.
-if ! printf '%s\n' "$traj" | grep -q 'sweep_scale: jobs-invariance OK'; then
-    echo "FAIL: perf_trajectory did not report sweep_scale jobs-invariance" >&2
-    exit 1
-fi
-echo "   $(printf '%s\n' "$traj" | grep 'sweep_scale: jobs-invariance OK')"
-
-echo "== adcld_serve: warm traffic must be history/memo hits only (hard)"
-# perf_trajectory drives the in-process daemon through cold/warm/mixed
-# load and exits non-zero if any warm request re-simulated; require the
-# OK line and the v7 report section so a skipped phase can't pass.
-if ! printf '%s\n' "$traj" | grep -q 'adcld_serve: warm traffic served from history/memo only'; then
-    echo "FAIL: perf_trajectory did not report the adcld_serve warm-traffic gate" >&2
-    exit 1
-fi
-if ! grep -q '"adcld_serve"' BENCH_engine.json; then
-    echo "FAIL: BENCH_engine.json carries no adcld_serve section" >&2
-    exit 1
-fi
-echo "   $(printf '%s\n' "$traj" | grep 'adcld_serve: warm traffic')"
-
-echo "== racing: decision parity + events-per-decision savings (hard)"
-# perf_trajectory runs each racing config against brute force and exits
-# non-zero on any winner mismatch or on < 30% event savings; require both
-# OK lines and the v8 report section so a skipped phase can't pass.
-if ! printf '%s\n' "$traj" | grep -q 'racing: decision parity OK'; then
-    echo "FAIL: perf_trajectory did not report the racing decision-parity gate" >&2
-    exit 1
-fi
-if ! printf '%s\n' "$traj" | grep -q 'racing: sim events/decision .* OK'; then
-    echo "FAIL: perf_trajectory did not report the racing events-per-decision gate" >&2
-    exit 1
-fi
-if ! grep -q '"racing"' BENCH_engine.json; then
-    echo "FAIL: BENCH_engine.json carries no racing section" >&2
-    exit 1
-fi
-printf '%s\n' "$traj" | grep '^racing: ' | sed 's/^/   /'
-
-echo "== scaling gate (clamped-aware, hard)"
-# Schema v6 marks every row that requested more workers than the host has
-# hardware threads with "clamped": true — those rows measure the host, not
-# the engine, and are skipped explicitly (no host heuristic). For the
-# remaining (physically meaningful) rows:
-#   - sweep_scale at jobs >= 4 must reach 2.0x (hard floor; 4.0x target),
-#   - every other parallel row must stay >= 0.75x of serial (hard; the
-#     pre-clamp regressions sat at 0.54x) with parity (0.95x) as target.
-host_threads=$(grep -o '"host_threads": *[0-9]*' BENCH_engine.json | head -1 | grep -o '[0-9]*$')
-host_threads=${host_threads:-1}
-echo "   host_threads=$host_threads (clamped rows are skipped per-row, not per-host)"
-awk '
-    function field(line, key,   v) {
-        v = line
-        if (!sub(".*\"" key "\": *", "", v)) return ""
-        sub("[,}].*", "", v)
-        gsub(/"/, "", v)
-        return v
-    }
-    /"name":.*"speedup_vs_serial":/ {
-        name = field($0, "name")
-        jobs = field($0, "jobs") + 0
-        sp = field($0, "speedup_vs_serial")
-        clamped = field($0, "clamped")
-        if (jobs <= 1 || sp == "null" || sp == "") next
-        if (clamped == "true") {
-            printf "   %-28s jobs=%d speedup %sx  (clamped row, skipped)\n", name, jobs, sp
-            next
-        }
-        s = sp + 0
-        note = ""
-        if (name == "sweep_scale" && jobs >= 4) {
-            if (s < 2.0) { bad = 1; note = "  FAIL: below 2.0x hard floor" }
-            else if (s < 4.0) note = "  WARN: below 4.0x target"
-        } else if (s < 0.75) {
-            bad = 1
-            note = "  FAIL: parallel row below 0.75x serial (clamp/cutoff broken?)"
-        } else if (s < 0.95) {
-            note = "  WARN: below serial parity (host jitter?)"
-        }
-        printf "   %-28s jobs=%d speedup %sx%s\n", name, jobs, sp, note
-    }
-    END { exit bad ? 1 : 0 }
-' BENCH_engine.json || {
-    echo "FAIL: scaling gate did not hold" >&2
-    exit 1
-}
-
-echo "== bench regression guard (>20% events/sec drop vs committed baseline)"
-if [ -z "$baseline" ]; then
-    echo "   no committed BENCH_engine.json baseline; skipping"
-else
-    # Entries are single-line JSON objects: compare events_per_sec keyed on
-    # (name, jobs); fail if a fresh value drops below 0.8x the baseline.
-    # Only jobs == 1 rows gate the build: on a single-CPU host the
-    # multi-thread rows measure thread oversubscription, not engine
-    # throughput, so their ratios are printed for information only.
-    printf '%s\n' "$baseline" >/tmp/bench_baseline.$$
-    awk '
-        function field(line, key,   v) {
-            v = line
-            if (!sub(".*\"" key "\": *", "", v)) return ""
-            sub("[,}].*", "", v)
-            gsub(/"/, "", v)
-            return v
-        }
-        /"name":.*"events_per_sec":/ {
-            k = field($0, "name") "@" field($0, "jobs")
-            v = field($0, "events_per_sec") + 0
-            if (FNR == NR) { base[k] = v; next }
-            if (k in base && base[k] > 0) {
-                ratio = v / base[k]
-                note = ""
-                if (ratio < 0.8) {
-                    if (field($0, "jobs") == 1) { bad = 1; note = "  REGRESSION" }
-                    else { note = "  (informational: parallel row)" }
-                }
-                printf "   %-28s %12.0f -> %12.0f ev/s (%.2fx)%s\n", k, base[k], v, ratio, note
-            } else {
-                printf "   %-28s (no comparable baseline) %12.0f ev/s\n", k, v
-            }
-        }
-        END { if (FNR == NR) exit 0; exit bad ? 1 : 0 }
-    ' /tmp/bench_baseline.$$ BENCH_engine.json || {
-        rm -f /tmp/bench_baseline.$$
-        echo "FAIL: serial events/sec regressed >20% vs committed BENCH_engine.json" >&2
-        exit 1
-    }
-    rm -f /tmp/bench_baseline.$$
-fi
-
-echo "== cache + memo hit rates (this verify run)"
-grep -E '"schedule_cache"|"sim_memo"|"payload_allocs"' BENCH_engine.json | sed 's/^ */   /'
 
 echo "verify: OK"

@@ -68,18 +68,26 @@ fn memoized_table_is_byte_identical_to_fresh() {
     let fresh = table_rows_bits(&s);
     adcl::simmemo::set_enabled(true);
     let primed = table_rows_bits(&s); // misses: runs and caches
-    let stats_before = adcl::simmemo::stats();
+    simcore::par::run_sweep_flush_hooks();
+    let scope = simcore::metrics::Scope::begin();
     let replayed = table_rows_bits(&s); // hits: pure replay
-    let stats_after = adcl::simmemo::stats();
+    simcore::par::run_sweep_flush_hooks();
+    let delta = scope.delta();
+    let gained = |name| {
+        delta
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |&(_, v)| v)
+    };
     adcl::simmemo::clear_enabled_override();
     assert_eq!(fresh, primed, "priming pass diverged from fresh run");
     assert_eq!(fresh, replayed, "replayed table diverged from fresh run");
     assert!(
-        stats_after.hits >= stats_before.hits + fresh.len() as u64,
-        "third pass should have replayed every row ({stats_before:?} -> {stats_after:?})"
+        gained("adcl.simmemo.hits") >= fresh.len() as u64,
+        "third pass should have replayed every row ({delta:?})"
     );
     assert!(
-        stats_after.replayed_events > stats_before.replayed_events,
+        gained("adcl.simmemo.replayed_events") > 0,
         "replays must credit avoided events"
     );
 }
