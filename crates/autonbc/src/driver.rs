@@ -17,6 +17,7 @@ use mpisim::{NoiseConfig, World};
 use nbc::schedule::CollSpec;
 use netmodel::{Placement, Platform};
 use simcore::SimTime;
+use std::fmt::Write;
 
 /// Which collective the benchmark exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,23 +351,46 @@ impl MicrobenchSpec {
     /// process-wide fault-injection config, and the selection logic itself.
     /// The simulation is a pure function of this string (see
     /// `adcl::simmemo`), so two specs with equal keys produce bit-identical
-    /// outcomes.
+    /// outcomes. A sweep over several logics builds the logic-free prefix
+    /// once and appends each logic to it.
     pub fn memo_key(&self, logic: SelectionLogic) -> String {
-        format!(
-            "ub/{plat}/{op}/p{np}/m{mb}/i{it}/c{ct}/g{npg}/{ns:?}/r{reps}/{pl:?}/{imb:?}/F{flt}/{logic:?}",
+        memo_key_with(self.memo_key_prefix(), logic)
+    }
+
+    /// Everything in [`MicrobenchSpec::memo_key`] but the selection logic.
+    /// Numbers are written exactly: times in integer nanoseconds, floats as
+    /// their bit patterns in hex, so no two distinct inputs share a key.
+    fn memo_key_prefix(&self) -> String {
+        let n = &self.noise;
+        // One buffer sized for the whole key: reallocating it costs more
+        // than writing the fields.
+        let mut key = String::with_capacity(192);
+        let _ = write!(
+            key,
+            "ub/{plat}/{op}/p{np}/m{mb}/i{it}/c{ct}/g{npg}/n{seed:x}.{jit:x}.{sp:x}.{ss:x}/r{reps}/{pl:?}/",
             plat = self.platform.name,
             op = self.op.name(),
             np = self.nprocs,
             mb = self.msg_bytes,
             it = self.iters,
-            ct = self.compute_total,
+            ct = self.compute_total.as_nanos(),
             npg = self.num_progress,
-            ns = self.noise,
+            seed = n.seed,
+            jit = n.jitter.to_bits(),
+            sp = n.spike_prob.to_bits(),
+            ss = n.spike_scale.to_bits(),
             reps = self.reps,
             pl = self.placement,
-            imb = self.imbalance,
-            flt = mpisim::fault::current().describe(),
-        )
+        );
+        let _ = match self.imbalance {
+            Imbalance::None => write!(key, "even"),
+            Imbalance::Ramp { spread } => write!(key, "ramp{:x}", spread.to_bits()),
+            Imbalance::Straggler { rank, factor } => {
+                write!(key, "straggler{rank}x{:x}", factor.to_bits())
+            }
+        };
+        let _ = write!(key, "/F{}", mpisim::fault::current().describe());
+        key
     }
 
     /// Memoized [`MicrobenchSpec::run`]: consult `adcl::simmemo` before
@@ -414,8 +438,12 @@ impl MicrobenchSpec {
     /// (`simcore::par::plan_participants`): roughly 2µs of host time per
     /// rank per benchmark iteration, which matches the measured scale of
     /// the 8-rank microbenchmarks (hundreds of microseconds). Only the
-    /// comparison against the ~100µs pool-handoff floor matters, so being
-    /// off by 2–3× either way does not change any sensible decision.
+    /// comparison against the pool-handoff floor matters
+    /// (`simcore::par::handoff_floor_nanos`, 120µs by default — a
+    /// deliberately high bar: the ledger's `simcore.par_handoff_us` reads
+    /// 8–10µs for a real hand-off), so being off by 2–3× either way does
+    /// not change any sensible decision. It prices a fresh simulation; a
+    /// memo replay never reaches the pool.
     pub fn est_run_nanos(&self) -> u64 {
         2_000u64
             .saturating_mul(self.nprocs as u64)
@@ -476,13 +504,14 @@ impl MicrobenchSpec {
         self.run_all_fixed_jobs(1)
     }
 
-    /// Parallel [`MicrobenchSpec::run_all_fixed`]: each fixed run is an
-    /// independent simulation, so they fan out over `jobs` worker threads
-    /// (`simcore::par::par_map_costed`, with this spec's estimated run
-    /// cost feeding the serial cutoff — a sub-handoff sweep stays on the
-    /// calling thread). The output is bit-identical to the serial method
-    /// for every `jobs` value — results merge in input order and each
-    /// simulation owns its world and noise streams.
+    /// Parallel [`MicrobenchSpec::run_all_fixed`]: runs the memo already
+    /// holds are answered on the calling thread, and each remaining fixed
+    /// run — an independent simulation — fans out over `jobs` worker
+    /// threads (`adcl::simmemo::get_or_run_all`, with this spec's estimated
+    /// run cost feeding the serial cutoff — a sub-handoff sweep stays on
+    /// the calling thread). The output is bit-identical to the serial
+    /// method for every `jobs` value — results merge in input order and
+    /// each simulation owns its world and noise streams.
     pub fn run_all_fixed_jobs(&self, jobs: usize) -> Vec<(String, f64)> {
         self.run_all_fixed_jobs_flagged(jobs).0
     }
@@ -491,23 +520,28 @@ impl MicrobenchSpec {
     /// the fixed runs were memo replays (0 = everything freshly simulated,
     /// `len()` = the whole sweep was answered from the memo).
     pub fn run_all_fixed_jobs_flagged(&self, jobs: usize) -> (Vec<(String, f64)>, usize) {
-        let names: Vec<String> = {
-            // Function sets hold `Rc` builders, so build one locally for
-            // the names and let every worker build its own for the runs.
-            let fnset = self.op.fnset(self.coll_spec());
-            (0..fnset.len())
-                .map(|i| fnset.functions[i].name.clone())
-                .collect()
-        };
-        let idx: Vec<usize> = (0..names.len()).collect();
-        let results = simcore::par::par_map_costed(jobs, &idx, self.est_run_nanos(), |_, &i| {
-            let (out, replayed) = self.run_memo_flagged(SelectionLogic::Fixed(i));
-            (out.total, replayed)
+        // Function sets hold `Rc` builders, so build one locally for the
+        // names and let every fresh run build its own.
+        let fnset = self.op.fnset(self.coll_spec());
+        let prefix = self.memo_key_prefix();
+        let keys: Vec<String> = (0..fnset.len())
+            .map(|i| memo_key_with(prefix.clone(), SelectionLogic::Fixed(i)))
+            .collect();
+        let outs = adcl::simmemo::get_or_run_all(jobs, &keys, self.est_run_nanos(), |i| {
+            self.run(SelectionLogic::Fixed(i))
         });
-        let replayed = results.iter().filter(|(_, r)| *r).count();
-        let rows = names
+        let mut replayed = 0;
+        let rows = fnset
+            .functions
             .into_iter()
-            .zip(results.into_iter().map(|(t, _)| t))
+            .zip(outs)
+            .map(|(f, (out, replay))| {
+                if replay {
+                    adcl::simmemo::credit_replay(out.sim_events);
+                    replayed += 1;
+                }
+                (f.name, out.total)
+            })
             .collect();
         (rows, replayed)
     }
@@ -520,6 +554,13 @@ impl MicrobenchSpec {
             .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN time"))
             .expect("nonempty function set")
     }
+}
+
+/// The memo key of a run under `logic`, from its spec's
+/// [`MicrobenchSpec::memo_key_prefix`].
+fn memo_key_with(mut prefix: String, logic: SelectionLogic) -> String {
+    let _ = write!(prefix, "/{logic:?}");
+    prefix
 }
 
 #[cfg(test)]
@@ -615,6 +656,81 @@ mod tests {
         }
         // And the key is stable for an identical spec.
         assert_eq!(k0, base.clone().memo_key(SelectionLogic::Fixed(0)));
+    }
+
+    #[test]
+    fn keys_from_the_shared_prefix_equal_memo_key() {
+        let s = spec();
+        let prefix = s.memo_key_prefix();
+        let logics = [
+            SelectionLogic::BruteForce,
+            SelectionLogic::AttributeHeuristic,
+            SelectionLogic::TwoKFactorial,
+            SelectionLogic::Racing(2),
+            SelectionLogic::Fixed(0),
+            SelectionLogic::Fixed(2),
+        ];
+        for logic in logics {
+            assert_eq!(memo_key_with(prefix.clone(), logic), s.memo_key(logic));
+        }
+    }
+
+    #[test]
+    fn memo_key_tells_floats_one_ulp_apart() {
+        let light = MicrobenchSpec {
+            noise: NoiseConfig::light(7),
+            ..spec()
+        };
+        let mut variants = vec![spec(), light.clone()];
+        let bumps: [fn(&mut NoiseConfig); 3] = [
+            |n| n.jitter = n.jitter.next_up(),
+            |n| n.spike_prob = n.spike_prob.next_up(),
+            |n| n.spike_scale = n.spike_scale.next_up(),
+        ];
+        for bump in bumps {
+            let mut v = light.clone();
+            bump(&mut v.noise);
+            variants.push(v);
+        }
+        for (rank, factor) in [(1, 2.0), (1, 2.0f64.next_up()), (2, 2.0)] {
+            let imbalance = Imbalance::Straggler { rank, factor };
+            variants.push(MicrobenchSpec {
+                imbalance,
+                ..spec()
+            });
+        }
+        for spread in [0.2, 0.2f64.next_up()] {
+            let imbalance = Imbalance::Ramp { spread };
+            variants.push(MicrobenchSpec {
+                imbalance,
+                ..spec()
+            });
+        }
+        let keys: Vec<String> = variants
+            .iter()
+            .map(|v| v.memo_key(SelectionLogic::Fixed(0)))
+            .collect();
+        let distinct: std::collections::HashSet<&String> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "aliased keys: {keys:#?}");
+    }
+
+    #[test]
+    fn compute_totals_a_fraction_of_a_microsecond_apart_do_not_alias() {
+        // `SimTime`'s display rounds to three decimals: both print as
+        // "24.000ms", and a key built from it would replay the first
+        // spec's outcome for the second.
+        let mut a = spec();
+        a.compute_total = SimTime::from_nanos(24_000_100);
+        let mut b = a.clone();
+        b.compute_total = SimTime::from_nanos(24_000_400);
+        let logic = SelectionLogic::Fixed(0);
+        assert_ne!(a.memo_key(logic), b.memo_key(logic));
+        let fresh = (a.run(logic).total, b.run(logic).total);
+        assert_ne!(fresh.0, fresh.1, "the two loops must differ in time");
+        adcl::simmemo::set_enabled(true);
+        let memo = (a.run_memo(logic).total, b.run_memo(logic).total);
+        adcl::simmemo::clear_enabled_override();
+        assert_eq!(memo, fresh);
     }
 
     #[test]

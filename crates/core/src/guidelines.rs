@@ -308,30 +308,48 @@ struct ProbeOutcome {
     sim_events: u64,
 }
 
-/// Measure one implementation of `op` under the fixed probe loop.
-/// Memoized through `adcl::simmemo`: the fingerprint covers every input
-/// that can influence the result, so a repeat probe is a cache hit and
-/// byte-identical by construction. Returns `(seconds, replayed)`.
-fn probe(platform: &Platform, op: ProbeOp, nprocs: usize, msg: usize, func: usize) -> (f64, bool) {
-    let set = op.set(nprocs, msg);
-    let f = &set.functions[func];
-    let key = format!(
+/// The memo fingerprint of probing implementation `func` of `set` on
+/// `platform`: it covers every input that can influence the result, so a
+/// repeat probe is a cache hit and byte-identical by construction.
+fn probe_key(platform: &Platform, set: &FunctionSet, func: usize) -> String {
+    format!(
         "guide/{plat}/{set_name}/{func_name}/p{np}/m{mb}/i{it}/g{g}/c{c}/F{flt}",
         plat = platform.name,
         set_name = set.name,
-        func_name = f.name,
+        func_name = set.functions[func].name,
         np = set.spec.nprocs,
         mb = set.spec.msg_bytes,
         it = PROBE_ITERS,
         g = PROBE_PROGRESS,
         c = PROBE_COMPUTE_US_PER_ITER,
         flt = mpisim::fault::current().describe(),
-    );
-    let (out, replayed) = simmemo::get_or_run(&key, || run_probe(platform, &set, func));
-    if replayed {
-        simmemo::credit_replay(out.sim_events);
-    }
-    (out.secs, replayed)
+    )
+}
+
+/// Measure each implementation `reqs[i]` names under the fixed probe loop,
+/// memoized under `keys[i]`, its [`probe_key`]. Replays are answered on
+/// the calling thread without building anything; only the misses fan out
+/// over `jobs` workers, each building its function set. Returns
+/// `(seconds, replayed)` per request, in request order.
+fn probe_all(
+    jobs: usize,
+    platforms: &[Platform],
+    reqs: &[ProbeReq],
+    keys: &[String],
+) -> Vec<(f64, bool)> {
+    let est_nanos = 2_000u64 * PROBE_ITERS as u64 * 8;
+    simmemo::get_or_run_all(jobs, keys, est_nanos, |i| {
+        let r = &reqs[i];
+        run_probe(&platforms[r.plat], &r.op.set(r.nprocs, r.msg), r.func)
+    })
+    .into_iter()
+    .map(|(out, replayed): (Arc<ProbeOutcome>, bool)| {
+        if replayed {
+            simmemo::credit_replay(out.sim_events);
+        }
+        (out.secs, replayed)
+    })
+    .collect()
 }
 
 fn run_probe(platform: &Platform, set: &FunctionSet, func: usize) -> ProbeOutcome {
@@ -404,11 +422,23 @@ pub fn op_probe_times(
     msg: usize,
 ) -> Vec<(String, f64)> {
     let set = op.set(nprocs, msg);
-    (0..set.len())
-        .map(|i| {
-            let (secs, _) = probe(platform, op, nprocs, msg, i);
-            (set.functions[i].name.clone(), secs)
+    let reqs: Vec<ProbeReq> = (0..set.len())
+        .map(|func| ProbeReq {
+            plat: 0,
+            op,
+            nprocs,
+            msg,
+            func,
         })
+        .collect();
+    let keys: Vec<String> = (0..set.len())
+        .map(|i| probe_key(platform, &set, i))
+        .collect();
+    let times = probe_all(1, std::slice::from_ref(platform), &reqs, &keys);
+    set.functions
+        .into_iter()
+        .zip(times)
+        .map(|(f, (secs, _))| (f.name, secs))
         .collect()
 }
 
@@ -755,13 +785,15 @@ pub fn run_sweep(cfg: &SweepConfig, jobs: usize) -> SweepReport {
         .collect();
     let guidelines = registry();
 
-    // Every distinct probe the checks below will read, in a stable order.
+    // Every distinct probe the checks below will read, in a stable order,
+    // with its memo key.
     let mut reqs: Vec<ProbeReq> = Vec::new();
+    let mut keys: Vec<String> = Vec::new();
     let mut seen: std::collections::BTreeSet<ProbeKey> = Default::default();
-    let mut need = |reqs: &mut Vec<ProbeReq>, plat: usize, op: ProbeOp, p: usize, m: usize| {
+    let mut need = |plat: usize, op: ProbeOp, p: usize, m: usize| {
         let m = if op.msg_sensitive() { m } else { 0 };
-        let set_len = op.set(p, m).len();
-        for func in 0..set_len {
+        let set = op.set(p, m);
+        for func in 0..set.len() {
             if seen.insert((plat, op, p, m, func)) {
                 reqs.push(ProbeReq {
                     plat,
@@ -770,6 +802,7 @@ pub fn run_sweep(cfg: &SweepConfig, jobs: usize) -> SweepReport {
                     msg: m,
                     func,
                 });
+                keys.push(probe_key(&platforms[plat], &set, func));
             }
         }
     };
@@ -778,16 +811,14 @@ pub fn run_sweep(cfg: &SweepConfig, jobs: usize) -> SweepReport {
             for &m in &cfg.msgs {
                 for g in &guidelines {
                     match g.kind {
-                        Kind::MonotoneMsg(op) | Kind::MonotoneRanks(op) => {
-                            need(&mut reqs, pi, op, p, m)
-                        }
+                        Kind::MonotoneMsg(op) | Kind::MonotoneRanks(op) => need(pi, op, p, m),
                         Kind::Dominance { lhs, rhs } => {
-                            need(&mut reqs, pi, lhs, p, m);
-                            need(&mut reqs, pi, rhs, p, m);
+                            need(pi, lhs, p, m);
+                            need(pi, rhs, p, m);
                         }
                         Kind::Composition { lhs, mock } => {
-                            need(&mut reqs, pi, lhs, p, m);
-                            need(&mut reqs, pi, mock, p, m);
+                            need(pi, lhs, p, m);
+                            need(pi, mock, p, m);
                         }
                     }
                 }
@@ -795,11 +826,8 @@ pub fn run_sweep(cfg: &SweepConfig, jobs: usize) -> SweepReport {
         }
     }
 
-    // Measure on the worker pool; merge preserves input order.
-    let est_nanos = 2_000u64 * PROBE_ITERS as u64 * 8;
-    let results: Vec<(f64, bool)> = simcore::par::par_map_costed(jobs, &reqs, est_nanos, |_, r| {
-        probe(&platforms[r.plat], r.op, r.nprocs, r.msg, r.func)
-    });
+    // Replays on this thread, misses on the worker pool; input order kept.
+    let results = probe_all(jobs, &platforms, &reqs, &keys);
     let mut times: ProbeMap = BTreeMap::new();
     let mut replays = 0usize;
     for (r, &(secs, replayed)) in reqs.iter().zip(&results) {
@@ -1308,9 +1336,17 @@ mod tests {
     #[test]
     fn probe_is_memoized() {
         simmemo::set_enabled(true);
-        let plat = Platform::whale();
-        let (a, _) = probe(&plat, ProbeOp::Ialltoall, 4, 256, 0);
-        let (b, replayed) = probe(&plat, ProbeOp::Ialltoall, 4, 256, 0);
+        let plat = [Platform::whale()];
+        let req = [ProbeReq {
+            plat: 0,
+            op: ProbeOp::Ialltoall,
+            nprocs: 4,
+            msg: 256,
+            func: 0,
+        }];
+        let key = [probe_key(&plat[0], &ProbeOp::Ialltoall.set(4, 256), 0)];
+        let (a, _) = probe_all(1, &plat, &req, &key)[0];
+        let (b, replayed) = probe_all(1, &plat, &req, &key)[0];
         assert!(a.is_finite() && a > 0.0);
         assert_eq!(a, b, "memoized probe must replay bit-identically");
         assert!(replayed, "second probe must come from the memo cache");

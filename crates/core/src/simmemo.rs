@@ -8,12 +8,14 @@
 //! same outcome bit for bit — so the second run can be *replayed* from a
 //! cache instead of re-simulated.
 //!
-//! [`get_or_run`] is the single entry point: callers build a fingerprint
-//! string covering every input that can influence the outcome (see
+//! [`get_or_run`] is the entry point: callers build a fingerprint string
+//! covering every input that can influence the outcome (see
 //! `autonbc::driver::memo_key`) and pass a closure that runs the
-//! simulation on a miss. Results are stored as `Arc<dyn Any>` so one
-//! process-wide cache serves any outcome type; a downcast mismatch is
-//! treated as a miss and overwritten.
+//! simulation on a miss. [`get`] peeks without running anything, and
+//! [`get_or_run_all`] answers a sweep's replays on the calling thread and
+//! fans only its misses out to the worker pool. Results are stored as
+//! `Arc<dyn Any>` so one process-wide cache serves any outcome type; a
+//! downcast mismatch is treated as a miss and overwritten.
 //!
 //! Soundness caveats (see DESIGN.md "Simulator memory model"): memoization
 //! must be bypassed for runs that mutate global state as a side effect, or
@@ -185,6 +187,41 @@ pub fn enabled() -> bool {
     }
 }
 
+/// The hit path shared by [`get`] and [`get_or_run`]: the stored outcome
+/// of `key` if it has type `T`, counted as one hit. A miss counts nothing.
+fn lookup<T: Any + Send + Sync>(key: &str, epoch: u64) -> Option<Arc<T>> {
+    // Hot path: thread-local front cache — no locks, one relaxed epoch
+    // load. Warm parallel sweeps replay from here without touching any
+    // shared cache line.
+    if let Some(found) = front_get(key, epoch) {
+        if let Ok(typed) = found.downcast::<T>() {
+            FRONT_HITS.with(|h| h.set(h.get() + 1));
+            return Some(typed);
+        }
+        // Type mismatch in the front copy: fall through to the shared map,
+        // which resolves the collision and refreshes the front entry.
+    }
+    let m = memo();
+    // Front miss: shared read lock on the backing map. Same key with a
+    // different outcome type is a fingerprint collision across call sites:
+    // a miss, which `get_or_run` overwrites.
+    let found = Arc::clone(read_shard(&m.shards[shard_of(key)]).get(key)?);
+    let typed = Arc::clone(&found).downcast::<T>().ok()?;
+    m.hits.inc();
+    front_put(key, found, epoch);
+    Some(typed)
+}
+
+/// Peek: the memoized outcome of `key`, if there is one of type `T`. A hit
+/// is counted exactly as on [`get_or_run`]'s hit path; a miss counts
+/// nothing and runs nothing. Always `None` when memoization is disabled.
+pub fn get<T: Any + Send + Sync>(key: &str) -> Option<Arc<T>> {
+    if !enabled() {
+        return None;
+    }
+    lookup(key, EPOCH.load(Ordering::Acquire))
+}
+
 /// Look up `key`; on a miss (or a type mismatch) run `run` outside the
 /// lock and cache its result. Returns the shared outcome and whether it
 /// was a replay (`true` = served from cache without running `run`).
@@ -199,30 +236,12 @@ where
     if !enabled() {
         return (Arc::new(run()), false);
     }
-    // Hot path: thread-local front cache — no locks, one relaxed epoch
-    // load. Warm parallel sweeps replay from here without touching any
-    // shared cache line.
     let epoch = EPOCH.load(Ordering::Acquire);
-    if let Some(found) = front_get(key, epoch) {
-        if let Ok(typed) = found.downcast::<T>() {
-            FRONT_HITS.with(|h| h.set(h.get() + 1));
-            return (typed, true);
-        }
-        // Type mismatch in the front copy: fall through to the shared map,
-        // which resolves the collision and refreshes the front entry.
+    if let Some(typed) = lookup(key, epoch) {
+        return (typed, true);
     }
     let m = memo();
     let shard = &m.shards[shard_of(key)];
-    // Front miss: shared read lock on the backing map.
-    if let Some(found) = read_shard(shard).get(key) {
-        if let Ok(typed) = Arc::clone(found).downcast::<T>() {
-            m.hits.inc();
-            front_put(key, Arc::clone(found), epoch);
-            return (typed, true);
-        }
-        // Same key, different outcome type: a fingerprint collision across
-        // call sites. Treat as a miss and overwrite below.
-    }
     m.misses.inc();
     let fresh: Arc<T> = Arc::new(run());
     let mut g = write_shard(shard);
@@ -249,6 +268,53 @@ where
             (fresh, false)
         }
     }
+}
+
+/// A memoized sweep: every key the memo holds is answered on the calling
+/// thread, and only the misses fan out over `jobs` workers
+/// (`simcore::par::par_map_costed`, `est_nanos_per_run` each), where
+/// `run(i)` computes the outcome of `keys[i]` through [`get_or_run`].
+/// Returns `(outcome, replayed)` per key, in key order. A sweep with no
+/// misses never reaches the pool; it flushes the caller's sweep hooks
+/// itself, so totals are exact on return exactly as after a `par_map`.
+/// The caller's front cache adopts every miss, so replaying the same sweep
+/// from this thread is all front hits.
+pub fn get_or_run_all<T, F>(
+    jobs: usize,
+    keys: &[String],
+    est_nanos_per_run: u64,
+    run: F,
+) -> Vec<(Arc<T>, bool)>
+where
+    T: Any + Send + Sync,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut out: Vec<Option<(Arc<T>, bool)>> =
+        keys.iter().map(|k| get(k).map(|v| (v, true))).collect();
+    let misses: Vec<usize> = (0..keys.len()).filter(|&i| out[i].is_none()).collect();
+    if misses.is_empty() {
+        simcore::par::run_sweep_flush_hooks();
+    } else {
+        let fresh = simcore::par::par_map_costed(jobs, &misses, est_nanos_per_run, |_, &i| {
+            get_or_run(&keys[i], || run(i))
+        });
+        let (m, epoch, adopt) = (memo(), EPOCH.load(Ordering::Acquire), enabled());
+        for (i, r) in misses.into_iter().zip(fresh) {
+            // The caller is the thread that asks for this sweep again: copy
+            // what a worker's run stored into the caller's front cache, so
+            // that replay is a front hit too. The copy comes from the shared
+            // map, which stays the source of truth.
+            if adopt {
+                if let Some(stored) = read_shard(&m.shards[shard_of(&keys[i])]).get(&keys[i]) {
+                    front_put(&keys[i], Arc::clone(stored), epoch);
+                }
+            }
+            out[i] = Some(r);
+        }
+    }
+    out.into_iter()
+        .map(|r| r.expect("every key answered"))
+        .collect()
 }
 
 /// Credit `events` simulation events to the replay counter: a cache hit
@@ -327,6 +393,59 @@ mod tests {
             assert!(replay_b);
             let (hits, misses, _) = counted(&scope);
             assert_eq!((hits, misses), (1, 1));
+        });
+    }
+
+    #[test]
+    fn peek_counts_a_hit_like_get_or_run_and_a_miss_not_at_all() {
+        with_memo_on(|| {
+            let scope = begin_scope();
+            assert!(get::<u64>("k/peek").is_none());
+            assert_eq!(counted(&scope), (0, 0, 0), "a peek miss counts nothing");
+            let (stored, _) = get_or_run("k/peek", || 5u64);
+            let scope = begin_scope();
+            // One front-cache hit, one shared-map hit (a fresh thread has no
+            // front copy), and a wrong-type peek that is a miss.
+            let front = get::<u64>("k/peek").expect("stored");
+            let shared = std::thread::scope(|s| s.spawn(|| get::<u64>("k/peek")).join().unwrap());
+            assert!(get::<String>("k/peek").is_none());
+            assert!(Arc::ptr_eq(&front, &stored));
+            assert!(Arc::ptr_eq(&shared.expect("stored"), &stored));
+            assert_eq!(counted(&scope), (2, 0, 0));
+        });
+    }
+
+    #[test]
+    fn sweep_replays_inline_and_runs_only_the_misses() {
+        with_memo_on(|| {
+            let keys: Vec<String> = (0..6).map(|i| format!("k/sweep/{i}")).collect();
+            for i in [1usize, 4] {
+                get_or_run(&keys[i], || i as u64 * 10);
+            }
+            let scope = begin_scope();
+            let ran = std::sync::atomic::AtomicUsize::new(0);
+            let out = get_or_run_all(4, &keys, simcore::par::COST_UNKNOWN, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                // Slow enough that pool workers wake and take some misses
+                // before the caller has drained them all.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                i as u64 * 10
+            });
+            let got: Vec<(u64, bool)> = out.iter().map(|(v, r)| (**v, *r)).collect();
+            let want: Vec<(u64, bool)> = (0..6u64).map(|i| (i * 10, i == 1 || i == 4)).collect();
+            assert_eq!(got, want);
+            assert_eq!(ran.into_inner(), 4);
+            assert_eq!(counted(&scope), (2, 4, 0));
+            // Misses that ran on pool workers replay from this thread's
+            // front cache: every hit stays a pending tally until the flush.
+            let scope = begin_scope();
+            for k in &keys {
+                assert!(get::<u64>(k).is_some());
+            }
+            let unflushed = scope.delta();
+            let shared_hits = unflushed.iter().find(|(n, _)| *n == "adcl.simmemo.hits");
+            assert_eq!(shared_hits.map_or(0, |&(_, v)| v), 0);
+            assert_eq!(counted(&scope), (6, 0, 0));
         });
     }
 

@@ -25,7 +25,7 @@
 use crate::rng::SplitMix64;
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
 
@@ -237,6 +237,15 @@ fn pool() -> &'static Pool {
     })
 }
 
+/// Jobs handed to the worker pool since the process started (its
+/// generation count; `par_map` and [`on_all_workers`] both count). Tests
+/// read it to show a sweep stayed on the calling thread. It is not a
+/// registry metric: how often the pool is used depends on `jobs` and the
+/// host, and registry deltas must not.
+pub fn pool_sweeps() -> u64 {
+    lock_state(pool()).generation
+}
+
 /// Sweep-barrier flush hooks.
 ///
 /// Hot-path caches (`nbc::cache`, `adcl::simmemo`) keep per-thread state —
@@ -250,31 +259,37 @@ fn pool() -> &'static Pool {
 /// `jobs`.
 ///
 /// Hooks are plain `fn()` so registration is idempotent and duplicate
-/// registrations are dropped.
-static FLUSH_HOOKS: Mutex<Vec<fn()>> = Mutex::new(Vec::new());
-/// Lock-free fast path: sweeps skip the hook mutex entirely until the
-/// first hook is registered.
-static FLUSH_HOOK_COUNT: AtomicU64 = AtomicU64::new(0);
+/// registrations are dropped. The registry is append-only: a slot, once
+/// set, never changes, so running the hooks takes no lock and allocates
+/// nothing — it reads the published count and the slots below it.
+const MAX_FLUSH_HOOKS: usize = 8;
+static FLUSH_HOOKS: [OnceLock<fn()>; MAX_FLUSH_HOOKS] =
+    [const { OnceLock::new() }; MAX_FLUSH_HOOKS];
+/// Slots published so far; a slot is set before the count covers it.
+static FLUSH_HOOK_COUNT: AtomicUsize = AtomicUsize::new(0);
+/// Serializes registrations (the duplicate check and the append).
+static FLUSH_REGISTER: Mutex<()> = Mutex::new(());
 
 /// Register `hook` to run on every sweep participant at sweep barriers.
 pub fn register_sweep_flush(hook: fn()) {
-    let mut hooks = FLUSH_HOOKS.lock().unwrap_or_else(|e| e.into_inner());
-    if !hooks.iter().any(|h| std::ptr::fn_addr_eq(*h, hook)) {
-        hooks.push(hook);
-        FLUSH_HOOK_COUNT.store(hooks.len() as u64, Ordering::Release);
+    let _g = FLUSH_REGISTER.lock().unwrap_or_else(|e| e.into_inner());
+    let n = FLUSH_HOOK_COUNT.load(Ordering::Relaxed);
+    let mut hooks = FLUSH_HOOKS[..n].iter().filter_map(OnceLock::get);
+    if hooks.any(|h| std::ptr::fn_addr_eq(*h, hook)) {
+        return;
     }
+    assert!(
+        n < MAX_FLUSH_HOOKS,
+        "more than {MAX_FLUSH_HOOKS} sweep-flush hooks"
+    );
+    let _ = FLUSH_HOOKS[n].set(hook);
+    FLUSH_HOOK_COUNT.store(n + 1, Ordering::Release);
 }
 
 /// Run every registered sweep-flush hook on the calling thread.
 pub fn run_sweep_flush_hooks() {
-    if FLUSH_HOOK_COUNT.load(Ordering::Acquire) == 0 {
-        return;
-    }
-    let hooks: Vec<fn()> = FLUSH_HOOKS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone();
-    for h in hooks {
+    let n = FLUSH_HOOK_COUNT.load(Ordering::Acquire);
+    for h in FLUSH_HOOKS[..n].iter().filter_map(OnceLock::get) {
         h();
     }
 }

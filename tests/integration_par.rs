@@ -299,6 +299,75 @@ fn memoized_replay_is_jobs_invariant() {
     adcl::simmemo::clear_enabled_override();
 }
 
+/// `adcl.simmemo.{hits, misses, replayed_events}` added since `scope`
+/// began, with every thread's front-cache tally flushed.
+fn memo_counts(scope: &simcore::metrics::Scope) -> [u64; 3] {
+    simcore::par::run_sweep_flush_hooks();
+    let d = scope.delta();
+    ["hits", "misses", "replayed_events"].map(|n| {
+        let name = format!("adcl.simmemo.{n}");
+        d.iter().find(|(k, _)| *k == name).map_or(0, |&(_, v)| v)
+    })
+}
+
+#[test]
+fn memoized_sweep_never_reaches_the_pool() {
+    let _g = reg_lock();
+    adcl::simmemo::set_enabled(true);
+    simcore::par::set_assumed_parallelism(Some(4));
+    let s = spec(CollectiveOp::Ialltoall, 8 * 1024);
+    adcl::simmemo::clear();
+    let before = simcore::par::pool_sweeps();
+    let (cold, replayed) = s.run_all_fixed_jobs_flagged(4);
+    // Three fresh runs are worth a fan-out: this sweep does use the pool.
+    assert_eq!(replayed, 0);
+    assert!(
+        simcore::par::pool_sweeps() > before,
+        "cold sweep ran serially"
+    );
+    let before = simcore::par::pool_sweeps();
+    let warm = s.run_all_fixed_jobs(4);
+    assert_eq!(
+        simcore::par::pool_sweeps(),
+        before,
+        "a replay reached the pool"
+    );
+    simcore::par::set_assumed_parallelism(None);
+    adcl::simmemo::clear_enabled_override();
+    assert_eq!(warm, cold);
+}
+
+#[test]
+fn half_memoized_sweep_is_jobs_invariant() {
+    let _g = reg_lock();
+    simcore::par::set_assumed_parallelism(Some(8));
+    adcl::simmemo::set_enabled(false);
+    let s = spec(CollectiveOp::IalltoallExtended, 16 * 1024);
+    let reference = s.run_all_fixed_jobs(1);
+    assert_eq!(reference.len(), 6);
+    adcl::simmemo::set_enabled(true);
+    let sweep = |jobs: usize| {
+        adcl::simmemo::clear();
+        for i in [0, 3, 4] {
+            s.run_memo(SelectionLogic::Fixed(i));
+        }
+        simcore::par::run_sweep_flush_hooks();
+        let scope = simcore::metrics::Scope::begin();
+        let (rows, replayed) = s.run_all_fixed_jobs_flagged(jobs);
+        (rows, replayed, memo_counts(&scope))
+    };
+    let serial = sweep(1);
+    assert_eq!(serial.0, reference, "rows differ from a cold run");
+    assert_eq!(serial.1, 3);
+    assert_eq!(&serial.2[..2], &[3, 3], "three hits, three misses");
+    assert!(serial.2[2] > 0, "replays credit their events");
+    for jobs in [2, 8] {
+        assert_eq!(sweep(jobs), serial, "jobs={jobs}");
+    }
+    simcore::par::set_assumed_parallelism(None);
+    adcl::simmemo::clear_enabled_override();
+}
+
 #[test]
 fn concurrent_sweeps_share_caches_without_corruption() {
     // Stress the shared-map + front-cache paths through the full driver:
