@@ -1,12 +1,22 @@
-//! Input limits of the `adcld` daemon. A file (so a process) of its own
-//! holding one test: it reads this process's resident set size, which the
-//! sweeps of the other daemon tests would move by far more than the payload.
+//! Input limits of the `adcld` daemon. A file (so a process) of its own:
+//! one test reads this process's resident set size, which the sweeps of
+//! the other daemon tests would move by far more than the payload, so the
+//! tests here also run one at a time.
 
 use adcld::server::MAX_LINE_BYTES;
 use adcld::service::ServiceConfig;
 use adcld::Server;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Mutex;
+
+/// Held for the whole of each test, so no other test's daemon moves the
+/// resident set size one of them reads.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Resident set size of this process in KiB (`None` off Linux).
 fn rss_kib() -> Option<u64> {
@@ -46,6 +56,7 @@ impl Client {
 #[test]
 fn newline_free_megabyte_gets_one_typed_error_and_costs_no_memory() {
     const PAYLOAD: usize = 1 << 20;
+    let _serial = one_at_a_time();
     let server = Server::spawn(ServiceConfig::default(), "127.0.0.1:0").expect("spawn");
     let query = r#"{"id":1,"op":"ialltoall","platform":"whale","nprocs":4,"msg_bytes":5376}"#;
     // The bystander connection decides its key (and so builds the
@@ -98,5 +109,29 @@ fn newline_free_megabyte_gets_one_typed_error_and_costs_no_memory() {
              (cap {MAX_LINE_BYTES})"
         );
     }
+    server.shutdown();
+}
+
+#[test]
+fn deeply_nested_line_gets_one_typed_error_and_the_daemon_lives_on() {
+    let _serial = one_at_a_time();
+    let server = Server::spawn(ServiceConfig::default(), "127.0.0.1:0").expect("spawn");
+    let mut bystander = Client::connect(&server);
+    assert!(bystander.roundtrip(r#"{"cmd":"ping"}"#).contains("pong"));
+    // Under the line cap, but nested far deeper than the parser's stack
+    // could follow one level per frame.
+    let line = "[".repeat(65_000);
+    assert!(line.len() < MAX_LINE_BYTES);
+    let mut hostile = Client::connect(&server);
+    let reply = hostile.roundtrip(&line);
+    let doc = simcore::json::parse(reply.trim_end()).expect("reply is JSON");
+    assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("error"));
+    let error = doc.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(|k| k.as_str()), Some("parse"));
+    let message = error.get("message").and_then(|m| m.as_str()).unwrap();
+    assert!(message.contains("nesting deeper than"), "{reply}");
+    // The same connection, and everyone else's, is still served.
+    assert!(hostile.roundtrip(r#"{"cmd":"ping"}"#).contains("pong"));
+    assert!(bystander.roundtrip(r#"{"cmd":"ping"}"#).contains("pong"));
     server.shutdown();
 }

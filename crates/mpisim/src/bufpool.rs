@@ -13,7 +13,8 @@
 //!   payload injection and executor round staging all move the handle
 //!   (a pointer), never the bytes;
 //! * fan-out is free: one staged buffer can back many concurrent messages
-//!   ([`Payload::clone`]), which is exactly what tree broadcasts do;
+//!   ([`Payload::clone`]): the sends of one `nbc` executor round share
+//!   one slab per message size;
 //! * when the last handle drops, the slab returns to its home pool's
 //!   size-class shelf and is reused by a later acquire — steady-state
 //!   simulations allocate O(pool depth) buffers total, not O(messages).

@@ -1230,6 +1230,13 @@ impl World {
     /// paths).
     fn complete_recv(&mut self, rank: RankId, rid: u32, t: SimTime) {
         let rs = &mut self.ranks[rank];
+        // A completion time, once set, is final: `nbc::executor` never asks
+        // a handle again after seeing it complete.
+        debug_assert!(
+            !matches!(rs.recvs[rid as usize].state, RecvState::Complete(t0) if t0 != t),
+            "receive {rid} on rank {rank} re-completed at {t}: {:?}",
+            rs.recvs[rid as usize].state
+        );
         rs.recvs[rid as usize].state = RecvState::Complete(t);
         // A receive can be completed twice on the eager fast path (match_pair
         // completes it, then the delivery event confirms); only move the

@@ -13,9 +13,27 @@
 //!   ([`ScheduleExec::try_progress`]) — between progress calls a completed
 //!   round just sits there, which is why multi-round algorithms need
 //!   frequent progress calls to overlap (paper §IV, Fig. 7).
+//!
+//! Two pieces of bookkeeping keep the executor's host cost per round rather
+//! than per message:
+//!
+//! * **Fan-out staging.** In [`PayloadMode::Pooled`] a round acquires and
+//!   stamps one slab per distinct send size and hands every send of that
+//!   size a [`Payload::clone`] of it: the stamp, `(rank, round)`, is the
+//!   same for all of them, so receivers observe the same bytes as with one
+//!   slab per send.
+//! * **Completion cursor.** A progress visit asks only the handles past
+//!   the prefix of `sends`/`recvs` already seen complete; posting a round
+//!   resets the cursors. This is sound because the `now` passed to
+//!   [`ScheduleExec::try_progress`] never decreases for one instance (the
+//!   tuner's runner passes the rank clock plus the cost already charged)
+//!   and a completion time, once set, never changes — so a handle
+//!   complete at `t ≤ now` stays complete at every later visit. Debug
+//!   builds check the cursor's answer against a full rescan on every
+//!   visit.
 
 use crate::schedule::{ActionKind, Schedule};
-use mpisim::{RankId, RecvHandle, SendHandle, Tag, World};
+use mpisim::{Payload, RankId, RecvHandle, SendHandle, Tag, World};
 use simcore::SimTime;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -118,6 +136,13 @@ pub struct ScheduleExec {
     sends: Vec<SendHandle>,
     /// Receive handles of the currently outstanding round.
     recvs: Vec<RecvHandle>,
+    /// Lengths of the prefixes of `sends`/`recvs` already seen complete:
+    /// the completion cursor (see the module docs).
+    sends_seen: usize,
+    recvs_seen: usize,
+    /// The round's staged payloads, one per distinct send size, while
+    /// `post_round` fans them out; empty between rounds.
+    staged: Vec<(usize, Payload)>,
     started: bool,
     /// Payload staging strategy (see [`PayloadMode`]).
     payload_mode: PayloadMode,
@@ -144,6 +169,9 @@ impl ScheduleExec {
             next_round: 0,
             sends: Vec::new(),
             recvs: Vec::new(),
+            sends_seen: 0,
+            recvs_seen: 0,
+            staged: Vec::new(),
             started: false,
             payload_mode: default_payload_mode(),
             round_posted_at: SimTime::ZERO,
@@ -169,6 +197,9 @@ impl ScheduleExec {
             next_round: 0,
             sends: Vec::new(),
             recvs: Vec::new(),
+            sends_seen: 0,
+            recvs_seen: 0,
+            staged: Vec::new(),
             started: false,
             payload_mode: default_payload_mode(),
             round_posted_at: SimTime::ZERO,
@@ -212,10 +243,33 @@ impl ScheduleExec {
         self.started
     }
 
+    /// Whether the outstanding round has completed by `now`, asking every
+    /// one of its handles.
     fn round_complete(&self, w: &World, now: SimTime) -> bool {
         self.round_retired
             || (self.sends.iter().all(|&h| w.send_done(h, now))
                 && self.recvs.iter().all(|&h| w.recv_done(h, now)))
+    }
+
+    /// [`round_complete`](Self::round_complete) for a progress visit:
+    /// asks only the handles past the completion cursors and advances them.
+    fn advance_round(&mut self, w: &World, now: SimTime) -> bool {
+        let done = self.round_retired || {
+            let sends = &self.sends[self.sends_seen..];
+            self.sends_seen += sends.iter().take_while(|&&h| w.send_done(h, now)).count();
+            self.sends_seen == self.sends.len() && {
+                let recvs = &self.recvs[self.recvs_seen..];
+                self.recvs_seen += recvs.iter().take_while(|&&h| w.recv_done(h, now)).count();
+                self.recvs_seen == self.recvs.len()
+            }
+        };
+        debug_assert_eq!(
+            done,
+            self.round_complete(w, now),
+            "rank {}: completion cursor disagrees with a full rescan at {now}",
+            self.rank
+        );
+        done
     }
 
     /// Retire the completed round: emit its span and hand its
@@ -241,6 +295,8 @@ impl ScheduleExec {
     fn post_round(&mut self, w: &mut World, now: SimTime) -> SimTime {
         self.sends.clear();
         self.recvs.clear();
+        self.sends_seen = 0;
+        self.recvs_seen = 0;
         self.round_posted_at = now;
         self.round_retired = false;
         // Field-by-field borrows: the round is read out of `self.sched`
@@ -260,12 +316,7 @@ impl ScheduleExec {
                     let peer = global(*peer);
                     t += w.o_send(rank, peer);
                     // The handle itself never affects simulated time.
-                    let payload = stage.then(|| {
-                        let mut buf = w.acquire_payload(a.bytes);
-                        let n = buf.len().min(stamp.len());
-                        buf.as_mut_slice()[..n].copy_from_slice(&stamp[..n]);
-                        buf.share()
-                    });
+                    let payload = stage.then(|| fan_out(&mut self.staged, w, a.bytes, &stamp));
                     if payload.is_some() && w.tracing() {
                         // Payload staged into the send buffer (a pool slab)
                         // just before posting.
@@ -290,6 +341,9 @@ impl ScheduleExec {
                 }
             }
         }
+        // The messages hold the staged slabs now; the last of them to be
+        // released recycles each one.
+        self.staged.clear();
         // Posting happens inside the library: flush protocol actions
         // (answer RTSs for receives just posted, act on pending CTSs).
         w.poll(rank, t);
@@ -343,7 +397,7 @@ impl ScheduleExec {
         w.poll(self.rank, now);
         loop {
             let t = now + cost;
-            if !self.round_complete(w, t) {
+            if !self.advance_round(w, t) {
                 return (cost, false);
             }
             self.retire_round(w);
@@ -353,6 +407,21 @@ impl ScheduleExec {
             cost += self.post_round(w, t);
         }
     }
+}
+
+/// A handle on the round's staged `bytes`-byte payload: the first send of
+/// that size acquires a slab and writes the sender's `(rank, round)` stamp
+/// into it, every later one shares it.
+fn fan_out(staged: &mut Vec<(usize, Payload)>, w: &World, bytes: usize, stamp: &[u8]) -> Payload {
+    if let Some((_, p)) = staged.iter().find(|(b, _)| *b == bytes) {
+        return p.clone();
+    }
+    let mut buf = w.acquire_payload(bytes);
+    let n = buf.len().min(stamp.len());
+    buf.as_mut_slice()[..n].copy_from_slice(&stamp[..n]);
+    let p = buf.share();
+    staged.push((bytes, p.clone()));
+    p
 }
 
 #[cfg(test)]
@@ -719,6 +788,71 @@ mod tests {
         );
         assert!(stats.reuses > 0, "{stats:?}");
         assert!(stats.recycles > 0, "{stats:?}");
+    }
+
+    /// [`OneShot`] that, before each progress visit, collects the payload
+    /// of every receive already complete and checks it against the
+    /// sender's stamp for a single-round schedule.
+    struct PayloadProbe {
+        inner: OneShot,
+        checked: usize,
+    }
+
+    impl RankBehavior for PayloadProbe {
+        fn step(&mut self, w: &mut World, r: RankId) -> Step {
+            let now = w.rank_now(r);
+            if let Some(exec) = self.inner.execs[r].as_ref().filter(|e| !e.round_retired) {
+                assert_eq!(exec.sched.rounds.len(), 1, "probe expects one round");
+                let recvs = exec.sched.rounds[0].0.iter().filter_map(|a| match a.kind {
+                    ActionKind::Recv { peer } => Some((peer, a.bytes)),
+                    _ => None,
+                });
+                for (&h, (peer, bytes)) in exec.recvs.iter().zip(recvs) {
+                    if !w.recv_done(h, now) {
+                        continue;
+                    }
+                    let Some(p) = w.take_recv_payload(h) else {
+                        continue;
+                    };
+                    assert_eq!(p.len(), bytes, "rank {r} from {peer}");
+                    let stamp = ((peer as u64) << 32).to_le_bytes();
+                    assert_eq!(p.as_slice()[..8], stamp, "rank {r} from {peer}");
+                    self.checked += 1;
+                }
+            }
+            self.inner.step(w, r)
+        }
+    }
+
+    #[test]
+    fn pooled_rounds_stage_one_slab_and_fan_it_out() {
+        let p = 16;
+        for bytes in [1024, 128 * 1024] {
+            let spec = CollSpec::new(p, bytes);
+            let build = |r: usize| build_alltoall(AlltoallAlgo::Linear, r, &spec);
+            let mut w = World::new(Platform::whale(), p, Placement::Block, NoiseConfig::none());
+            assert_eq!(w.platform().inter.is_eager(bytes), bytes == 1024);
+            let tag = w.alloc_tag();
+            let execs = (0..p)
+                .map(|r| {
+                    let mut e = ScheduleExec::new(r, tag, build(r));
+                    e.set_payload_mode(PayloadMode::Pooled);
+                    e
+                })
+                .collect();
+            let mut b = PayloadProbe {
+                inner: OneShot::new(execs),
+                checked: 0,
+            };
+            w.run(&mut b).expect("no deadlock");
+            // One acquire per rank and round with sends (the linear
+            // exchange is one round of p - 1 equal-sized sends), where a
+            // slab per send took p·(p - 1).
+            let stats = w.payload_pool().stats();
+            assert_eq!(stats.acquires, p as u64, "{bytes} B: {stats:?}");
+            assert_eq!(stats.recycles, stats.acquires, "{bytes} B: {stats:?}");
+            assert_eq!(b.checked, p * (p - 1), "{bytes} B: receives checked");
+        }
     }
 
     #[test]

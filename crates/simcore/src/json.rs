@@ -142,6 +142,11 @@ impl fmt::Display for Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a cap one short line of `[`s overflows the
+/// thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -149,6 +154,17 @@ pub struct ParseError {
     pub pos: usize,
     /// What went wrong.
     pub msg: String,
+    /// Which kind of failure this is.
+    pub kind: ParseErrorKind,
+}
+
+/// The kind of a [`ParseError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParseErrorKind {
+    /// The input is not JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for ParseError {
@@ -165,6 +181,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -178,6 +195,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -185,7 +204,25 @@ impl Parser<'_> {
         ParseError {
             pos: self.pos,
             msg: msg.to_string(),
+            kind: ParseErrorKind::Syntax,
         }
+    }
+
+    /// Parse an array or object one level deeper than `depth`.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                kind: ParseErrorKind::TooDeep,
+                ..self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+            });
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn peek(&self) -> Option<u8> {
@@ -209,8 +246,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -402,6 +439,18 @@ mod tests {
     // `trace::escape` and parse it back here (trace_inspect, the
     // integration tests); the tests below pin that round-trip on the
     // document shapes those exporters actually produce.
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((e.kind, e.pos), (ParseErrorKind::TooDeep, MAX_DEPTH));
+        // Far past any stack: one request line's worth of `[`.
+        let e = parse(&"[".repeat(65_000)).unwrap_err();
+        assert_eq!(e.kind, ParseErrorKind::TooDeep);
+        assert_eq!(parse("[1,").unwrap_err().kind, ParseErrorKind::Syntax);
+    }
 
     #[test]
     fn parses_deeply_nested_arrays_and_objects() {

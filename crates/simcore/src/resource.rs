@@ -19,7 +19,8 @@ pub struct FifoResource {
     /// Time at which the server becomes idle.
     next_free: SimTime,
     /// Drain times of jobs still in the system, used for backlog accounting.
-    /// Oldest first; entries with `drain <= now` are lazily removed.
+    /// Oldest first, and so sorted: each job drains after the one before
+    /// it. Entries with `drain <= now` are lazily removed.
     in_flight: VecDeque<SimTime>,
     /// Total busy time accumulated (for utilization statistics).
     busy: SimTime,
@@ -86,9 +87,10 @@ impl FifoResource {
         self.next_free
     }
 
-    /// Number of jobs still queued or in service at `now`.
+    /// Number of jobs still queued or in service at `now`: a binary search
+    /// of the sorted drain times.
     pub fn backlog_at(&self, now: SimTime) -> usize {
-        self.in_flight.iter().filter(|&&d| d > now).count()
+        self.in_flight.len() - self.in_flight.partition_point(|&d| d <= now)
     }
 
     /// Total service time accumulated.

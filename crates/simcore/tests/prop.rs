@@ -68,6 +68,31 @@ fn fifo_resource_serializes() {
     });
 }
 
+/// `backlog_at` (a binary search) counts exactly the jobs a linear scan of
+/// the unexpired drain times finds, for arrivals and query times in any
+/// order.
+#[test]
+fn fifo_backlog_matches_linear_count() {
+    run_cases("fifo_backlog_matches_linear_count", 256, |g| {
+        let mut r = FifoResource::new();
+        // The drains still in the system: `submit` expires those at or
+        // before its arrival time, oldest first.
+        let mut drains: Vec<SimTime> = Vec::new();
+        for _ in 0..g.usize_in(1, 100) {
+            if g.bool() {
+                let arrive = SimTime::from_nanos(g.u64_in(0, 10_000));
+                let grant = r.submit(arrive, SimTime::from_nanos(g.u64_in(0, 500)));
+                let live = drains.iter().position(|&d| d > arrive);
+                drains.drain(..live.unwrap_or(drains.len()));
+                drains.push(grant.drain);
+            }
+            let now = SimTime::from_nanos(g.u64_in(0, 20_000));
+            let linear = drains.iter().filter(|&&d| d > now).count();
+            assert_eq!(r.backlog_at(now), linear, "at {now}");
+        }
+    });
+}
+
 /// IQR filtering returns a non-empty subset of the input.
 #[test]
 fn iqr_filter_subset() {

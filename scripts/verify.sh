@@ -70,14 +70,18 @@ for bin in table_verification_stats table_fft_stats; do
 done
 
 echo "== payload modes: pooled vs off must be byte-identical"
-ref=$(NBC_PAYLOADS=pooled NBC_MEMO=off ./target/release/table_verification_stats --quick --jobs 1)
-out=$(NBC_PAYLOADS=off NBC_MEMO=off ./target/release/table_verification_stats --quick --jobs 1)
-if [ "$ref" != "$out" ]; then
-    echo "FAIL: table_verification_stats differs between NBC_PAYLOADS=pooled and =off" >&2
-    diff <(printf '%s\n' "$ref") <(printf '%s\n' "$out") >&2 || true
-    exit 1
-fi
-echo "   NBC_PAYLOADS=off: identical"
+# table_fft_stats runs windows of outstanding collectives, whose rounds
+# fan one staged slab out to many sends.
+for bin in table_verification_stats table_fft_stats; do
+    ref=$(NBC_PAYLOADS=pooled NBC_MEMO=off ./target/release/"$bin" --quick --jobs 1)
+    out=$(NBC_PAYLOADS=off NBC_MEMO=off ./target/release/"$bin" --quick --jobs 1)
+    if [ "$ref" != "$out" ]; then
+        echo "FAIL: $bin differs between NBC_PAYLOADS=pooled and =off" >&2
+        diff <(printf '%s\n' "$ref") <(printf '%s\n' "$out") >&2 || true
+        exit 1
+    fi
+    echo "   $bin NBC_PAYLOADS=off: identical"
+done
 
 echo "== sim memo: memoized re-run must be byte-identical to fresh"
 # At --jobs 2 memo replays are answered on the calling thread while the
