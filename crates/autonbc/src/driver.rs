@@ -453,10 +453,12 @@ impl MicrobenchSpec {
     /// Untimed sweep pre-warm: on every thread a `par_map(jobs, specs, …)`
     /// sweep will use (pool workers and the caller), lease-and-release a
     /// warm world for each distinct shape in `specs`, pre-warm its payload
-    /// slabs for the largest message the shape will carry, and pre-build
-    /// the schedules (warming each thread's schedule front cache). After
-    /// this, a timed sweep over `specs` neither constructs worlds, nor
-    /// heap-allocates payload slabs, nor builds schedules.
+    /// slabs for the largest message the shape will carry (only when
+    /// payloads are staged at all: [`nbc::default_payload_mode`] is
+    /// `Pooled`), and pre-build the schedules (warming each thread's
+    /// schedule front cache). After this, a timed sweep over `specs`
+    /// neither constructs worlds, nor heap-allocates payload slabs, nor
+    /// builds schedules.
     pub fn prewarm_sweep(jobs: usize, specs: &[MicrobenchSpec]) {
         if specs.is_empty() {
             return;
@@ -482,6 +484,7 @@ impl MicrobenchSpec {
                 None => shapes.push(s),
             }
         }
+        let staged = nbc::default_payload_mode() == nbc::PayloadMode::Pooled;
         simcore::par::on_all_workers(participants.saturating_sub(1), || {
             for s in &shapes {
                 mpisim::worldpool::prewarm(
@@ -490,7 +493,7 @@ impl MicrobenchSpec {
                     s.placement,
                     s.noise,
                     s.msg_bytes,
-                    2 * s.nprocs,
+                    if staged { 2 * s.nprocs } else { 0 },
                 );
                 s.prebuild_schedules();
             }

@@ -17,11 +17,11 @@
 //! Two pieces of bookkeeping keep the executor's host cost per round rather
 //! than per message:
 //!
-//! * **Fan-out staging.** In [`PayloadMode::Pooled`] a round acquires and
-//!   stamps one slab per distinct send size and hands every send of that
-//!   size a [`Payload::clone`] of it: the stamp, `(rank, round)`, is the
-//!   same for all of them, so receivers observe the same bytes as with one
-//!   slab per send.
+//! * **Fan-out staging.** In [`PayloadMode::Pooled`] (opt-in; the default
+//!   stages nothing) a round acquires and stamps one slab per distinct
+//!   send size and hands every send of that size a [`Payload::clone`] of
+//!   it: the stamp, `(rank, round)`, is the same for all of them, so
+//!   receivers observe the same bytes as with one slab per send.
 //! * **Completion cursor.** A progress visit asks only the handles past
 //!   the prefix of `sends`/`recvs` already seen complete; posting a round
 //!   resets the cursors. This is sound because the `now` passed to
@@ -35,9 +35,8 @@
 use crate::schedule::{ActionKind, Schedule};
 use mpisim::{Payload, RankId, RecvHandle, SendHandle, Tag, World};
 use simcore::SimTime;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// How the executor stages message payloads alongside the timing model.
 ///
@@ -46,75 +45,44 @@ use std::sync::OnceLock;
 /// digests: `payload_modes_are_timing_invariant` below). They differ only
 /// in *host* cost:
 ///
-/// * [`PayloadMode::Off`] — no payload engine at all.
+/// * [`PayloadMode::Off`] — no payload engine at all. The default: tuning,
+///   figure and daemon runs read byte counts, never byte contents.
 /// * [`PayloadMode::Pooled`] — buffers come from the world's
 ///   [`mpisim::BufPool`]; delivery moves a handle and completion recycles
-///   the slab. Steady-state rounds allocate nothing.
+///   the slab. Steady-state rounds allocate nothing. Opt in for a reader of
+///   the delivered bytes (a value-checking test or verifier) with
+///   [`ScheduleExec::set_payload_mode`] or [`set_default_payload_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadMode {
     Off,
     Pooled,
 }
 
-impl PayloadMode {
-    fn from_env_str(s: &str) -> Option<PayloadMode> {
-        match s {
-            "off" => Some(PayloadMode::Off),
-            "pooled" => Some(PayloadMode::Pooled),
-            _ => None,
-        }
-    }
+/// Process-wide override installed by [`set_default_payload_mode`]:
+/// whether new [`ScheduleExec`]s start in [`PayloadMode::Pooled`].
+static DEFAULT_POOLED: AtomicBool = AtomicBool::new(false);
 
-    fn code(self) -> u8 {
-        match self {
-            PayloadMode::Off => 1,
-            PayloadMode::Pooled => 2,
-        }
-    }
-
-    fn from_code(c: u8) -> Option<PayloadMode> {
-        match c {
-            1 => Some(PayloadMode::Off),
-            2 => Some(PayloadMode::Pooled),
-            _ => None,
-        }
-    }
-}
-
-/// Process-wide override installed by [`set_default_payload_mode`];
-/// 0 = unset (fall back to the environment).
-static PAYLOAD_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// The `NBC_PAYLOADS` environment setting, read once per process.
-static PAYLOAD_MODE_ENV: OnceLock<PayloadMode> = OnceLock::new();
-
-/// Programmatically override the default payload mode (takes precedence
-/// over `NBC_PAYLOADS`). Tests use this because the environment is only
-/// read once per process.
+/// Override the payload mode new [`ScheduleExec`]s start in, process-wide
+/// — for a caller whose collectives are built out of its reach (a whole
+/// sweep or tuning session) and that wants their payloads staged.
 pub fn set_default_payload_mode(mode: PayloadMode) {
-    PAYLOAD_MODE_OVERRIDE.store(mode.code(), Ordering::Relaxed);
+    DEFAULT_POOLED.store(mode == PayloadMode::Pooled, Ordering::Relaxed);
 }
 
-/// Clear a [`set_default_payload_mode`] override, falling back to the
-/// environment default.
+/// Clear a [`set_default_payload_mode`] override, back to
+/// [`PayloadMode::Off`].
 pub fn clear_default_payload_mode() {
-    PAYLOAD_MODE_OVERRIDE.store(0, Ordering::Relaxed);
+    DEFAULT_POOLED.store(false, Ordering::Relaxed);
 }
 
-/// The payload mode new [`ScheduleExec`]s start in: the programmatic
-/// override if set, else `NBC_PAYLOADS` (`off` | `pooled`),
-/// else [`PayloadMode::Pooled`].
+/// The payload mode new [`ScheduleExec`]s start in: the
+/// [`set_default_payload_mode`] override if set, else [`PayloadMode::Off`].
 pub fn default_payload_mode() -> PayloadMode {
-    if let Some(m) = PayloadMode::from_code(PAYLOAD_MODE_OVERRIDE.load(Ordering::Relaxed)) {
-        return m;
+    if DEFAULT_POOLED.load(Ordering::Relaxed) {
+        PayloadMode::Pooled
+    } else {
+        PayloadMode::Off
     }
-    *PAYLOAD_MODE_ENV.get_or_init(|| {
-        std::env::var("NBC_PAYLOADS")
-            .ok()
-            .as_deref()
-            .and_then(PayloadMode::from_env_str)
-            .unwrap_or(PayloadMode::Pooled)
-    })
 }
 
 /// Execution state of one collective operation instance on one rank.
@@ -862,9 +830,7 @@ mod tests {
         set_default_payload_mode(PayloadMode::Off);
         assert_eq!(default_payload_mode(), PayloadMode::Off);
         clear_default_payload_mode();
-        // Back to the env/default path (cannot assert which, but it must be
-        // a valid mode and stable across calls).
-        assert_eq!(default_payload_mode(), default_payload_mode());
+        assert_eq!(default_payload_mode(), PayloadMode::Off);
     }
 
     #[test]

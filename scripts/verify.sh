@@ -2,8 +2,9 @@
 # Full verification pass: formatting, lints, build, tests, the release-mode
 # mpisim allocation/golden-digest tests, a tiny run of the benchmark/ ledger,
 # miri on bufpool (best effort), the smoke-sized figure suite (serial vs
-# parallel, payloads on/off, memo replay, tracing and NBC_FAULTS=off must all
-# be byte-identical), the guideline gates and the adcld smoke / open-loop /
+# parallel, memo replay, tracing and NBC_FAULTS=off must all be
+# byte-identical; payloads on/off is the tier-1 test
+# `payload_modes_produce_byte_identical_tables`), the guideline gates and the adcld smoke / open-loop /
 # NBC_RACING=off / admission gates. Nothing here times the engine: a speed
 # regression is what `benchmark/run.sh compare A.json B.json` is for.
 #
@@ -67,20 +68,6 @@ for bin in table_verification_stats table_fft_stats; do
         exit 1
     fi
     echo "   $bin: identical ($(printf '%s' "$s1" | wc -c) bytes)"
-done
-
-echo "== payload modes: pooled vs off must be byte-identical"
-# table_fft_stats runs windows of outstanding collectives, whose rounds
-# fan one staged slab out to many sends.
-for bin in table_verification_stats table_fft_stats; do
-    ref=$(NBC_PAYLOADS=pooled NBC_MEMO=off ./target/release/"$bin" --quick --jobs 1)
-    out=$(NBC_PAYLOADS=off NBC_MEMO=off ./target/release/"$bin" --quick --jobs 1)
-    if [ "$ref" != "$out" ]; then
-        echo "FAIL: $bin differs between NBC_PAYLOADS=pooled and =off" >&2
-        diff <(printf '%s\n' "$ref") <(printf '%s\n' "$out") >&2 || true
-        exit 1
-    fi
-    echo "   $bin NBC_PAYLOADS=off: identical"
 done
 
 echo "== sim memo: memoized re-run must be byte-identical to fresh"

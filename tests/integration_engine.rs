@@ -39,22 +39,161 @@ fn table_rows_bits(s: &MicrobenchSpec) -> Vec<(String, u64)> {
         .collect()
 }
 
+/// What a table prints from one tuned run: total and post-learning time
+/// and the per-iteration history as bit patterns, and the winner.
+type RunBits = (u64, u64, Vec<u64>, Option<String>);
+
+fn run_bits(total: f64, post: f64, history: &[f64], winner: &Option<String>) -> RunBits {
+    let history = history.iter().map(|h| h.to_bits()).collect();
+    (total.to_bits(), post.to_bits(), history, winner.clone())
+}
+
+/// `fft_app`'s Tiny configuration: 8 ranks on crill.
+fn fft_tiny() -> (Platform, usize, FftKernelConfig) {
+    let cfg = FftKernelConfig {
+        n: 32,
+        planes_per_rank: 4,
+        iters: 10,
+        tile: 2,
+        progress_per_tile: 2,
+        reps: 2,
+        placement: Placement::Block,
+    };
+    (Platform::crill(), 8, cfg)
+}
+
+/// Every run the payload-mode comparison covers, under the current
+/// default mode: the fixed rows of the verification table, tuned runs at
+/// an eager and a rendezvous size for Ialltoall and Ibcast, and the FFT
+/// kernel in all four patterns — whose windows of outstanding collectives
+/// fan one staged slab out to many sends — fixed and tuned.
+fn payload_mode_runs() -> (Vec<(String, u64)>, Vec<RunBits>) {
+    let fixed = table_rows_bits(&spec());
+    let mut runs = Vec::new();
+    for op in [CollectiveOp::Ialltoall, CollectiveOp::Ibcast] {
+        for msg_bytes in [1024, 256 * 1024] {
+            let s = MicrobenchSpec {
+                op,
+                msg_bytes,
+                ..spec()
+            };
+            assert_eq!(s.platform.inter.is_eager(msg_bytes), msg_bytes == 1024);
+            for logic in [
+                SelectionLogic::BruteForce,
+                SelectionLogic::AttributeHeuristic,
+            ] {
+                let o = s.run(logic);
+                runs.push(run_bits(o.total, o.post_learning, &o.history, &o.winner));
+            }
+        }
+    }
+    let (platform, p, cfg) = fft_tiny();
+    for pattern in FftPattern::all() {
+        for mode in [FftMode::LibNbc, FftMode::Adcl(SelectionLogic::BruteForce)] {
+            let noise = NoiseConfig::light(2015);
+            let r = run_fft_kernel(&platform, p, &cfg, pattern, mode, noise);
+            runs.push(run_bits(
+                r.total_time,
+                r.post_learning_time,
+                &r.history,
+                &r.winner,
+            ));
+        }
+    }
+    (fixed, runs)
+}
+
 #[test]
 fn payload_modes_produce_byte_identical_tables() {
     let _g = GLOBAL_TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
     adcl::simmemo::set_enabled(false);
-    let s = spec();
     nbc::set_default_payload_mode(PayloadMode::Off);
-    let off = table_rows_bits(&s);
+    let off = payload_mode_runs();
     nbc::set_default_payload_mode(PayloadMode::Pooled);
-    let pooled = table_rows_bits(&s);
+    let pooled = payload_mode_runs();
     nbc::clear_default_payload_mode();
     adcl::simmemo::clear_enabled_override();
     assert_eq!(
-        off, pooled,
-        "pooled payload staging changed simulated times"
+        off.0, pooled.0,
+        "pooled payload staging changed the fixed rows"
     );
-    assert!(!off.is_empty());
+    assert!(!off.0.is_empty());
+    assert_eq!(off.1.len(), 8 + 8);
+    for (i, (a, b)) in off.1.iter().zip(&pooled.1).enumerate() {
+        assert_eq!(a, b, "pooled payload staging changed tuned run {i}");
+    }
+}
+
+/// Payload-pool acquires so far on the calling thread's cached world of
+/// this shape — the world `MicrobenchSpec::run` and `run_fft_kernel` lease.
+fn pool_acquires(platform: &Platform, nprocs: usize) -> u64 {
+    mpisim::worldpool::with_world(
+        platform,
+        nprocs,
+        Placement::Block,
+        NoiseConfig::none(),
+        |w| w.payload_pool().stats().acquires,
+    )
+}
+
+/// `(acquires, heap allocations)` of payload slabs during `f`.
+fn payload_work(platform: &Platform, nprocs: usize, f: impl FnOnce()) -> (u64, u64) {
+    let acq0 = pool_acquires(platform, nprocs);
+    let alloc0 = simcore::stats::payload_allocs();
+    f();
+    let acquires = pool_acquires(platform, nprocs) - acq0;
+    (acquires, simcore::stats::payload_allocs() - alloc0)
+}
+
+#[test]
+fn default_mode_stages_no_payloads() {
+    let _g = GLOBAL_TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
+    let s = spec();
+    assert!(!s.platform.inter.is_eager(s.msg_bytes), "want rendezvous");
+    let (platform, p, cfg) = fft_tiny();
+    let tuned = || {
+        s.run(SelectionLogic::BruteForce);
+    };
+    let fft = || {
+        let mode = FftMode::Adcl(SelectionLogic::BruteForce);
+        run_fft_kernel(&platform, p, &cfg, FftPattern::WindowTiled, mode, s.noise);
+    };
+    nbc::clear_default_payload_mode();
+    let tuned_off = payload_work(&s.platform, s.nprocs, tuned);
+    let fft_off = payload_work(&platform, p, fft);
+    nbc::set_default_payload_mode(PayloadMode::Pooled);
+    let tuned_pooled = payload_work(&s.platform, s.nprocs, tuned);
+    let fft_pooled = payload_work(&platform, p, fft);
+    nbc::clear_default_payload_mode();
+    assert_eq!(tuned_off, (0, 0), "default-mode tuning run staged payloads");
+    assert_eq!(fft_off, (0, 0), "default-mode FFT kernel staged payloads");
+    assert!(tuned_pooled.0 > 0, "Pooled tuning run staged nothing");
+    assert!(fft_pooled.0 > 0, "Pooled FFT kernel staged nothing");
+}
+
+#[test]
+fn prewarm_sweep_shelves_slabs_only_when_pooled() {
+    let _g = GLOBAL_TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
+    // A shape no other test here leases, so this thread's cached world
+    // starts with empty shelves.
+    let s = MicrobenchSpec {
+        nprocs: 12,
+        ..spec()
+    };
+    let free_slabs = || {
+        mpisim::worldpool::with_world(&s.platform, s.nprocs, s.placement, s.noise, |w| {
+            w.payload_pool().free_slabs()
+        })
+    };
+    nbc::clear_default_payload_mode();
+    MicrobenchSpec::prewarm_sweep(1, std::slice::from_ref(&s));
+    let off = free_slabs();
+    nbc::set_default_payload_mode(PayloadMode::Pooled);
+    MicrobenchSpec::prewarm_sweep(1, std::slice::from_ref(&s));
+    let pooled = free_slabs();
+    nbc::clear_default_payload_mode();
+    assert_eq!(off, 0, "default-mode prewarm shelved slabs");
+    assert_eq!(pooled, 2 * s.nprocs);
 }
 
 #[test]
