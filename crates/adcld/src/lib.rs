@@ -13,7 +13,7 @@
 //! * [`service`] — the scheduler: coalesces duplicate in-flight queries
 //!   onto one sweep, consults the persistent [`adcl::history`] store and
 //!   the `adcl::simmemo` replay cache before simulating, and runs missing
-//!   points on the `simcore::par` worker pool via
+//!   points through a `simcore::par` sweep via
 //!   `autonbc::driver::MicrobenchSpec`.
 //! * [`server`] — TCP (localhost) transport: thread-per-connection framing
 //!   over the service, plus graceful / abortive shutdown for tests.

@@ -9,11 +9,11 @@
 //!    is appended to that sweep's waiter list (no second sweep).
 //! 3. **sweep** — the key is queued for the scheduler thread. Each
 //!    scheduler wakeup drains *every* distinct queued key into one batch
-//!    and submits the whole batch to the `simcore::par` worker pool as a
-//!    single cost-aware admission (`par_map_costed`), so N concurrent
-//!    cold queries cost one pool sweep instead of N serialized ones. A
-//!    batch of one bypasses the outer fan-out so a lone cold query keeps
-//!    the pool for its own inner sweep. Per key, the default measurement
+//!    and submits the whole batch to `simcore::par` as a single
+//!    cost-aware admission (`par_map_costed`), so N concurrent cold
+//!    queries cost one parallel sweep instead of N serialized ones. A
+//!    batch of one bypasses the outer fan-out so a lone cold query can
+//!    fan out its own inner sweep. Per key, the default measurement
 //!    is a racing-tuned probe (`SelectionLogic::Racing`, overridable via
 //!    `NBC_RACING`); with racing off the probe runs every implementation
 //!    through `MicrobenchSpec::run_all_fixed_jobs` exactly as before.
@@ -142,7 +142,7 @@ pub struct ServiceStats {
     pub fresh_sweeps: u64,
     /// Fresh sweeps whose winner a guideline probe flagged as dominated.
     pub guideline_flagged: u64,
-    /// Scheduler batches admitted to the worker pool (one per wakeup
+    /// Scheduler batches admitted to a parallel sweep (one per wakeup
     /// drain — N concurrent cold keys share a single admission).
     pub sweep_admissions: u64,
     /// Queries rejected or failed.
@@ -325,7 +325,7 @@ impl Service {
 
     /// Submit several queries under one lock acquisition. Every cold key
     /// lands in the scheduler queue atomically, so a single wakeup drains
-    /// them into one pool admission — the deterministic N-cold-queries →
+    /// them into one sweep admission — the deterministic N-cold-queries →
     /// one-sweep contract the admission gate checks (per-key [`submit`]
     /// calls batch only as well as thread timing allows).
     ///
@@ -426,12 +426,12 @@ impl Service {
         }
     }
 
-    /// One cost-aware pool admission for every key drained this wakeup.
+    /// One cost-aware sweep admission for every key drained this wakeup.
     /// A batch of one runs on the scheduler thread directly so the lone
-    /// sweep keeps the worker pool for its own inner fan-out; larger
-    /// batches go through `par_map_costed` (nested pool submissions
-    /// degrade to serial), so N concurrent cold queries cost one pool
-    /// sweep instead of N serialized ones.
+    /// sweep can fan out its own inner runs; larger batches go through
+    /// `par_map_costed` (sweeps nested inside it run serially), so N
+    /// concurrent cold queries cost one parallel sweep instead of N
+    /// serialized ones.
     fn admit_batch(&self, batch: Vec<(HistoryKey, Instant)>) {
         self.counters
             .sweep_admissions

@@ -422,7 +422,7 @@ impl MicrobenchSpec {
     /// inside the first measured iteration. All default function-sets
     /// route their builders through the global schedule cache
     /// (`nbc::cache`), so calling each builder for each rank both interns
-    /// the schedule globally and warms the calling thread's front cache.
+    /// the schedule globally.
     pub fn prebuild_schedules(&self) {
         let fnset = self.op.fnset(self.coll_spec());
         let coll = self.coll_spec();
@@ -438,38 +438,29 @@ impl MicrobenchSpec {
     /// (`simcore::par::plan_participants`): roughly 2µs of host time per
     /// rank per benchmark iteration, which matches the measured scale of
     /// the 8-rank microbenchmarks (hundreds of microseconds). Only the
-    /// comparison against the pool-handoff floor matters
-    /// (`simcore::par::handoff_floor_nanos`, 120µs by default — a
-    /// deliberately high bar: the ledger's `simcore.par_handoff_us` reads
-    /// 8–10µs for a real hand-off), so being off by 2–3× either way does
-    /// not change any sensible decision. It prices a fresh simulation; a
-    /// memo replay never reaches the pool.
+    /// comparison against the hand-off floor matters
+    /// (`simcore::par::handoff_floor_nanos`, 120µs — a deliberately high
+    /// bar, several times what spawning and joining a helper thread
+    /// costs), so being off by 2–3× either way does not change any
+    /// sensible decision. It prices a
+    /// fresh simulation; a memo replay never reaches `par_map`.
     pub fn est_run_nanos(&self) -> u64 {
         2_000u64
             .saturating_mul(self.nprocs as u64)
             .saturating_mul(self.iters as u64)
     }
 
-    /// Untimed sweep pre-warm: on every thread a `par_map(jobs, specs, …)`
-    /// sweep will use (pool workers and the caller), lease-and-release a
+    /// Untimed sweep pre-warm on the calling thread: lease-and-release a
     /// warm world for each distinct shape in `specs`, pre-warm its payload
     /// slabs for the largest message the shape will carry (only when
     /// payloads are staged at all: [`nbc::default_payload_mode`] is
-    /// `Pooled`), and pre-build the schedules (warming each thread's
-    /// schedule front cache). After this, a timed sweep over `specs`
-    /// neither constructs worlds, nor heap-allocates payload slabs, nor
-    /// builds schedules.
-    pub fn prewarm_sweep(jobs: usize, specs: &[MicrobenchSpec]) {
-        if specs.is_empty() {
-            return;
-        }
-        let participants = simcore::par::plan_participants(
-            jobs,
-            specs.len().max(2),
-            simcore::par::hardware_parallelism(),
-            simcore::par::COST_UNKNOWN,
-            0,
-        );
+    /// `Pooled`), and pre-build the schedules. After this, the caller's
+    /// share of a timed sweep over `specs` neither constructs worlds, nor
+    /// heap-allocates payload slabs, nor builds schedules. A sweep's
+    /// helper threads live for that sweep only, so there is nothing to
+    /// warm on them in advance; `jobs` is accepted for callers built
+    /// against the earlier signature and does not change what is warmed.
+    pub fn prewarm_sweep(_jobs: usize, specs: &[MicrobenchSpec]) {
         // Distinct world shapes, each with the largest payload it will see.
         let mut shapes: Vec<&MicrobenchSpec> = Vec::new();
         for s in specs {
@@ -485,19 +476,17 @@ impl MicrobenchSpec {
             }
         }
         let staged = nbc::default_payload_mode() == nbc::PayloadMode::Pooled;
-        simcore::par::on_all_workers(participants.saturating_sub(1), || {
-            for s in &shapes {
-                mpisim::worldpool::prewarm(
-                    &s.platform,
-                    s.nprocs,
-                    s.placement,
-                    s.noise,
-                    s.msg_bytes,
-                    if staged { 2 * s.nprocs } else { 0 },
-                );
-                s.prebuild_schedules();
-            }
-        });
+        for s in &shapes {
+            mpisim::worldpool::prewarm(
+                &s.platform,
+                s.nprocs,
+                s.placement,
+                s.noise,
+                s.msg_bytes,
+                if staged { 2 * s.nprocs } else { 0 },
+            );
+            s.prebuild_schedules();
+        }
     }
 
     /// The verification runs: execute every implementation of the
@@ -509,7 +498,7 @@ impl MicrobenchSpec {
 
     /// Parallel [`MicrobenchSpec::run_all_fixed`]: runs the memo already
     /// holds are answered on the calling thread, and each remaining fixed
-    /// run — an independent simulation — fans out over `jobs` worker
+    /// run — an independent simulation — fans out over `jobs`
     /// threads (`adcl::simmemo::get_or_run_all`, with this spec's estimated
     /// run cost feeding the serial cutoff — a sub-handoff sweep stays on
     /// the calling thread). The output is bit-identical to the serial

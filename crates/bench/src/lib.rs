@@ -351,7 +351,7 @@ pub fn fft_table(
         .into_iter()
         .flat_map(|p| modes.iter().map(move |&m| (p, m)))
         .collect();
-    // Kernel runs are far above the pool-handoff floor at every figure
+    // Kernel runs are far above the hand-off floor at every figure
     // size, but routing through the costed map keeps tiny test-sized
     // configs on the serial path instead of paying a pointless handoff.
     let est = work

@@ -28,8 +28,8 @@
 //! e.g. fault-exhausted) is severe under every guideline.
 //! `scripts/verify.sh` gates on zero severe violations.
 //!
-//! Every probe is a pure function of its config fingerprint and runs on
-//! the shared worker pool via [`simcore::par`], memoized through
+//! Every probe is a pure function of its config fingerprint and runs in
+//! a parallel sweep via [`simcore::par`], memoized through
 //! [`crate::simmemo`] (`guide/…` keys), so repeat checks are cache hits
 //! and the sweep report is byte-identical for any `--jobs` value.
 //!
@@ -773,8 +773,8 @@ fn best_of(times: &ProbeMap, plat: usize, op: ProbeOp, nprocs: usize, msg: usize
     best
 }
 
-/// Evaluate every registered guideline over the grid. Probes run on the
-/// shared worker pool (`jobs` as in the figure binaries); checks are
+/// Evaluate every registered guideline over the grid. Probes run in a
+/// parallel sweep (`jobs` as in the figure binaries); checks are
 /// derived serially from the merged probe table, so the report — and its
 /// JSON rendering — is byte-identical for any `jobs` value.
 pub fn run_sweep(cfg: &SweepConfig, jobs: usize) -> SweepReport {
@@ -826,7 +826,7 @@ pub fn run_sweep(cfg: &SweepConfig, jobs: usize) -> SweepReport {
         }
     }
 
-    // Replays on this thread, misses on the worker pool; input order kept.
+    // Replays on this thread, misses fanned out; input order kept.
     let results = probe_all(jobs, &platforms, &reqs, &keys);
     let mut times: ProbeMap = BTreeMap::new();
     let mut replays = 0usize;

@@ -166,7 +166,7 @@ impl FftKernelConfig {
     /// (`simcore::par::plan_participants`): roughly 2µs of host time per
     /// rank per tile per FFT iteration per measurement rep, the measured
     /// scale of the quick-sized kernels. Only the comparison against the
-    /// ~100µs pool-handoff floor matters, so being off by a few× either
+    /// 120µs hand-off floor matters, so being off by a few× either
     /// way does not change any sensible decision.
     pub fn est_run_nanos(&self, pattern: FftPattern, p: usize) -> u64 {
         2_000u64

@@ -669,7 +669,8 @@ impl World {
     /// Publish the observability timeline to the global trace collector now
     /// (instead of waiting for `Drop`). Used by the world-reuse pool:
     /// cached worlds live in thread-locals whose destructors may never run
-    /// on pool threads, so traces must be pushed out at release time. A
+    /// (the main thread's, for one), so traces must be pushed out at
+    /// release time. A
     /// no-op when tracing is off or the trace was already published.
     pub fn publish_trace(&mut self) {
         if let Some(t) = self.otrace.take() {

@@ -14,9 +14,10 @@
 //! not even the platform description it is keyed on.
 //!
 //! The cache is strictly thread-local, so it adds no locks to the sweep hot
-//! path and composes with the persistent worker pool in `simcore::par`:
-//! each pool worker accumulates its own warm worlds across the sweeps it
-//! participates in.
+//! path. A thread keeps its warm worlds for as long as it lives: the
+//! calling thread across every sweep it issues, a `simcore::par` helper
+//! thread for the one sweep it serves (coarse chunking hands it long runs
+//! of one shape, so it still reuses its worlds within that sweep).
 //!
 //! Determinism: `World::reset` guarantees a reused world is observationally
 //! identical to a fresh one (same noise seeds, same fault model from the
@@ -83,8 +84,9 @@ fn lease(
 }
 
 fn release(mut entry: CachedWorld) {
-    // Traces must not wait for the cache entry's destructor: pool worker
-    // threads never exit, so their thread-local destructors never run.
+    // Traces must not wait for the cache entry's destructor: the main
+    // thread's thread-local destructors may never run, and a helper's run
+    // only when its sweep ends.
     entry.world.publish_trace();
     CACHE.with(|c| {
         let mut cache = c.borrow_mut();
@@ -116,9 +118,9 @@ pub fn with_world<R>(
 /// Populate the calling thread's cache with a warm world of the given
 /// shape, pre-warming `payload_slabs` payload slabs of `payload_bytes`'s
 /// size class — the untimed pre-build hook for sweep drivers: run this on
-/// every thread a sweep will use (e.g. via `simcore::par::on_all_workers`)
-/// before the clock starts, and the measured region neither constructs
-/// worlds nor faults payload slabs in.
+/// the thread that will issue a sweep before the clock starts, and that
+/// thread's share of the measured region neither constructs worlds nor
+/// faults payload slabs in.
 pub fn prewarm(
     platform: &Platform,
     nranks: usize,

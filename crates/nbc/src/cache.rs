@@ -6,24 +6,14 @@
 //! and a verification sweep repeats the same few hundred shapes thousands
 //! of times. This cache interns built schedules as `Arc<Schedule>` so a
 //! given shape is constructed once per process and then shared across
-//! ranks, iterations, runs and sweep worker threads.
+//! ranks, iterations, runs and sweep threads.
 //!
-//! Steady-state reads are contention-free: every thread keeps a bounded
-//! thread-local *front cache* of `Arc<Schedule>` clones, validated against
-//! a global epoch ([`clear`] bumps it), so the hot path of a sweep touches
-//! no shared memory beyond one relaxed-ordering epoch load. Only front
-//! misses fall through to the sharded map (cheap SplitMix64 field mix, one
-//! `RwLock` per shard), and only a genuinely new shape takes the write
-//! lock (double-checked, so racing builders converge on one entry). The
-//! shared map stays the single source of truth — front caches are
-//! populated exclusively from it, never the other way around, so no
-//! insert can be lost to a thread-local copy.
-//!
-//! Hit/miss counts live on the `simcore::metrics` registry
-//! (`nbc.cache.hits` / `nbc.cache.misses`). Front-cache hits are tallied
-//! thread-locally and flushed into the registry at sweep barriers (via
-//! `simcore::par::register_sweep_flush`), so totals observed between
-//! sweeps are exact for every `jobs` value.
+//! The cache is one `Mutex<HashMap>`: a lookup holds the lock for one
+//! hash probe and an `Arc` clone. A miss builds outside the lock, and the
+//! first insert wins — a racing builder adopts the winner's `Arc`, so
+//! `ptr_eq` holds across racers. Hits and misses bump the
+//! `simcore::metrics` counters `nbc.cache.hits` / `nbc.cache.misses` on
+//! the spot, so totals are exact whenever they are read.
 //!
 //! Correctness: entries are immutable once inserted, and the key captures
 //! every input of the builders, so a cached schedule is structurally
@@ -41,10 +31,8 @@ use crate::reduce::{build_reduce, ReduceAlgo};
 use crate::schedule::{CollSpec, Schedule};
 use mpisim::RankId;
 use simcore::metrics::{self, Counter};
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cache key: every input that influences a builder's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,162 +51,55 @@ struct Key {
     extra: u64,
 }
 
-const SHARDS: usize = 64;
-
-/// Shard selector: a SplitMix64-style mix over the key's fields. Much
-/// cheaper than hashing the whole struct through SipHash on every lookup,
-/// and it decorrelates the low bits so consecutive ranks (the common access
-/// pattern: every rank of a world queries the same shape) land on different
-/// shards.
-fn shard_index(k: &Key) -> usize {
-    let mut h = (k.coll as u64) ^ ((k.algo as u64) << 8);
-    for v in [k.seg, k.nprocs, k.msg_bytes, k.root, k.rank, k.extra] {
-        h = (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 29;
-    }
-    h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h ^= h >> 32;
-    (h as usize) % SHARDS
-}
-
 struct ScheduleCache {
-    shards: Vec<RwLock<HashMap<Key, Arc<Schedule>>>>,
+    map: Mutex<HashMap<Key, Arc<Schedule>>>,
     hits: &'static Counter,
     misses: &'static Counter,
 }
 
 fn cache() -> &'static ScheduleCache {
     static CACHE: OnceLock<ScheduleCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        // Front-cache tallies must reach the registry at sweep barriers;
-        // registration is idempotent (fn-pointer dedup).
-        simcore::par::register_sweep_flush(flush_front_stats);
-        ScheduleCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: metrics::counter("nbc.cache.hits"),
-            misses: metrics::counter("nbc.cache.misses"),
-        }
+    CACHE.get_or_init(|| ScheduleCache {
+        map: Mutex::new(HashMap::new()),
+        hits: metrics::counter("nbc.cache.hits"),
+        misses: metrics::counter("nbc.cache.misses"),
     })
 }
 
-/// Global front-cache epoch: [`clear`] bumps it, invalidating every
-/// thread's front cache on its next lookup.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Bound on per-thread front-cache entries. A verification sweep touches a
-/// few hundred distinct shapes; the cap only matters for degenerate
-/// workloads and keeps a long-lived worker from pinning unbounded Arcs.
-const FRONT_CAP: usize = 4096;
-
-thread_local! {
-    /// Per-thread front cache: key → Arc clone, valid while `epoch`
-    /// matches the global epoch. Reads here are the contention-free hot
-    /// path — no lock, no shared cache line.
-    static FRONT: RefCell<(u64, HashMap<Key, Arc<Schedule>>)> =
-        RefCell::new((0, HashMap::new()));
-    /// Front-cache hits not yet flushed to the registry counter.
-    static FRONT_HITS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Flush this thread's front-cache hit tally into the registry counter.
-/// Runs on every sweep participant at sweep barriers, so cross-thread
-/// totals are exact at observation points.
-fn flush_front_stats() {
-    let pending = FRONT_HITS.with(|h| h.replace(0));
-    if pending > 0 {
-        cache().hits.add(pending);
+impl ScheduleCache {
+    /// Lock the map, recovering from poison: cached schedules are immutable
+    /// once inserted, so a panic in some unrelated `par_map` participant
+    /// that held the lock mid-`get`/`insert` leaves the map usable. Without
+    /// this, one panicking test poisons the global cache and cascades
+    /// spurious failures through every later in-process cache user.
+    fn map(&self) -> MutexGuard<'_, HashMap<Key, Arc<Schedule>>> {
+        self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
-}
-
-/// Front-cache lookup. `epoch` is the global epoch observed by the caller;
-/// a stale front cache is dropped wholesale before the lookup.
-fn front_get(key: &Key, epoch: u64) -> Option<Arc<Schedule>> {
-    FRONT.with(|f| {
-        let mut f = f.borrow_mut();
-        if f.0 != epoch {
-            f.0 = epoch;
-            f.1.clear();
-        }
-        f.1.get(key).cloned()
-    })
-}
-
-/// Populate the front cache from a shared-map result (never from a build
-/// directly — the shared map is the source of truth).
-fn front_put(key: Key, val: Arc<Schedule>, epoch: u64) {
-    FRONT.with(|f| {
-        let mut f = f.borrow_mut();
-        if f.0 != epoch {
-            f.0 = epoch;
-            f.1.clear();
-        }
-        if f.1.len() < FRONT_CAP {
-            f.1.insert(key, val);
-        }
-    });
-}
-
-/// Read-lock a shard, recovering from poison: cached schedules are
-/// immutable once inserted, so a panic in some unrelated `par_map` worker
-/// that held a lock mid-`get`/`insert` leaves the map in a usable state.
-/// Without this, one panicking test poisons a global shard and cascades
-/// spurious failures through every later in-process cache user.
-fn read_shard(
-    s: &RwLock<HashMap<Key, Arc<Schedule>>>,
-) -> std::sync::RwLockReadGuard<'_, HashMap<Key, Arc<Schedule>>> {
-    s.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Write-lock a shard (insert path only), with the same poison recovery.
-fn write_shard(
-    s: &RwLock<HashMap<Key, Arc<Schedule>>>,
-) -> std::sync::RwLockWriteGuard<'_, HashMap<Key, Arc<Schedule>>> {
-    s.write().unwrap_or_else(|e| e.into_inner())
 }
 
 fn get_or_build(key: Key, build: impl FnOnce() -> Schedule) -> Arc<Schedule> {
-    // Hot path: thread-local front cache — no locks, no shared cache
-    // lines, just one relaxed epoch load. This is what sweep workers hit
-    // in steady state.
-    let epoch = EPOCH.load(Ordering::Acquire);
-    if let Some(found) = front_get(&key, epoch) {
-        FRONT_HITS.with(|h| h.set(h.get() + 1));
-        return found;
-    }
     let c = cache();
-    let shard = &c.shards[shard_index(&key)];
-    // Front miss: shared read lock on the backing map.
-    if let Some(found) = read_shard(shard).get(&key) {
+    let hit = c.map().get(&key).cloned();
+    if let Some(found) = hit {
         c.hits.inc();
-        let found = Arc::clone(found);
-        front_put(key, Arc::clone(&found), epoch);
         return found;
     }
-    // Build outside any lock: schedule construction can be expensive at
+    // Build outside the lock: schedule construction can be expensive at
     // large scale, and two threads racing on the same key just means one
     // redundant build whose result loses the insert race below.
     c.misses.inc();
     let built = Arc::new(build());
-    // Double-checked insert: whoever wins the write race defines the entry;
-    // losers adopt the winner's Arc so `ptr_eq` holds across racers.
-    let adopted = Arc::clone(write_shard(shard).entry(key).or_insert(built));
-    front_put(key, Arc::clone(&adopted), epoch);
-    adopted
+    Arc::clone(c.map().entry(key).or_insert(built))
 }
 
 /// Number of distinct schedules currently interned.
 pub fn len() -> usize {
-    cache().shards.iter().map(|s| read_shard(s).len()).sum()
+    cache().map().len()
 }
 
 /// Drop every cached schedule (for tests and memory-bounded sweeps).
-/// Bumping the epoch invalidates every thread's front cache on its next
-/// lookup; the stale thread-local Arcs are released at that point.
 pub fn clear() {
-    EPOCH.fetch_add(1, Ordering::Release);
-    for s in &cache().shards {
-        write_shard(s).clear();
-    }
+    cache().map().clear();
 }
 
 fn base_key(coll: u8, algo: u32, seg: u64, rank: RankId, spec: &CollSpec) -> Key {
@@ -350,9 +231,8 @@ pub fn cached_neighbor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
 
-    /// `clear_invalidates_front_caches` wipes the process-global cache;
+    /// `clear_drops_entries` wipes the process-global cache;
     /// every test that asserts Arc identity across two lookups (or counts
     /// its own hits) must not interleave with it.
     static CLEAR_LOCK: Mutex<()> = Mutex::new(());
@@ -368,6 +248,11 @@ mod tests {
         let a = cached_alltoall(AlltoallAlgo::Pairwise, 3, &spec);
         let b = cached_alltoall(AlltoallAlgo::Pairwise, 3, &spec);
         assert!(Arc::ptr_eq(&a, &b));
+        // Another thread's lookup converges on the same interned Arc.
+        let c = std::thread::spawn(move || cached_alltoall(AlltoallAlgo::Pairwise, 3, &spec))
+            .join()
+            .unwrap();
+        assert!(Arc::ptr_eq(&a, &c));
     }
 
     #[test]
@@ -405,30 +290,16 @@ mod tests {
     }
 
     #[test]
-    fn shard_mix_spreads_consecutive_ranks() {
-        // Every rank of a world queries the same shape back-to-back; the
-        // field mix must not funnel them into a handful of shards.
-        let spec = CollSpec::new(64, 4096);
-        let mut used = std::collections::HashSet::new();
-        for rank in 0..64 {
-            used.insert(shard_index(&base_key(1, 0, 0, rank, &spec)));
-        }
-        assert!(used.len() >= SHARDS / 2, "only {} shards used", used.len());
-    }
-
-    #[test]
-    fn poisoned_shards_recover() {
+    fn poisoned_map_recovers() {
         let _g = clear_lock();
-        // Poison every shard by panicking while holding each lock, then
-        // verify the cache keeps serving lookups, inserts, len() and
-        // clear() instead of cascading PoisonError panics.
-        for s in &cache().shards {
-            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _g = s.write().unwrap_or_else(|e| e.into_inner());
-                panic!("poison this shard");
-            }));
-            assert!(res.is_err());
-        }
+        // Poison the map by panicking while holding its lock, then verify
+        // the cache keeps serving lookups, inserts and len() instead of
+        // cascading PoisonError panics.
+        let res = std::panic::catch_unwind(|| {
+            let _g = cache().map();
+            panic!("poison the map");
+        });
+        assert!(res.is_err());
         let spec = CollSpec::new(23, 555);
         let a = cached_barrier(11, &spec);
         let b = cached_barrier(11, &spec);
@@ -437,29 +308,13 @@ mod tests {
     }
 
     #[test]
-    fn front_cache_serves_same_arc_as_shared_map() {
-        // Second lookup is a front-cache hit and must hand back the very
-        // same interned Arc the shared map holds.
-        let _g = clear_lock();
-        let spec = CollSpec::new(13, 2048);
-        let a = cached_allgather(AllgatherAlgo::Bruck, 5, &spec);
-        let b = cached_allgather(AllgatherAlgo::Bruck, 5, &spec);
-        assert!(Arc::ptr_eq(&a, &b));
-        // And a third thread-fresh lookup (no front entry) also converges.
-        let c = std::thread::spawn(move || cached_allgather(AllgatherAlgo::Bruck, 5, &spec))
-            .join()
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn clear_invalidates_front_caches() {
+    fn clear_drops_entries() {
         let _g = clear_lock();
         let spec = CollSpec::new(17, 9999);
         let a = cached_barrier(3, &spec);
         clear();
-        // The front cache must not resurrect the dropped entry: the next
-        // lookup rebuilds and interns a fresh Arc.
+        // Nothing resurrects the dropped entry: the next lookup rebuilds
+        // and interns a fresh Arc.
         let b = cached_barrier(3, &spec);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(a.render(), b.render());
@@ -470,7 +325,7 @@ mod tests {
         let _g = clear_lock();
         // Hammer one shape set from many threads: every thread must end up
         // with the interned schedule for each key (same render), and the
-        // shared map must contain every key exactly once.
+        // map must contain every key exactly once.
         let spec = CollSpec::new(19, 123_456);
         let handles: Vec<_> = (0..8)
             .map(|_| {
@@ -503,10 +358,8 @@ mod tests {
         let _g = clear_lock();
         // Use a shape no other test uses so counters are attributable.
         let spec = CollSpec::new(31, 777);
-        simcore::par::run_sweep_flush_hooks();
         let scope = metrics::Scope::begin();
         let counted = || {
-            simcore::par::run_sweep_flush_hooks();
             let d = scope.delta();
             let get = |name| d.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
             (get("nbc.cache.hits"), get("nbc.cache.misses"))

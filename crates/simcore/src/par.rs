@@ -6,15 +6,13 @@
 //! its own seed from the scenario parameters, so they can run on any number
 //! of OS threads as long as results are merged back in input order — which
 //! is exactly what [`par_map`] guarantees. There is no rayon here (the
-//! build environment is offline): workers are persistent pool threads
-//! pulling chunks off a shared atomic cursor.
+//! workspace has no external dependencies): each parallel sweep is one
+//! `std::thread::scope` in which the caller and a few scoped helper
+//! threads pull chunks off a shared atomic cursor.
 //!
-//! The pool is lazily spawned on the first parallel call and reused for the
-//! rest of the process, so a figure binary that issues hundreds of sweeps
-//! pays thread-creation cost once instead of once per sweep. Results are
-//! written directly into their input-order output slot (each index is
-//! claimed by exactly one worker), so there is no per-item channel send and
-//! no reassembly pass.
+//! Helpers live for one sweep. A sweep's items are whole simulations
+//! (milliseconds each), so spawning and joining a helper (tens of
+//! microseconds) is noise next to the work it takes on.
 //!
 //! Determinism contract: `par_map(jobs, items, f)` returns bit-identical
 //! output for every `jobs` value, including 1, provided `f(i, &items[i])`
@@ -23,10 +21,10 @@
 //! time, per-simulation seeds from [`derive_seed`]).
 
 use crate::rng::SplitMix64;
-use std::cell::{Cell, UnsafeCell};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::cell::Cell;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 /// Resolve a requested worker count to an actual one.
@@ -110,41 +108,32 @@ pub fn hardware_parallelism() -> usize {
     })
 }
 
-/// Default estimated pool-handoff cost per participating worker, in
-/// nanoseconds: one condvar wake plus one barrier ack on a warm pool.
-/// `NBC_PAR_CUTOFF_NS` overrides it (0 disables the cost-based cutoff).
-const DEFAULT_HANDOFF_NANOS: u64 = 120_000;
-
 /// Per-item cost marker for [`par_map`]: "unknown, assume the work is
 /// heavy enough to parallelize". Only the hardware clamp applies.
 pub const COST_UNKNOWN: u64 = u64::MAX;
 
-/// The pool-handoff cost estimate the serial cutoff weighs parallel
-/// savings against (`NBC_PAR_CUTOFF_NS` override, else the default).
+/// The hand-off cost the serial cutoff weighs parallel savings against,
+/// in nanoseconds per participant. A scoped spawn-and-join of one helper
+/// measures ~28 µs on a 2-CPU host; the floor sits well above it so only
+/// sweeps that clearly win fan out.
 pub fn handoff_floor_nanos() -> u64 {
-    static FLOOR: OnceLock<u64> = OnceLock::new();
-    *FLOOR.get_or_init(|| {
-        std::env::var("NBC_PAR_CUTOFF_NS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_HANDOFF_NANOS)
-    })
+    120_000
 }
 
 /// The serial-cutoff decision, exposed pure for testing: how many
 /// participants (caller included) should a sweep of `n` items use, given
 /// the requested `jobs`, the host's usable parallelism `hw`, an estimated
 /// per-item cost (`COST_UNKNOWN` = assume heavy) and the estimated
-/// per-worker pool-handoff cost?
+/// per-participant hand-off cost?
 ///
 /// Returns 1 (run serially) when:
 /// * `jobs`, `n` or `hw` is ≤ 1 — extra threads cannot help, and on a
-///   single-CPU host they *cost*: oversubscribed workers serialize on the
-///   one core and pay the handoff on top (the measured
+///   single-CPU host they *cost*: oversubscribed helpers serialize on the
+///   one core and pay the hand-off on top (the measured
 ///   `fft_windowtiled_pair` 0.54× regression);
 /// * the estimated parallel saving, `total * (p-1)/p`, does not clear the
-///   estimated handoff cost `p * handoff` — tiny sweeps finish faster on
-///   the calling thread than the pool can even wake up.
+///   estimated hand-off cost `p * handoff` — tiny sweeps finish faster on
+///   the calling thread than a helper can even start.
 pub fn plan_participants(
     jobs: usize,
     n: usize,
@@ -166,247 +155,45 @@ pub fn plan_participants(
     p
 }
 
-/// Hard ceiling on persistent pool threads. Sweeps routinely request
-/// `jobs` values far above the host's core count (the determinism tests go
-/// to 1000); capping the pool keeps that from pinning a thousand idle OS
-/// threads for the life of the process.
-const MAX_POOL_THREADS: usize = 32;
-
-/// One input-order output cell. Each index is claimed by exactly one worker
-/// (via the chunked cursor), written once, and only read by the caller after
-/// the completion barrier — so unsynchronized interior mutability is sound.
-struct Slot<R>(UnsafeCell<Option<R>>);
-
-// SAFETY: see the `Slot` doc comment — disjoint writes, then a barrier,
-// then reads. The pool's mutex hand-off provides the happens-before edge.
-unsafe impl<R: Send> Sync for Slot<R> {}
-
 thread_local! {
-    /// Set for the lifetime of every pool worker thread. A `par_map` issued
-    /// from inside a worker (nested parallelism) must not wait on the pool —
-    /// the pool is busy running *us* — so it degrades to the serial path.
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Set on every participant of a parallel sweep, the caller included,
+    /// while it takes part. A sweep issued from inside a sweep sees it and
+    /// runs serially, so nested sweeps never multiply threads.
+    static IN_SWEEP: Cell<bool> = const { Cell::new(false) };
 }
 
-struct PoolState {
-    /// Bumped once per submitted job; workers idle until it changes.
-    generation: u64,
-    /// The type-erased job body for the current generation.
-    job: Option<&'static (dyn Fn() + Sync)>,
-    /// How many workers may run the current job (jobs - 1; the caller is
-    /// the remaining participant).
-    run_limit: usize,
-    /// Workers that claimed a run slot this generation.
-    started: usize,
-    /// Workers that finished with this generation (ran or declined).
-    acked: usize,
-    /// Pool threads spawned so far.
-    threads: usize,
-    /// First panic payload captured from a worker this generation.
-    panic: Option<Box<dyn std::any::Any + Send + 'static>>,
+/// Marks the current thread a sweep participant until dropped. The drop
+/// restores the previous value, so a panicking participant cannot leave
+/// its thread marked and serialize every later sweep.
+struct Participant(bool);
+
+impl Participant {
+    fn enter() -> Self {
+        Participant(IN_SWEEP.with(|f| f.replace(true)))
+    }
 }
 
-struct Pool {
-    state: Mutex<PoolState>,
-    /// Workers wait here for a new generation.
-    work_cv: Condvar,
-    /// The submitter waits here for all workers to ack the generation.
-    done_cv: Condvar,
-    /// Single-submitter guard: only one `par_map` drives the pool at a
-    /// time; concurrent calls fall back to running serially on their own
-    /// thread (still correct — the cursor/slot protocol does not care how
-    /// many threads participate).
-    busy: AtomicBool,
+impl Drop for Participant {
+    fn drop(&mut self) {
+        IN_SWEEP.with(|f| f.set(self.0));
+    }
 }
 
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        state: Mutex::new(PoolState {
-            generation: 0,
-            job: None,
-            run_limit: 0,
-            started: 0,
-            acked: 0,
-            threads: 0,
-            panic: None,
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        busy: AtomicBool::new(false),
-    })
-}
+/// Sweeps that spawned at least one helper thread.
+static SPAWNED_SWEEPS: AtomicU64 = AtomicU64::new(0);
 
-/// Jobs handed to the worker pool since the process started (its
-/// generation count; `par_map` and [`on_all_workers`] both count). Tests
-/// read it to show a sweep stayed on the calling thread. It is not a
-/// registry metric: how often the pool is used depends on `jobs` and the
-/// host, and registry deltas must not.
+/// Sweeps since the process started that spawned at least one helper
+/// thread. Tests read it to show a sweep stayed on the calling thread. It
+/// is not a registry metric: how often a sweep fans out depends on `jobs`
+/// and the host, and registry deltas must not.
 pub fn pool_sweeps() -> u64 {
-    lock_state(pool()).generation
+    SPAWNED_SWEEPS.load(Ordering::Relaxed)
 }
 
-/// Sweep-barrier flush hooks.
-///
-/// Hot-path caches (`nbc::cache`, `adcl::simmemo`) keep per-thread state —
-/// front caches and hit tallies — so steady-state reads touch no shared
-/// memory at all. That local state must still become globally visible at
-/// deterministic points, or totals would depend on which threads happened
-/// to run which items. The contract: every registered hook runs on every
-/// participant (workers *and* the caller) after it finishes its share of a
-/// sweep, before the completion barrier releases the caller. Totals
-/// observed after `par_map` returns are therefore exact and independent of
-/// `jobs`.
-///
-/// Hooks are plain `fn()` so registration is idempotent and duplicate
-/// registrations are dropped. The registry is append-only: a slot, once
-/// set, never changes, so running the hooks takes no lock and allocates
-/// nothing — it reads the published count and the slots below it.
-const MAX_FLUSH_HOOKS: usize = 8;
-static FLUSH_HOOKS: [OnceLock<fn()>; MAX_FLUSH_HOOKS] =
-    [const { OnceLock::new() }; MAX_FLUSH_HOOKS];
-/// Slots published so far; a slot is set before the count covers it.
-static FLUSH_HOOK_COUNT: AtomicUsize = AtomicUsize::new(0);
-/// Serializes registrations (the duplicate check and the append).
-static FLUSH_REGISTER: Mutex<()> = Mutex::new(());
-
-/// Register `hook` to run on every sweep participant at sweep barriers.
-pub fn register_sweep_flush(hook: fn()) {
-    let _g = FLUSH_REGISTER.lock().unwrap_or_else(|e| e.into_inner());
-    let n = FLUSH_HOOK_COUNT.load(Ordering::Relaxed);
-    let mut hooks = FLUSH_HOOKS[..n].iter().filter_map(OnceLock::get);
-    if hooks.any(|h| std::ptr::fn_addr_eq(*h, hook)) {
-        return;
-    }
-    assert!(
-        n < MAX_FLUSH_HOOKS,
-        "more than {MAX_FLUSH_HOOKS} sweep-flush hooks"
-    );
-    let _ = FLUSH_HOOKS[n].set(hook);
-    FLUSH_HOOK_COUNT.store(n + 1, Ordering::Release);
-}
-
-/// Run every registered sweep-flush hook on the calling thread.
-pub fn run_sweep_flush_hooks() {
-    let n = FLUSH_HOOK_COUNT.load(Ordering::Acquire);
-    for h in FLUSH_HOOKS[..n].iter().filter_map(OnceLock::get) {
-        h();
-    }
-}
-
-/// Lock the pool state, tolerating poison: the state machine is left
-/// consistent at every await point, and worker panics are routed through
-/// `PoolState::panic`, never through an unwind while holding the lock.
-fn lock_state(p: &'static Pool) -> MutexGuard<'static, PoolState> {
-    p.state.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Body of every persistent worker thread: wait for a generation bump,
-/// claim a run slot if any remain, run the job (capturing panics), ack.
-fn worker_loop(p: &'static Pool) {
-    IN_POOL_WORKER.with(|f| f.set(true));
-    let mut seen = 0u64;
-    loop {
-        let job = {
-            let mut s = lock_state(p);
-            while s.generation == seen {
-                s = p.work_cv.wait(s).unwrap_or_else(|e| e.into_inner());
-            }
-            seen = s.generation;
-            if s.started < s.run_limit {
-                s.started += 1;
-                Some(s.job.expect("job must be set while generation is live"))
-            } else {
-                s.acked += 1;
-                if s.acked == s.threads {
-                    p.done_cv.notify_all();
-                }
-                None
-            }
-        };
-        if let Some(body) = job {
-            let result = catch_unwind(AssertUnwindSafe(body));
-            let mut s = lock_state(p);
-            if let Err(payload) = result {
-                if s.panic.is_none() {
-                    s.panic = Some(payload);
-                }
-            }
-            s.acked += 1;
-            if s.acked == s.threads {
-                p.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-/// Run `body` on up to `extra` pool workers plus the calling thread.
-/// Returns `false` without running anything if the pool could not be used
-/// (busy with another submitter, or no worker thread could be spawned);
-/// the caller then runs the whole job serially itself.
-fn run_on_pool(body: &(dyn Fn() + Sync), extra: usize) -> bool {
-    let p = pool();
-    if p.busy
-        .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-        .is_err()
-    {
-        return false;
-    }
-
-    // SAFETY: the job reference is only dereferenced by pool workers between
-    // the generation bump below and the `acked == threads` barrier, and this
-    // function does not return until that barrier is reached — so the
-    // erased borrow never outlives `body`.
-    let job: &'static (dyn Fn() + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(body) };
-
-    {
-        let mut s = lock_state(p);
-        let want = extra.min(MAX_POOL_THREADS);
-        while s.threads < want {
-            let spawned = thread::Builder::new()
-                .name(format!("nbc-sweep-{}", s.threads))
-                .spawn(|| worker_loop(pool()));
-            match spawned {
-                Ok(_) => s.threads += 1,
-                Err(_) => break,
-            }
-        }
-        if s.threads == 0 {
-            drop(s);
-            p.busy.store(false, Ordering::Release);
-            return false;
-        }
-        s.generation += 1;
-        s.job = Some(job);
-        s.run_limit = extra.min(s.threads);
-        s.started = 0;
-        s.acked = 0;
-        s.panic = None;
-        p.work_cv.notify_all();
-    }
-
-    // The caller participates instead of idling: it is `jobs`-th worker.
-    let caller_result = catch_unwind(AssertUnwindSafe(body));
-
-    let worker_panic = {
-        let mut s = lock_state(p);
-        while s.acked < s.threads {
-            s = p.done_cv.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-        s.job = None;
-        s.panic.take()
-    };
-    p.busy.store(false, Ordering::Release);
-
-    if let Err(payload) = caller_result {
-        resume_unwind(payload);
-    }
-    if let Some(payload) = worker_panic {
-        resume_unwind(payload);
-    }
-    true
-}
+/// Does nothing. The schedule cache and the run memo count every hit and
+/// miss on the spot, so there is nothing left to flush at a sweep
+/// boundary; the function stays for callers built against it.
+pub fn run_sweep_flush_hooks() {}
 
 /// Map `f` over `items` on up to `jobs` threads, returning results in
 /// input order. Equivalent to [`par_map_costed`] with [`COST_UNKNOWN`]:
@@ -423,41 +210,32 @@ where
 /// Map `f` over `items` on up to `jobs` threads, returning results in
 /// input order, with a serial cutoff informed by `est_nanos_per_item`.
 ///
-/// Work is distributed through a coarsely chunked atomic cursor: each
-/// participant claims a contiguous block of about `n / (participants * 2)`
-/// indices at a time — at most ~2 claims per worker per sweep. Coarse
-/// blocks matter beyond cursor traffic: consecutive sweep points usually
-/// share a `World` shape, so a worker that runs a long contiguous run of
-/// configs serves them all from one reset world (`mpisim::worldpool`)
-/// instead of bouncing shapes between threads. Each result is written
-/// directly into its input-order slot — no channels, no reassembly pass.
-///
 /// The participant count is planned by [`plan_participants`]: `jobs` is
 /// clamped to the item count *and the host's usable parallelism* (threads
-/// beyond physical cores only add handoff and contention — the cause of
+/// beyond physical cores only add hand-off and contention — the cause of
 /// the historical jobs=2 regressions on 1-CPU hosts), and sweeps whose
-/// estimated total work cannot pay for the pool handoff run serially on
-/// the calling thread. Pass [`COST_UNKNOWN`] when no estimate exists.
+/// estimated total work cannot pay for the hand-off run serially on the
+/// calling thread. Pass [`COST_UNKNOWN`] when no estimate exists.
 ///
-/// Threads come from a lazily-spawned persistent pool shared by the whole
-/// process (capped at 32), so back-to-back sweeps reuse warm workers
-/// instead of paying `thread::spawn` per call. The calling thread always
-/// participates as one of the planned workers. If the pool is already
-/// driven by another thread — or this call is issued from *inside* a pool
-/// worker (nested parallelism) — the call degrades to the serial path,
-/// which is always correct because output never depends on who runs which
-/// index.
+/// A parallel sweep is one [`std::thread::scope`]: the caller plus up to
+/// `participants - 1` scoped helper threads drain a coarsely chunked
+/// atomic cursor. Each participant claims a contiguous block of about
+/// `n / (participants * 2)` indices at a time — at most ~2 claims per
+/// participant. Coarse blocks matter beyond cursor traffic: consecutive
+/// sweep points usually share a `World` shape, so a participant that runs
+/// a long contiguous run of configs serves them all from one reset world
+/// (`mpisim::worldpool`). Each participant returns its `(index, result)`
+/// pairs and the caller places them in input order. A helper that cannot
+/// be spawned just means fewer helpers.
 ///
 /// `jobs <= 1` (or a single item) short-circuits to a plain serial loop on
-/// the calling thread, which keeps `--jobs 1` a true serial baseline.
+/// the calling thread, which keeps `--jobs 1` a true serial baseline. So
+/// does a sweep issued from inside a parallel sweep (nested parallelism):
+/// output never depends on who runs which index, so serial is always
+/// correct.
 ///
-/// Every participant (including the caller, including the serial path)
-/// runs the registered sweep-flush hooks after finishing its share, so
-/// thread-local cache statistics are globally visible — and identical for
-/// every `jobs` value — when this function returns.
-///
-/// A panic in `f` propagates to the caller after all participants have
-/// quiesced (never deadlocks the pool).
+/// A panic in `f` propagates to the caller after every participant has
+/// finished.
 pub fn par_map_costed<T, R, F>(jobs: usize, items: &[T], est_nanos_per_item: u64, f: F) -> Vec<R>
 where
     T: Sync,
@@ -472,86 +250,69 @@ where
         est_nanos_per_item,
         handoff_floor_nanos(),
     );
-    if participants <= 1 || IN_POOL_WORKER.with(|w| w.get()) {
-        let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        run_sweep_flush_hooks();
-        return out;
+    if participants <= 1 || IN_SWEEP.with(Cell::get) {
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
     let cursor = AtomicUsize::new(0);
-    // Coarse per-worker blocks: ~half a fair share per claim, so every
-    // participant claims at most about twice and a slow block still
-    // load-balances across the rest.
+    // Coarse blocks: ~half a fair share per claim, so every participant
+    // claims at most about twice and a slow block still load-balances
+    // across the rest.
     let chunk = n.div_ceil(participants * 2).max(1);
-
-    let body = || {
+    let drain = || {
+        let _marked = Participant::enter();
+        let mut done = Vec::new();
         loop {
             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
             if start >= n {
-                break;
+                return done;
             }
             let end = (start + chunk).min(n);
             for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                let r = f(i, item);
-                // SAFETY: index `i` is claimed by exactly this participant —
-                // the cursor hands out each index once — and readers wait for
-                // the completion barrier. See `Slot`.
-                unsafe { *slots[i].0.get() = Some(r) };
+                done.push((i, f(i, item)));
             }
         }
-        run_sweep_flush_hooks();
     };
 
-    if !run_on_pool(&body, participants - 1) {
-        // Pool unavailable: drain the same cursor serially on this thread.
-        body();
+    // A panic on the caller, or one a join re-raises, unwinds out of the
+    // scope only after every helper has finished.
+    let parts = thread::scope(|s| {
+        let helpers: Vec<_> = (1..participants)
+            .map_while(|k| {
+                thread::Builder::new()
+                    .name(format!("nbc-sweep-{k}"))
+                    .spawn_scoped(s, drain)
+                    .ok()
+            })
+            .collect();
+        if !helpers.is_empty() {
+            SPAWNED_SWEEPS.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut parts = vec![drain()];
+        parts.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+        );
+        parts
+    });
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        slots[i] = Some(r);
     }
-
     slots
         .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.0.into_inner()
-                .unwrap_or_else(|| panic!("missing result for index {i}"))
-        })
+        .map(|r| r.expect("the cursor hands out every index once"))
         .collect()
-}
-
-/// Run `f` once on up to `extra` pool workers *and* once on the calling
-/// thread — the pre-warm primitive: per-thread state (cached worlds,
-/// payload slabs, front caches) can be populated on every thread a
-/// following sweep will use, outside that sweep's timed region.
-///
-/// Workers are spawned up to `extra` (within the pool cap) if they do not
-/// exist yet. Degrades gracefully: if the pool is busy or unavailable, or
-/// this is called from inside a pool worker, only the calling thread runs
-/// `f`. Returns the number of pool workers that ran it.
-pub fn on_all_workers(extra: usize, f: impl Fn() + Sync) -> usize {
-    let ran = AtomicUsize::new(0);
-    if extra > 0 && !IN_POOL_WORKER.with(|w| w.get()) {
-        // Each woken worker claims one run slot and runs `f` exactly once.
-        // The caller also executes `body` inside `run_on_pool`, but the
-        // worker-flag check makes that a no-op — its own warm-up is the
-        // unconditional call below, so pool-busy fallback warms it too.
-        let body = || {
-            if IN_POOL_WORKER.with(|w| w.get()) {
-                f();
-                ran.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        run_on_pool(&body, extra);
-    }
-    f();
-    ran.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
-    /// Pool-behavior tests must actually reach the pool, which the
-    /// hardware clamp prevents on a 1-CPU host. This guard forces a fake
+    /// Fan-out tests must actually spawn helpers, which the hardware
+    /// clamp prevents on a 1-CPU host. This guard forces a fake
     /// hardware width for the test's duration (serialized so concurrent
     /// tests don't fight over the global override) and restores detection
     /// on drop.
@@ -644,8 +405,8 @@ mod tests {
 
     #[test]
     fn pool_reuse_across_many_sweeps() {
-        // Hammer the pool with back-to-back sweeps; every one must merge
-        // correctly on warm (reused) workers.
+        // Back-to-back sweeps, each with its own helpers: every one must
+        // merge correctly.
         let _hw = force_hw(8);
         let items: Vec<u64> = (0..64).collect();
         for round in 0..200u64 {
@@ -660,8 +421,17 @@ mod tests {
         let _hw = force_hw(8);
         let outer: Vec<u64> = (0..16).collect();
         let out = par_map(4, &outer, |_, &x| {
+            // Every participant, the caller included, runs its inner
+            // sweeps serially: each inner item runs on the issuing thread.
+            let issuer = thread::current().id();
             let inner: Vec<u64> = (0..8).collect();
-            par_map(4, &inner, |_, &y| y + x).iter().sum::<u64>()
+            let runs = par_map(4, &inner, |_, &y| {
+                // Slow enough that a helper would take some items.
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                (y + x, thread::current().id())
+            });
+            assert!(runs.iter().all(|&(_, id)| id == issuer));
+            runs.iter().map(|&(v, _)| v).sum::<u64>()
         });
         let expect: Vec<u64> = (0..16).map(|x| (0..8).map(|y| y + x).sum()).collect();
         assert_eq!(out, expect);
@@ -669,8 +439,8 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_do_not_deadlock() {
-        // Several plain threads all driving par_map at once: at most one
-        // gets the pool, the rest run serially — all must be correct.
+        // Several plain threads all driving par_map at once, each with its
+        // own helpers: all must be correct.
         let _hw = force_hw(8);
         let handles: Vec<_> = (0..4u64)
             .map(|t| {
@@ -701,21 +471,29 @@ mod tests {
 
     #[test]
     fn pool_survives_a_panicked_sweep() {
-        // A sweep that panics must leave the pool reusable for later sweeps.
+        // A sweep that panics must leave later sweeps free to fan out: a
+        // participant flag leaked by the panic would serialize them all.
         let _hw = force_hw(8);
         let items: Vec<usize> = (0..32).collect();
         let poisoned = std::panic::catch_unwind(|| {
             par_map(4, &items, |_, &x| {
-                if x == 7 {
+                // One panic in every claimed block of 4, so the caller's
+                // own share panics too.
+                if x % 4 == 3 {
                     panic!("boom");
                 }
                 x
             })
         });
         assert!(poisoned.is_err());
-        let out = par_map(4, &items, |_, &x| x + 1);
+        let out = par_map(4, &items, |_, &x| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            (x + 1, thread::current().id())
+        });
         let expect: Vec<usize> = (1..33).collect();
-        assert_eq!(out, expect);
+        assert_eq!(out.iter().map(|&(v, _)| v).collect::<Vec<_>>(), expect);
+        let ids: std::collections::HashSet<_> = out.iter().map(|&(_, id)| id).collect();
+        assert!(ids.len() >= 2, "the sweep after a panic ran serially");
     }
 
     #[test]
@@ -727,53 +505,6 @@ mod tests {
         assert_eq!(uniq.len(), seeds.len());
         // And is independent of any other master seed's stream.
         assert_ne!(derive_seed(7, 0), derive_seed(8, 0));
-    }
-
-    #[test]
-    fn flush_hooks_run_on_every_path_and_participant() {
-        use std::sync::atomic::AtomicUsize;
-        // NOTE: hooks are process-global and permanent; this one only
-        // touches its own counter, so other tests in this binary are
-        // unaffected beyond a relaxed increment per sweep.
-        static FLUSHES: AtomicUsize = AtomicUsize::new(0);
-        fn tally() {
-            FLUSHES.fetch_add(1, Ordering::Relaxed);
-        }
-        register_sweep_flush(tally);
-        register_sweep_flush(tally); // duplicate registration is dropped
-
-        let items: Vec<u64> = (0..8).collect();
-
-        // Serial path: at least the caller's flush lands before return.
-        // (Other tests in this binary sweep concurrently and bump the same
-        // counter, so the lower bound is the race-safe assertion.)
-        let before = FLUSHES.load(Ordering::Relaxed);
-        par_map(1, &items, |_, &x| x);
-        assert!(FLUSHES.load(Ordering::Relaxed) > before);
-
-        // Parallel path: flushes land before par_map returns here too.
-        let _hw = force_hw(4);
-        let before = FLUSHES.load(Ordering::Relaxed);
-        par_map(4, &items, |_, &x| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            x
-        });
-        assert!(FLUSHES.load(Ordering::Relaxed) > before);
-    }
-
-    #[test]
-    fn on_all_workers_reaches_workers_and_caller() {
-        let _hw = force_hw(8);
-        use std::collections::HashSet;
-        let ids: Mutex<HashSet<thread::ThreadId>> = Mutex::new(HashSet::new());
-        let ran = on_all_workers(3, || {
-            ids.lock().unwrap().insert(thread::current().id());
-        });
-        let ids = ids.into_inner().unwrap();
-        // The caller always runs it; `ran` counts pool workers only.
-        assert!(ids.contains(&thread::current().id()));
-        assert_eq!(ids.len(), ran + 1);
-        assert!(ran <= 3);
     }
 
     #[test]

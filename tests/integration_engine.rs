@@ -207,10 +207,8 @@ fn memoized_table_is_byte_identical_to_fresh() {
     let fresh = table_rows_bits(&s);
     adcl::simmemo::set_enabled(true);
     let primed = table_rows_bits(&s); // misses: runs and caches
-    simcore::par::run_sweep_flush_hooks();
     let scope = simcore::metrics::Scope::begin();
     let replayed = table_rows_bits(&s); // hits: pure replay
-    simcore::par::run_sweep_flush_hooks();
     let delta = scope.delta();
     let gained = |name| {
         delta

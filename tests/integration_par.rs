@@ -242,12 +242,10 @@ fn digest64(totals: &[u64]) -> u64 {
 }
 
 #[test]
-fn front_caches_jobs_invariant_after_clear() {
-    // The schedule cache keeps per-thread front caches invalidated by a
-    // global epoch. Clearing between sweeps bumps the epoch, so every
-    // worker's front cache must drop its stale entries and repopulate from
-    // the shared map — and the sweep results must stay byte-identical at
-    // every jobs value regardless.
+fn schedule_cache_jobs_invariant_after_clear() {
+    // Clearing the schedule cache between sweeps makes every sweep rebuild
+    // its schedules, racing builders included: the sweep results must stay
+    // byte-identical at every jobs value regardless.
     let _g = reg_lock();
     adcl::simmemo::set_enabled(false);
     let points = metrics_probe_points();
@@ -270,9 +268,9 @@ fn front_caches_jobs_invariant_after_clear() {
 
 #[test]
 fn memoized_replay_is_jobs_invariant() {
-    // The sim-memo front cache replays outcomes from thread-local state on
-    // repeat passes. Priming on one thread layout and replaying on another
-    // must produce the same digests as the serial prime/replay pair.
+    // The sim memo replays outcomes that any participant stored on repeat
+    // passes. Priming on one thread layout and replaying on another must
+    // produce the same digests as the serial prime/replay pair.
     let _g = reg_lock();
     adcl::simmemo::set_enabled(true);
     let points = metrics_probe_points();
@@ -300,14 +298,39 @@ fn memoized_replay_is_jobs_invariant() {
 }
 
 /// `adcl.simmemo.{hits, misses, replayed_events}` added since `scope`
-/// began, with every thread's front-cache tally flushed.
+/// began.
 fn memo_counts(scope: &simcore::metrics::Scope) -> [u64; 3] {
-    simcore::par::run_sweep_flush_hooks();
     let d = scope.delta();
     ["hits", "misses", "replayed_events"].map(|n| {
         let name = format!("adcl.simmemo.{n}");
         d.iter().find(|(k, _)| *k == name).map_or(0, |&(_, v)| v)
     })
+}
+
+#[test]
+fn cache_and_memo_counts_are_exact_without_a_flush() {
+    // Hits and misses land in the registry the moment they happen: no
+    // sweep boundary or flush is needed before a reading is exact.
+    let _g = reg_lock();
+    adcl::simmemo::set_enabled(true);
+    let spec = CollSpec::new(29, 4321);
+    let key = "integration_par/exact-counts";
+    adcl::simmemo::clear();
+    let scope = simcore::metrics::Scope::begin();
+    for _ in 0..2 {
+        cache::cached_barrier(5, &spec);
+        adcl::simmemo::get_or_run(key, || 7u64);
+    }
+    let d = scope.delta();
+    adcl::simmemo::clear_enabled_override();
+    let get = |name: &str| d.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
+    assert_eq!(
+        (
+            (get("nbc.cache.hits"), get("nbc.cache.misses")),
+            (get("adcl.simmemo.hits"), get("adcl.simmemo.misses")),
+        ),
+        ((1, 1), (1, 1))
+    );
 }
 
 #[test]
@@ -319,7 +342,7 @@ fn memoized_sweep_never_reaches_the_pool() {
     adcl::simmemo::clear();
     let before = simcore::par::pool_sweeps();
     let (cold, replayed) = s.run_all_fixed_jobs_flagged(4);
-    // Three fresh runs are worth a fan-out: this sweep does use the pool.
+    // Three fresh runs are worth a fan-out: this sweep does spawn helpers.
     assert_eq!(replayed, 0);
     assert!(
         simcore::par::pool_sweeps() > before,
@@ -330,7 +353,7 @@ fn memoized_sweep_never_reaches_the_pool() {
     assert_eq!(
         simcore::par::pool_sweeps(),
         before,
-        "a replay reached the pool"
+        "a replay spawned helpers"
     );
     simcore::par::set_assumed_parallelism(None);
     adcl::simmemo::clear_enabled_override();
@@ -351,7 +374,6 @@ fn half_memoized_sweep_is_jobs_invariant() {
         for i in [0, 3, 4] {
             s.run_memo(SelectionLogic::Fixed(i));
         }
-        simcore::par::run_sweep_flush_hooks();
         let scope = simcore::metrics::Scope::begin();
         let (rows, replayed) = s.run_all_fixed_jobs_flagged(jobs);
         (rows, replayed, memo_counts(&scope))
@@ -370,7 +392,7 @@ fn half_memoized_sweep_is_jobs_invariant() {
 
 #[test]
 fn concurrent_sweeps_share_caches_without_corruption() {
-    // Stress the shared-map + front-cache paths through the full driver:
+    // Stress the shared caches through the full driver:
     // eight OS threads race identical sweeps against a cold schedule cache.
     // Every thread must see the same results as an uncontended reference
     // run — lost inserts or cross-thread corruption would perturb some
@@ -398,10 +420,11 @@ fn concurrent_sweeps_share_caches_without_corruption() {
 
 #[test]
 fn worker_reuse_flushes_every_sweep_fully() {
-    // The worker pool keeps threads (and their cached worlds) alive across
-    // sweeps. Thread-local metric state must be flushed completely at every
-    // sweep boundary: two identical back-to-back sweeps must each add the
-    // same registry delta, with nothing retained or dropped between them.
+    // The calling thread keeps its cached worlds across sweeps, and each
+    // sweep's helpers start cold. Every count must land in the registry
+    // by the time a sweep returns: two identical back-to-back sweeps must
+    // each add the same registry delta, with nothing retained or dropped
+    // between them.
     let _g = reg_lock();
     adcl::simmemo::set_enabled(false);
     let points = metrics_probe_points();
