@@ -27,6 +27,8 @@
 //! `HistoryStore` (atomic renames, periodic checkpoints, context-stamped
 //! staleness).
 
+#![forbid(unsafe_code)]
+
 pub mod loadgen;
 pub mod protocol;
 pub mod server;

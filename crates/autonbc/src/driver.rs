@@ -250,8 +250,8 @@ impl MicrobenchSpec {
 
     /// One attempt of the benchmark loop over `fnset`. The world comes
     /// from the per-thread reuse pool (`mpisim::worldpool`): consecutive
-    /// sweep points on the same worker share arenas and payload slabs
-    /// instead of rebuilding them, with byte-identical results.
+    /// sweep points on the same worker share arenas instead of rebuilding
+    /// them, with byte-identical results.
     fn try_run(
         &self,
         fnset: FunctionSet,
@@ -451,17 +451,14 @@ impl MicrobenchSpec {
     }
 
     /// Untimed sweep pre-warm on the calling thread: lease-and-release a
-    /// warm world for each distinct shape in `specs`, pre-warm its payload
-    /// slabs for the largest message the shape will carry (only when
-    /// payloads are staged at all: [`nbc::default_payload_mode`] is
-    /// `Pooled`), and pre-build the schedules. After this, the caller's
-    /// share of a timed sweep over `specs` neither constructs worlds, nor
-    /// heap-allocates payload slabs, nor builds schedules. A sweep's
+    /// world for each distinct shape in `specs` and pre-build the
+    /// schedules of the shape's largest message. After this, the caller's
+    /// share of a timed sweep over `specs` constructs no worlds. A sweep's
     /// helper threads live for that sweep only, so there is nothing to
     /// warm on them in advance; `jobs` is accepted for callers built
     /// against the earlier signature and does not change what is warmed.
     pub fn prewarm_sweep(_jobs: usize, specs: &[MicrobenchSpec]) {
-        // Distinct world shapes, each with the largest payload it will see.
+        // Distinct world shapes, each with its largest message.
         let mut shapes: Vec<&MicrobenchSpec> = Vec::new();
         for s in specs {
             match shapes.iter_mut().find(|p| {
@@ -475,16 +472,8 @@ impl MicrobenchSpec {
                 None => shapes.push(s),
             }
         }
-        let staged = nbc::default_payload_mode() == nbc::PayloadMode::Pooled;
         for s in &shapes {
-            mpisim::worldpool::prewarm(
-                &s.platform,
-                s.nprocs,
-                s.placement,
-                s.noise,
-                s.msg_bytes,
-                if staged { 2 * s.nprocs } else { 0 },
-            );
+            mpisim::worldpool::with_world(&s.platform, s.nprocs, s.placement, s.noise, |_| ());
             s.prebuild_schedules();
         }
     }

@@ -40,6 +40,8 @@
 //! assert!(outcome.winner.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use adcl;
 pub use fft3d;
 pub use mpisim;

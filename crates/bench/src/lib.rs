@@ -7,6 +7,8 @@
 //! completes in seconds; pass `--full` to use the paper-scale process
 //! counts (slower, same shape).
 
+#![forbid(unsafe_code)]
+
 use autonbc::driver::{CollectiveOp, MicrobenchSpec};
 use autonbc::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};

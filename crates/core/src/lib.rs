@@ -32,6 +32,8 @@
 //! so experiments from the paper can be reproduced deterministically on a
 //! laptop; see `DESIGN.md` for the substitution rationale.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod audit;
 pub mod filter;

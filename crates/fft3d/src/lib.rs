@@ -19,6 +19,8 @@
 //!   are sized by the FFT [`cost`] model, runnable on any simulated
 //!   platform with LibNBC-pinned, blocking-MPI or ADCL-tuned all-to-alls.
 
+#![forbid(unsafe_code)]
+
 pub mod complex;
 pub mod cost;
 pub mod fft1d;

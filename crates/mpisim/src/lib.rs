@@ -23,6 +23,8 @@
 //! ([`RankBehavior`]) that returns what the rank does next (compute, spend
 //! CPU in the library, block on the network, or finish).
 
+#![forbid(unsafe_code)]
+
 pub mod bufpool;
 mod chan;
 pub mod fault;
@@ -32,7 +34,7 @@ pub mod workload;
 pub mod world;
 pub mod worldpool;
 
-pub use bufpool::{BufPool, BufPoolStats, Payload, PooledBuf};
+pub use bufpool::{Payload, PooledBuf};
 pub use fault::{FaultConfig, FaultModel};
 pub use message::{Protocol, RecvState, SendState};
 pub use types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};

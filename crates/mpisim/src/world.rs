@@ -12,7 +12,7 @@
 //! keys per rank; the golden tables in `tests/golden_digest.rs` and
 //! `nbc::executor` pin it.
 
-use crate::bufpool::{BufPool, Payload, PooledBuf};
+use crate::bufpool::{Payload, PooledBuf};
 use crate::chan::{ChanTable, Seen};
 use crate::fault::{self, FaultConfig, FaultModel};
 use crate::message::{Arena, DstMsg, Protocol, RecvReq, RecvState, SendMsg, SendState};
@@ -477,8 +477,7 @@ impl RankState {
         *noise = fresh.noise;
         *acct = fresh.acct;
         *block_since = fresh.block_since;
-        // Dropping in-flight records releases their payload handles, which
-        // recycles the slabs into the world's pool.
+        // Dropping in-flight records releases their payload handles.
         sends.clear();
         dmsgs.clear();
         recvs.clear();
@@ -534,8 +533,9 @@ pub struct World {
     /// `None` when tracing is off, making every instrumentation site a
     /// single branch. Published to the global collector on drop.
     otrace: Option<Box<WorldTrace>>,
-    /// Payload buffer pool shared by every rank of this world.
-    pool: BufPool,
+    /// Payload buffers staged by [`World::acquire_payload`] over this
+    /// world's lifetime; [`World::reset`] keeps it.
+    payloads_staged: u64,
     /// Fault-injection model; `None` (the default) makes every injection
     /// site a single branch and guarantees byte-identical behaviour to a
     /// build without fault support. Carries one RNG stream per rank.
@@ -581,7 +581,7 @@ impl World {
             popped_at_reset: 0,
             trace_on: false,
             otrace: trace::enabled().then(|| Box::new(WorldTrace::new(nranks))),
-            pool: BufPool::new(),
+            payloads_staged: 0,
             fault: fault_model,
             timed_out: None,
             cur_key: 0,
@@ -623,18 +623,19 @@ impl World {
         d
     }
 
-    /// A handle to this world's payload buffer pool, for statistics and
-    /// pre-warming. Senders stage payloads with [`World::acquire_payload`].
-    pub fn payload_pool(&self) -> BufPool {
-        self.pool.clone()
+    /// A zeroed, writable `bytes`-byte payload buffer, counted in
+    /// [`World::payloads_staged`]. Fill it, [`PooledBuf::share`] it and
+    /// pass the handle to [`World::isend_payload`]; it is freed when the
+    /// last handle drops.
+    pub fn acquire_payload(&mut self, bytes: usize) -> PooledBuf {
+        self.payloads_staged += 1;
+        PooledBuf::unpooled(bytes)
     }
 
-    /// Lease a writable `bytes`-byte buffer from this world's payload pool.
-    /// Fill it, [`PooledBuf::share`] it and pass the handle to
-    /// [`World::isend_payload`]; the slab returns to the pool when the last
-    /// handle drops.
-    pub fn acquire_payload(&self, bytes: usize) -> PooledBuf {
-        self.pool.acquire(bytes)
+    /// Payload buffers [`World::acquire_payload`] has handed out over this
+    /// world's lifetime (not zeroed by [`World::reset`]).
+    pub fn payloads_staged(&self) -> u64 {
+        self.payloads_staged
     }
 
     /// Largest number of message records (sends, receives and receiver-side
@@ -647,16 +648,6 @@ impl World {
             .map(|rs| rs.sends.len() + rs.dmsgs.len() + rs.recvs.len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Pre-warm the payload pool: shelve enough slabs of `bytes`'s size
-    /// class that the first `count` concurrent acquires of a following run
-    /// hit warm memory. Call outside any timed region — this is the
-    /// amortization hook that keeps `allocs_per_event` at zero for worker
-    /// threads whose worlds would otherwise fault their slabs in during
-    /// the first measured pass.
-    pub fn prewarm_payloads(&self, bytes: usize, count: usize) {
-        self.pool.prewarm(bytes, count);
     }
 
     /// Events applied by this world so far (the per-run analogue of the
@@ -681,9 +672,10 @@ impl World {
     /// Reset this world for a fresh simulation on the *same* platform,
     /// rank count and placement, keeping every allocation (per-rank record
     /// arenas and their free lists, channel tables and windows, match
-    /// queues, the event-queue heap, the wire arena, payload-pool slabs)
-    /// warm: containers are emptied in place, never replaced. A second run
-    /// of the same workload on a reset world allocates nothing.
+    /// queues, the event-queue heap, the wire arena) warm: containers are
+    /// emptied in place, never replaced. A second run of the same workload
+    /// on a reset world allocates nothing (staged payloads aside: each is
+    /// a fresh buffer).
     ///
     /// The post-state is observationally identical to
     /// `World::new(platform, nranks, placement, noise)` with the same
@@ -691,9 +683,9 @@ impl World {
     /// from `noise`, the fault model is rebuilt from [`fault::current`],
     /// and all logical state (clocks, tags, sequence numbers, in-flight
     /// messages, event digests) is zeroed. Only allocation capacity and
-    /// recycled payload slab contents differ — neither is observable in
-    /// simulated time or simulation output, so results stay byte-identical
-    /// whether a world is fresh or reused.
+    /// the lifetime [`World::payloads_staged`] tally differ — neither is
+    /// observable in simulated time or simulation output, so results stay
+    /// byte-identical whether a world is fresh or reused.
     pub fn reset(&mut self, noise: NoiseConfig) {
         self.publish_trace();
         let nranks = self.ranks.len();
@@ -705,8 +697,8 @@ impl World {
         self.popped_at_reset = self.events.popped();
         self.scratch_cts.clear();
         self.scratch_starts.clear();
-        // Dropping undelivered wire bodies releases their payload handles
-        // into the pool, like the per-rank arenas above.
+        // Dropping undelivered wire bodies releases their payload handles,
+        // like the per-rank arenas above.
         self.wire_pool.clear();
         self.wire_free.clear();
         self.next_tag = 0;
@@ -1251,9 +1243,8 @@ impl World {
     }
 
     /// Take the delivered payload of a completed receive, if the sender
-    /// staged one (and it has not been taken yet). Dropping the returned
-    /// handle recycles the buffer into the sender's pool once all clones
-    /// are gone.
+    /// staged one (and it has not been taken yet): the sender's buffer
+    /// itself, not a copy, freed once the last clone drops.
     pub fn take_recv_payload(&mut self, h: RecvHandle) -> Option<Payload> {
         self.ranks[h.rank as usize].recvs[h.idx as usize]
             .payload
@@ -2172,7 +2163,7 @@ mod tests {
         let t1 = fresh.run(&mut s1).unwrap();
 
         // A reused world first runs a *different* workload (dirtying tags,
-        // sequence numbers, pool slabs, the event queue), then resets.
+        // sequence numbers, message records, the event queue), then resets.
         let mut reused = world(2);
         let mut warm = Script::new(vec![
             vec![
@@ -2576,7 +2567,7 @@ mod tests {
     /// wait to completion.
     struct PayloadPingPong {
         bytes: usize,
-        payload: Option<crate::bufpool::Payload>,
+        payload: Option<Payload>,
         send: Option<SendHandle>,
         recv: Option<RecvHandle>,
         posted: [bool; 2],
@@ -2613,9 +2604,9 @@ mod tests {
 
     fn run_payload_pingpong(bytes: usize) {
         let mut w = world(2);
-        let pool = w.payload_pool();
-        let mut buf = pool.acquire(bytes);
+        let mut buf = w.acquire_payload(bytes);
         buf.as_mut_slice()[..8].copy_from_slice(&[9, 8, 7, 6, 5, 4, 3, 2]);
+        let sent = buf.as_slice().as_ptr();
         let mut b = PayloadPingPong {
             bytes,
             payload: Some(buf.share()),
@@ -2629,11 +2620,10 @@ mod tests {
             .expect("payload delivered");
         assert_eq!(got.len(), bytes);
         assert_eq!(&got.as_slice()[..8], &[9, 8, 7, 6, 5, 4, 3, 2]);
-        // Second take is empty; dropping the handle recycles the slab.
+        // Delivery moved the sender's buffer; the second take is empty.
+        assert_eq!(got.as_slice().as_ptr(), sent, "payload was copied");
         assert!(w.take_recv_payload(b.recv.unwrap()).is_none());
-        assert_eq!(pool.free_slabs(), 0);
-        drop(got);
-        assert_eq!(pool.free_slabs(), 1);
+        assert_eq!(w.payloads_staged(), 1);
     }
 
     #[test]
@@ -2652,7 +2642,7 @@ mod tests {
         // network model never looks at the handle.
         let run = |with_payload: bool| {
             let mut w = world(2);
-            let payload = with_payload.then(|| w.payload_pool().acquire(4096).share());
+            let payload = with_payload.then(|| w.acquire_payload(4096).share());
             let mut b = PayloadPingPong {
                 bytes: 4096,
                 payload,

@@ -3,15 +3,16 @@
 //!
 //! A sweep runs thousands of independent microbenchmarks, and each one used
 //! to build a `World` from scratch: rank vectors, message-record arenas,
-//! channel tables, the event-queue heap and a cold payload pool, all torn
-//! down microseconds later. This module keeps a small per-thread cache of
-//! recently used worlds keyed on their immutable shape — `(platform,
-//! nranks, placement)` — and hands them back through [`World::reset`],
-//! which zeroes all logical state in place: every container keeps its
-//! allocation (and the payload pool its slabs), so a reused world runs
-//! without touching the allocator. A lease moves the cache entry out and
-//! the release puts the same entry back, so a hit copies nothing either —
-//! not even the platform description it is keyed on.
+//! channel tables and the event-queue heap, all torn down microseconds
+//! later. This module keeps a small per-thread cache of recently used
+//! worlds keyed on their immutable shape — `(platform, nranks,
+//! placement)` — and hands them back through [`World::reset`], which
+//! zeroes all logical state in place: every container keeps its
+//! allocation, so a reused world runs without touching the allocator
+//! (staged payloads aside, which are off by default). A lease moves the
+//! cache entry out and the release puts the same entry back, so a hit
+//! copies nothing either — not even the platform description it is keyed
+//! on.
 //!
 //! The cache is strictly thread-local, so it adds no locks to the sweep hot
 //! path. A thread keeps its warm worlds for as long as it lives: the
@@ -115,27 +116,6 @@ pub fn with_world<R>(
     out
 }
 
-/// Populate the calling thread's cache with a warm world of the given
-/// shape, pre-warming `payload_slabs` payload slabs of `payload_bytes`'s
-/// size class — the untimed pre-build hook for sweep drivers: run this on
-/// the thread that will issue a sweep before the clock starts, and that
-/// thread's share of the measured region neither constructs worlds nor
-/// faults payload slabs in.
-pub fn prewarm(
-    platform: &Platform,
-    nranks: usize,
-    placement: Placement,
-    noise: NoiseConfig,
-    payload_bytes: usize,
-    payload_slabs: usize,
-) {
-    with_world(platform, nranks, placement, noise, |w| {
-        if payload_slabs > 0 {
-            w.prewarm_payloads(payload_bytes, payload_slabs);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,22 +149,6 @@ mod tests {
         // A different shape coexists.
         with_world(&p, 8, pl, noise, |w| assert_eq!(w.nranks(), 8));
         assert_eq!(cached_on_this_thread(), 2);
-        clear_this_thread();
-    }
-
-    #[test]
-    fn prewarm_populates_cache_and_slabs() {
-        let (p, n, pl, noise) = shape();
-        clear_this_thread();
-        prewarm(&p, n, pl, noise, 64 * 1024, 8);
-        assert_eq!(cached_on_this_thread(), 1);
-        // The warm world must come back on the next lease with its slabs.
-        with_world(&p, n, pl, noise, |w| {
-            assert!(
-                w.payload_pool().free_slabs() >= 8,
-                "prewarmed slabs missing"
-            );
-        });
         clear_this_thread();
     }
 

@@ -116,7 +116,6 @@ pub fn build_scatter(algo: GatherAlgo, rank: RankId, spec: &CollSpec) -> Schedul
 mod tests {
     use super::*;
     use crate::verify;
-    use std::collections::HashSet;
 
     fn verify_gather(p: usize, algo: GatherAlgo, root: usize) -> Result<(), String> {
         let spec = CollSpec {
@@ -128,14 +127,7 @@ mod tests {
         for (r, sc) in scheds.iter().enumerate() {
             sc.validate(r, Some(128))?;
         }
-        let initial: Vec<HashSet<u32>> = (0..p).map(|r| [r as u32].into_iter().collect()).collect();
-        let recv = verify::execute(&scheds, &initial)?;
-        for b in 0..p as u32 {
-            if b as usize != root && !recv[root].contains(&b) {
-                return Err(format!("root missing block {b}"));
-            }
-        }
-        Ok(())
+        verify::verify_gather(&scheds, root)
     }
 
     fn verify_scatter(p: usize, algo: GatherAlgo, root: usize) -> Result<(), String> {
@@ -148,16 +140,7 @@ mod tests {
         for (r, sc) in scheds.iter().enumerate() {
             sc.validate(r, Some(64))?;
         }
-        // Root initially holds every rank's block.
-        let mut initial: Vec<HashSet<u32>> = vec![HashSet::new(); p];
-        initial[root] = (0..p as u32).collect();
-        let recv = verify::execute(&scheds, &initial)?;
-        for (r, got) in recv.iter().enumerate() {
-            if r != root && !got.contains(&(r as u32)) {
-                return Err(format!("rank {r} missing its scattered block"));
-            }
-        }
-        Ok(())
+        verify::verify_scatter(&scheds, root)
     }
 
     #[test]

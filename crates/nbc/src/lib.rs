@@ -26,6 +26,8 @@
 //!   `Arc<Schedule>` so identical shapes are constructed once and shared
 //!   across ranks, iterations and sweep worker threads.
 
+#![forbid(unsafe_code)]
+
 pub mod allgather;
 pub mod allreduce;
 pub mod alltoall;

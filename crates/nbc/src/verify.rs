@@ -12,7 +12,8 @@
 //!
 //! and collective-specific wrappers assert the operation's postcondition
 //! (every non-root got every segment; every rank got every block addressed
-//! to it; the root combined every contribution).
+//! to it; the root combined or gathered every contribution; every rank
+//! combined every contribution).
 
 use crate::schedule::{ActionKind, Schedule};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -183,18 +184,19 @@ pub fn verify_alltoall(scheds: &[Schedule]) -> Result<(), String> {
     Ok(())
 }
 
-/// Verify an all-gather with block id = owner rank: every rank must
-/// receive every other rank's block.
-pub fn verify_allgather(scheds: &[Schedule]) -> Result<(), String> {
+/// Every rank starts with one block, its own rank id.
+fn own_blocks(p: usize) -> Vec<HashSet<u32>> {
+    (0..p).map(|r| [r as u32].into_iter().collect()).collect()
+}
+
+/// Starting from [`own_blocks`], every rank must receive every other
+/// rank's block: the all-gather and all-reduce postcondition.
+fn everyone_receives_all(scheds: &[Schedule]) -> Result<(), String> {
     let p = scheds.len();
-    let initial: Vec<HashSet<u32>> = (0..p).map(|r| [r as u32].into_iter().collect()).collect();
-    let recv = execute(scheds, &initial)?;
+    let recv = execute(scheds, &own_blocks(p))?;
     for (r, got) in recv.iter().enumerate() {
         for other in 0..p as u32 {
-            if other as usize == r {
-                continue;
-            }
-            if !got.contains(&other) {
+            if other as usize != r && !got.contains(&other) {
                 return Err(format!("rank {r} missing block of {other}"));
             }
         }
@@ -202,18 +204,53 @@ pub fn verify_allgather(scheds: &[Schedule]) -> Result<(), String> {
     Ok(())
 }
 
+/// Starting from [`own_blocks`], the root must receive every other rank's
+/// block: the reduce and gather postcondition.
+fn root_receives_all(scheds: &[Schedule], root: usize) -> Result<(), String> {
+    let p = scheds.len();
+    let recv = execute(scheds, &own_blocks(p))?;
+    for r in 0..p as u32 {
+        if r as usize != root && !recv[root].contains(&r) {
+            return Err(format!("root missing block of rank {r}"));
+        }
+    }
+    Ok(())
+}
+
+/// Verify an all-gather with block id = owner rank: every rank must
+/// receive every other rank's block.
+pub fn verify_allgather(scheds: &[Schedule]) -> Result<(), String> {
+    everyone_receives_all(scheds)
+}
+
+/// Verify an all-reduce with block id = contributing rank: every rank must
+/// receive every other rank's contribution.
+pub fn verify_allreduce(scheds: &[Schedule]) -> Result<(), String> {
+    everyone_receives_all(scheds)
+}
+
 /// Verify a reduce with block id = contributing rank: the root must
 /// receive every other rank's contribution.
 pub fn verify_reduce(scheds: &[Schedule], root: usize) -> Result<(), String> {
+    root_receives_all(scheds, root)
+}
+
+/// Verify a gather with block id = owner rank: the root must receive every
+/// other rank's block.
+pub fn verify_gather(scheds: &[Schedule], root: usize) -> Result<(), String> {
+    root_receives_all(scheds, root)
+}
+
+/// Verify a scatter with block id = destination rank: the root starts with
+/// blocks `0..p`, and every non-root rank `r` must receive block `r`.
+pub fn verify_scatter(scheds: &[Schedule], root: usize) -> Result<(), String> {
     let p = scheds.len();
-    let initial: Vec<HashSet<u32>> = (0..p).map(|r| [r as u32].into_iter().collect()).collect();
+    let mut initial = vec![HashSet::new(); p];
+    initial[root] = (0..p as u32).collect();
     let recv = execute(scheds, &initial)?;
-    for r in 0..p as u32 {
-        if r as usize == root {
-            continue;
-        }
-        if !recv[root].contains(&r) {
-            return Err(format!("root missing contribution of rank {r}"));
+    for (r, got) in recv.iter().enumerate() {
+        if r != root && !got.contains(&(r as u32)) {
+            return Err(format!("rank {r} missing its scattered block"));
         }
     }
     Ok(())
@@ -230,9 +267,11 @@ pub fn verify_barrier(scheds: &[Schedule]) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::allgather::{build_allgather, AllgatherAlgo};
+    use crate::allreduce::{build_allreduce, AllreduceAlgo};
     use crate::alltoall::{build_alltoall, AlltoallAlgo};
     use crate::barrier::build_barrier;
     use crate::bcast::{build_bcast, BcastAlgo};
+    use crate::gather::{build_gather, build_scatter, GatherAlgo};
     use crate::reduce::{build_reduce, ReduceAlgo};
     use crate::schedule::{Action, CollSpec, Round, Schedule};
 
@@ -311,6 +350,36 @@ mod tests {
     }
 
     #[test]
+    fn all_gather_scatter_allreduce_variants_correct() {
+        for &p in SIZES {
+            for root in [0, p - 1] {
+                let spec = |msg_bytes| CollSpec {
+                    nprocs: p,
+                    msg_bytes,
+                    root,
+                };
+                let all = |build: &dyn Fn(usize) -> Schedule| (0..p).map(build).collect::<Vec<_>>();
+                for algo in GatherAlgo::all() {
+                    let what = format!("{algo:?} p={p} root={root}");
+                    let gather = all(&|r| build_gather(algo, r, &spec(128)));
+                    verify_gather(&gather, root).unwrap_or_else(|e| panic!("gather {what}: {e}"));
+                    let scatter = all(&|r| build_scatter(algo, r, &spec(128)));
+                    verify_scatter(&scatter, root)
+                        .unwrap_or_else(|e| panic!("scatter {what}: {e}"));
+                }
+                for (algo, bytes) in AllreduceAlgo::all()
+                    .into_iter()
+                    .flat_map(|a| [8, 1000, 64 * 1024].map(|b| (a, b)))
+                {
+                    let scheds = all(&|r| build_allreduce(algo, r, &spec(bytes)));
+                    verify_allreduce(&scheds)
+                        .unwrap_or_else(|e| panic!("{algo:?} p={p} {bytes} B root={root}: {e}"));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn barrier_deadlock_free() {
         for &p in SIZES {
             let spec = CollSpec::new(p, 0);
@@ -359,5 +428,55 @@ mod tests {
         let s1 = Schedule::new();
         let err = execute(&[s0, s1], &[HashSet::new(), HashSet::new()]).unwrap_err();
         assert!(err.contains("unconsumed"), "{err}");
+    }
+
+    /// The schedules without the first message from `src` to `dst` (its
+    /// send and its receive), so the exchange stays consistent and only the
+    /// postcondition can notice the missing blocks.
+    fn drop_message(mut scheds: Vec<Schedule>, src: usize, dst: usize) -> Vec<Schedule> {
+        let to_dst = |k: &ActionKind| matches!(k, ActionKind::Send { peer, .. } if *peer == dst);
+        let from_src = |k: &ActionKind| matches!(k, ActionKind::Recv { peer } if *peer == src);
+        remove_first(&mut scheds[src], to_dst);
+        remove_first(&mut scheds[dst], from_src);
+        scheds
+    }
+
+    fn remove_first(s: &mut Schedule, hit: impl Fn(&ActionKind) -> bool) {
+        let (round, i) = (s.rounds.iter_mut())
+            .find_map(|rd| rd.0.iter().position(|a| hit(&a.kind)).map(|i| (rd, i)))
+            .expect("no such action");
+        round.0.remove(i);
+    }
+
+    #[test]
+    fn detects_missing_gather_block() {
+        let spec = CollSpec::new(4, 64);
+        let scheds: Vec<Schedule> = (0..4)
+            .map(|r| build_gather(GatherAlgo::Linear, r, &spec))
+            .collect();
+        verify_gather(&scheds, 0).expect("intact gather verifies");
+        let err = verify_gather(&drop_message(scheds, 2, 0), 0).unwrap_err();
+        assert!(err.contains("missing block of rank 2"), "{err}");
+    }
+
+    #[test]
+    fn detects_missing_scatter_block() {
+        let spec = CollSpec::new(4, 64);
+        let scheds: Vec<Schedule> = (0..4)
+            .map(|r| build_scatter(GatherAlgo::Linear, r, &spec))
+            .collect();
+        verify_scatter(&scheds, 0).expect("intact scatter verifies");
+        let err = verify_scatter(&drop_message(scheds, 0, 3), 0).unwrap_err();
+        assert!(err.contains("rank 3 missing"), "{err}");
+    }
+
+    #[test]
+    fn detects_missing_allreduce_contribution() {
+        let spec = CollSpec::new(2, 64);
+        let algo = AllreduceAlgo::RecursiveDoubling;
+        let scheds: Vec<Schedule> = (0..2).map(|r| build_allreduce(algo, r, &spec)).collect();
+        verify_allreduce(&scheds).expect("intact allreduce verifies");
+        let err = verify_allreduce(&drop_message(scheds, 1, 0)).unwrap_err();
+        assert!(err.contains("rank 0 missing block of 1"), "{err}");
     }
 }

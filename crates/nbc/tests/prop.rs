@@ -4,9 +4,11 @@
 //! harness (no external crates).
 
 use nbc::allgather::{build_allgather, AllgatherAlgo};
+use nbc::allreduce::{build_allreduce, AllreduceAlgo};
 use nbc::alltoall::{build_alltoall, AlltoallAlgo};
 use nbc::barrier::build_barrier;
 use nbc::bcast::{build_bcast, BcastAlgo};
+use nbc::gather::{build_gather, build_scatter, GatherAlgo};
 use nbc::reduce::{build_reduce, ReduceAlgo};
 use nbc::schedule::{CollSpec, Schedule};
 use nbc::verify;
@@ -124,6 +126,52 @@ fn reduce_semantics() {
         };
         let scheds: Vec<Schedule> = (0..p).map(|r| build_reduce(algo, r, &spec)).collect();
         verify::verify_reduce(&scheds, root)
+            .unwrap_or_else(|e| panic!("{algo:?} p={p} root={root}: {e}"));
+    });
+}
+
+/// Gather collects every rank's block at the root, and scatter hands every
+/// rank its own, for either tree shape, any process count and any root.
+#[test]
+fn gather_scatter_semantics() {
+    run_cases("gather_scatter_semantics", 64, |g| {
+        let algo = g.choose(&[GatherAlgo::Linear, GatherAlgo::Binomial]);
+        let p = g.usize_in(2, 40);
+        let bytes = g.usize_in(1, 100_000);
+        let root = g.usize_in(0, 40) % p;
+        let spec = CollSpec {
+            nprocs: p,
+            msg_bytes: bytes,
+            root,
+        };
+        let gather: Vec<Schedule> = (0..p).map(|r| build_gather(algo, r, &spec)).collect();
+        verify::verify_gather(&gather, root)
+            .unwrap_or_else(|e| panic!("gather {algo:?} p={p} root={root}: {e}"));
+        let scatter: Vec<Schedule> = (0..p).map(|r| build_scatter(algo, r, &spec)).collect();
+        verify::verify_scatter(&scatter, root)
+            .unwrap_or_else(|e| panic!("scatter {algo:?} p={p} root={root}: {e}"));
+    });
+}
+
+/// All-reduce hands every rank every other rank's contribution.
+#[test]
+fn allreduce_semantics() {
+    run_cases("allreduce_semantics", 64, |g| {
+        let algo = g.choose(&[
+            AllreduceAlgo::RecursiveDoubling,
+            AllreduceAlgo::Ring,
+            AllreduceAlgo::ReduceBcast,
+        ]);
+        let p = g.usize_in(2, 40);
+        let bytes = g.usize_in(1, 100_000);
+        let root = g.usize_in(0, 40) % p;
+        let spec = CollSpec {
+            nprocs: p,
+            msg_bytes: bytes,
+            root,
+        };
+        let scheds: Vec<Schedule> = (0..p).map(|r| build_allreduce(algo, r, &spec)).collect();
+        verify::verify_allreduce(&scheds)
             .unwrap_or_else(|e| panic!("{algo:?} p={p} root={root}: {e}"));
     });
 }

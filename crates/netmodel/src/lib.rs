@@ -19,6 +19,8 @@
 //! [`NetworkState`] is the mutable contention state consulted by the `mpisim`
 //! message-passing layer; [`Platform`] presets live in [`platforms`].
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod network;
 pub mod params;

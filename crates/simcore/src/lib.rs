@@ -25,6 +25,8 @@
 //! Nothing in this crate knows about MPI, networks or collectives; it is the
 //! bottom layer of the stack described in `DESIGN.md`.
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod json;
 pub mod metrics;

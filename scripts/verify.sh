@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Full verification pass: formatting, lints, build, tests, the release-mode
 # mpisim allocation/golden-digest tests, a tiny run of the benchmark/ ledger,
-# miri on bufpool (best effort), the smoke-sized figure suite (serial vs
-# parallel, memo replay, tracing and NBC_FAULTS=off must all be
-# byte-identical; payloads on/off is the tier-1 test
-# `payload_modes_produce_byte_identical_tables`), the guideline gates and the adcld smoke / open-loop /
-# NBC_RACING=off / admission gates. Nothing here times the engine: a speed
-# regression is what `benchmark/run.sh compare A.json B.json` is for.
+# the smoke-sized figure suite (serial vs parallel, memo replay, tracing and
+# NBC_FAULTS=off must all be byte-identical; payloads on/off is the tier-1
+# test `payload_modes_produce_byte_identical_tables`), the guideline gates
+# and the adcld smoke / open-loop / NBC_RACING=off / admission gates.
+# Nothing here times the engine: a speed regression is what
+# `benchmark/run.sh compare A.json B.json` is for.
 #
 # Usage: scripts/verify.sh [--guidelines]
 #   --guidelines  also run the FULL guideline sweep twice and require the
@@ -45,18 +45,6 @@ cargo test --release -q -p mpisim --test alloc_free --test golden_digest
 
 echo "== ledger: benchmark/ must build and run against this tree (tiny sizes)"
 bash benchmark/run.sh --check
-
-echo "== miri: bufpool's unsafe code (best effort: needs an installed miri)"
-if cargo miri --version >/dev/null 2>&1; then
-    if cargo miri test --offline -p mpisim --lib bufpool; then
-        echo "   miri: bufpool unit tests clean"
-    else
-        echo "FAIL: miri rejected the bufpool unit tests" >&2
-        exit 1
-    fi
-else
-    echo "   miri: unavailable"
-fi
 
 echo "== quick figure suite: --jobs 1 vs --jobs 8 must be byte-identical"
 for bin in table_verification_stats table_fft_stats; do

@@ -66,7 +66,7 @@ fn fft_tiny() -> (Platform, usize, FftKernelConfig) {
 /// default mode: the fixed rows of the verification table, tuned runs at
 /// an eager and a rendezvous size for Ialltoall and Ibcast, and the FFT
 /// kernel in all four patterns — whose windows of outstanding collectives
-/// fan one staged slab out to many sends — fixed and tuned.
+/// fan one staged buffer out to many sends — fixed and tuned.
 fn payload_mode_runs() -> (Vec<(String, u64)>, Vec<RunBits>) {
     let fixed = table_rows_bits(&spec());
     let mut runs = Vec::new();
@@ -124,25 +124,25 @@ fn payload_modes_produce_byte_identical_tables() {
     }
 }
 
-/// Payload-pool acquires so far on the calling thread's cached world of
-/// this shape — the world `MicrobenchSpec::run` and `run_fft_kernel` lease.
-fn pool_acquires(platform: &Platform, nprocs: usize) -> u64 {
+/// Payloads staged so far on the calling thread's cached world of this
+/// shape — the world `MicrobenchSpec::run` and `run_fft_kernel` lease.
+fn payloads_staged(platform: &Platform, nprocs: usize) -> u64 {
     mpisim::worldpool::with_world(
         platform,
         nprocs,
         Placement::Block,
         NoiseConfig::none(),
-        |w| w.payload_pool().stats().acquires,
+        |w| w.payloads_staged(),
     )
 }
 
-/// `(acquires, heap allocations)` of payload slabs during `f`.
+/// `(staged, heap allocations)` of payload buffers during `f`.
 fn payload_work(platform: &Platform, nprocs: usize, f: impl FnOnce()) -> (u64, u64) {
-    let acq0 = pool_acquires(platform, nprocs);
+    let staged0 = payloads_staged(platform, nprocs);
     let alloc0 = simcore::stats::payload_allocs();
     f();
-    let acquires = pool_acquires(platform, nprocs) - acq0;
-    (acquires, simcore::stats::payload_allocs() - alloc0)
+    let staged = payloads_staged(platform, nprocs) - staged0;
+    (staged, simcore::stats::payload_allocs() - alloc0)
 }
 
 #[test]
@@ -169,31 +169,6 @@ fn default_mode_stages_no_payloads() {
     assert_eq!(fft_off, (0, 0), "default-mode FFT kernel staged payloads");
     assert!(tuned_pooled.0 > 0, "Pooled tuning run staged nothing");
     assert!(fft_pooled.0 > 0, "Pooled FFT kernel staged nothing");
-}
-
-#[test]
-fn prewarm_sweep_shelves_slabs_only_when_pooled() {
-    let _g = GLOBAL_TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
-    // A shape no other test here leases, so this thread's cached world
-    // starts with empty shelves.
-    let s = MicrobenchSpec {
-        nprocs: 12,
-        ..spec()
-    };
-    let free_slabs = || {
-        mpisim::worldpool::with_world(&s.platform, s.nprocs, s.placement, s.noise, |w| {
-            w.payload_pool().free_slabs()
-        })
-    };
-    nbc::clear_default_payload_mode();
-    MicrobenchSpec::prewarm_sweep(1, std::slice::from_ref(&s));
-    let off = free_slabs();
-    nbc::set_default_payload_mode(PayloadMode::Pooled);
-    MicrobenchSpec::prewarm_sweep(1, std::slice::from_ref(&s));
-    let pooled = free_slabs();
-    nbc::clear_default_payload_mode();
-    assert_eq!(off, 0, "default-mode prewarm shelved slabs");
-    assert_eq!(pooled, 2 * s.nprocs);
 }
 
 #[test]
@@ -226,31 +201,6 @@ fn memoized_table_is_byte_identical_to_fresh() {
     assert!(
         gained("adcl.simmemo.replayed_events") > 0,
         "replays must credit avoided events"
-    );
-}
-
-#[test]
-fn pooled_sweep_allocates_far_less_than_it_sends() {
-    let _g = GLOBAL_TOGGLES.lock().unwrap_or_else(|p| p.into_inner());
-    adcl::simmemo::set_enabled(false);
-    let s = spec();
-    nbc::set_default_payload_mode(PayloadMode::Pooled);
-    let a0 = simcore::stats::payload_allocs();
-    let e0 = mpisim::sim_events_total();
-    s.run_all_fixed();
-    let allocs = simcore::stats::payload_allocs() - a0;
-    let events = mpisim::sim_events_total() - e0;
-    nbc::clear_default_payload_mode();
-    adcl::simmemo::clear_enabled_override();
-    // A message is at most ten events (rendezvous: RTS, CTS, drain, payload,
-    // delivery, and the wake-ups they cause) and every one of this sweep's
-    // sends stages a payload, which without recycling is one slab
-    // allocation each. With it, a world allocates its peak in-flight set
-    // once.
-    assert!(events > 50_000, "sweep too small to judge: {events} events");
-    assert!(
-        allocs * 100 < events,
-        "{allocs} slab allocations for {events} events: pool is not recycling"
     );
 }
 
