@@ -49,14 +49,58 @@ use adcl::history::{HistoryKey, HistoryStore};
 use autonbc::driver::{CollectiveOp, MicrobenchSpec};
 use mpisim::NoiseConfig;
 use netmodel::{Placement, Platform};
-use simcore::{metrics, SimTime};
+use simcore::metrics::{self, Counter, Histogram};
+use simcore::SimTime;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+// Registry-backed daemon metrics. Looking a name up locks the process-wide
+// registry, which every request would otherwise take beside `state`; each
+// handle is resolved once here instead, and still registered on first use.
+fn m_requests() -> &'static Counter {
+    static M: OnceLock<&'static Counter> = OnceLock::new();
+    M.get_or_init(|| metrics::counter("adcld.requests"))
+}
+
+fn m_history_hits() -> &'static Counter {
+    static M: OnceLock<&'static Counter> = OnceLock::new();
+    M.get_or_init(|| metrics::counter("adcld.history_hits"))
+}
+
+fn m_coalesced() -> &'static Counter {
+    static M: OnceLock<&'static Counter> = OnceLock::new();
+    M.get_or_init(|| metrics::counter("adcld.coalesced"))
+}
+
+fn m_sweep_admissions() -> &'static Counter {
+    static M: OnceLock<&'static Counter> = OnceLock::new();
+    M.get_or_init(|| metrics::counter("adcld.sweep_admissions"))
+}
+
+fn m_queue_wait_us() -> &'static Histogram {
+    static M: OnceLock<&'static Histogram> = OnceLock::new();
+    M.get_or_init(|| metrics::histogram("adcld.queue_wait_us"))
+}
+
+fn m_sweep_us() -> &'static Histogram {
+    static M: OnceLock<&'static Histogram> = OnceLock::new();
+    M.get_or_init(|| metrics::histogram("adcld.sweep_us"))
+}
+
+fn m_checkpoint_lock_us() -> &'static Histogram {
+    static M: OnceLock<&'static Histogram> = OnceLock::new();
+    M.get_or_init(|| metrics::histogram("adcld.checkpoint_lock_us"))
+}
+
+fn m_checkpoint_us() -> &'static Histogram {
+    static M: OnceLock<&'static Histogram> = OnceLock::new();
+    M.get_or_init(|| metrics::histogram("adcld.checkpoint_us"))
+}
 
 /// Largest message size a query may ask for (bounds slab allocation).
 pub const MAX_MSG_BYTES: usize = 16 * 1024 * 1024;
@@ -340,7 +384,7 @@ impl Service {
             let (tx, rx) = mpsc::channel();
             rxs.push(rx);
             self.counters.requests.fetch_add(1, Ordering::Relaxed);
-            metrics::counter("adcld.requests").inc();
+            m_requests().inc();
             let key = match self.validate(q) {
                 Ok(key) => key,
                 Err(e) => {
@@ -359,7 +403,7 @@ impl Service {
             }
             if let Some(e) = st.history.get(&key) {
                 self.counters.history_hits.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("adcld.history_hits").inc();
+                m_history_hits().inc();
                 let served = Served {
                     decision: Decision {
                         winner: e.winner.clone(),
@@ -374,7 +418,7 @@ impl Service {
             if let Some(waiters) = st.in_flight.get_mut(&key) {
                 waiters.push(tx);
                 self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("adcld.coalesced").inc();
+                m_coalesced().inc();
                 continue;
             }
             st.in_flight.insert(key.clone(), vec![tx]);
@@ -436,9 +480,9 @@ impl Service {
         self.counters
             .sweep_admissions
             .fetch_add(1, Ordering::Relaxed);
-        metrics::counter("adcld.sweep_admissions").inc();
+        m_sweep_admissions().inc();
         for (_, enqueued) in &batch {
-            metrics::histogram("adcld.queue_wait_us").record(enqueued.elapsed().as_micros() as u64);
+            m_queue_wait_us().record(enqueued.elapsed().as_micros() as u64);
         }
         if batch.len() == 1 {
             let (key, _) = batch.into_iter().next().expect("non-empty batch");
@@ -462,7 +506,7 @@ impl Service {
     fn timed_compute(&self, key: &HistoryKey) -> ServeResult {
         let t0 = Instant::now();
         let result = self.compute(key);
-        metrics::histogram("adcld.sweep_us").record(t0.elapsed().as_micros() as u64);
+        m_sweep_us().record(t0.elapsed().as_micros() as u64);
         result
     }
 
@@ -643,7 +687,7 @@ impl Service {
         let text = st.history.snapshot();
         let dirty = std::mem::take(&mut st.dirty);
         drop(st);
-        metrics::histogram("adcld.checkpoint_lock_us").record(locked.elapsed().as_micros() as u64);
+        m_checkpoint_lock_us().record(locked.elapsed().as_micros() as u64);
         let written = match HistoryStore::write_atomic(path, &text) {
             Ok(()) => true,
             Err(e) => {
@@ -654,7 +698,7 @@ impl Service {
                 false
             }
         };
-        metrics::histogram("adcld.checkpoint_us").record(started.elapsed().as_micros() as u64);
+        m_checkpoint_us().record(started.elapsed().as_micros() as u64);
         written
     }
 

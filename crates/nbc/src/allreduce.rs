@@ -7,7 +7,7 @@
 //! other rank's contribution.
 
 use crate::bcast::{build_bcast, tree_links, BcastAlgo};
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{Action, CollSpec, OpKind, Round, Schedule};
 use mpisim::RankId;
 
 /// The all-reduce algorithm.
@@ -168,17 +168,14 @@ fn build_reduce_bcast(rank: RankId, spec: &CollSpec, sched: &mut Schedule) {
     // but re-annotate its (segment-id) blocks.
     let all: Vec<u32> = (0..p as u32).collect();
     let bc = build_bcast(BcastAlgo::Binomial, bytes.max(1), rank, spec);
-    for round in bc.rounds {
-        let mut r2 = Round::new();
-        for a in round.0 {
-            match a.kind {
-                crate::schedule::ActionKind::Send { peer, .. } => {
-                    r2.0.push(Action::send(peer, a.bytes, all.clone()));
-                }
-                _ => r2.0.push(a),
-            }
-        }
-        sched.push_round(r2);
+    for round in bc.rounds() {
+        let r2 = round.iter().map(|op| match op.kind() {
+            OpKind::Send => Action::send(op.peer(), op.bytes(), all.clone()),
+            OpKind::Recv => Action::recv(op.peer(), op.bytes()),
+            OpKind::Copy => Action::copy(op.bytes()),
+            OpKind::Calc => Action::calc(op.bytes()),
+        });
+        sched.push_round(Round(r2.collect()));
     }
 }
 
@@ -236,9 +233,9 @@ mod tests {
         let spec = CollSpec::new(8, 8000);
         let s = build_allreduce(AllreduceAlgo::Ring, 0, &spec);
         // every send is one 1000-byte segment
-        for a in s.iter_actions() {
-            if let crate::schedule::ActionKind::Send { .. } = a.kind {
-                assert_eq!(a.bytes, 1000);
+        for op in s.ops() {
+            if op.kind() == OpKind::Send {
+                assert_eq!(op.bytes(), 1000);
             }
         }
     }

@@ -141,7 +141,7 @@ fn build_bruck(rank: RankId, p: usize, s: usize, sched: &mut Schedule) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::ActionKind;
+    use crate::schedule::OpKind;
 
     #[test]
     fn linear_is_single_round() {
@@ -159,18 +159,9 @@ mod tests {
         // copy round + p-1 exchange rounds
         assert_eq!(sched.num_rounds(), p);
         // each exchange round: exactly one send and one recv
-        for round in &sched.rounds[1..] {
-            let sends = round
-                .0
-                .iter()
-                .filter(|a| matches!(a.kind, ActionKind::Send { .. }))
-                .count();
-            let recvs = round
-                .0
-                .iter()
-                .filter(|a| matches!(a.kind, ActionKind::Recv { .. }))
-                .count();
-            assert_eq!((sends, recvs), (1, 1));
+        for round in sched.rounds().skip(1) {
+            let count = |kind| round.iter().filter(|op| op.kind() == kind).count();
+            assert_eq!((count(OpKind::Send), count(OpKind::Recv)), (1, 1));
         }
     }
 
@@ -179,12 +170,9 @@ mod tests {
         let p = 5;
         let sched = build_alltoall(AlltoallAlgo::Pairwise, 3, &CollSpec::new(p, 10));
         let mut partners = Vec::new();
-        for round in &sched.rounds[1..] {
-            for a in &round.0 {
-                if let ActionKind::Send { peer, .. } = &a.kind {
-                    partners.push(*peer);
-                }
-            }
+        for round in sched.rounds().skip(1) {
+            let sends = round.iter().filter(|op| op.kind() == OpKind::Send);
+            partners.extend(sends.map(|op| op.peer()));
         }
         partners.sort_unstable();
         partners.dedup();

@@ -88,7 +88,9 @@ fn get_or_build(key: Key, build: impl FnOnce() -> Schedule) -> Arc<Schedule> {
     // large scale, and two threads racing on the same key just means one
     // redundant build whose result loses the insert race below.
     c.misses.inc();
-    let built = Arc::new(build());
+    let mut built = build();
+    built.shrink_to_fit();
+    let built = Arc::new(built);
     Arc::clone(c.map().entry(key).or_insert(built))
 }
 

@@ -32,7 +32,7 @@
 //!   builds check the cursor's answer against a full rescan on every
 //!   visit.
 
-use crate::schedule::{ActionKind, Schedule};
+use crate::schedule::{OpKind, Schedule};
 use mpisim::{Payload, RankId, RecvHandle, SendHandle, Tag, World};
 use simcore::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -204,7 +204,7 @@ impl ScheduleExec {
 
     /// True once every round has been posted and completed.
     pub fn is_done(&self, w: &World, now: SimTime) -> bool {
-        self.started && self.next_round >= self.sched.rounds.len() && self.round_complete(w, now)
+        self.started && self.next_round >= self.sched.num_rounds() && self.round_complete(w, now)
     }
 
     /// True if `start` has been called.
@@ -270,7 +270,7 @@ impl ScheduleExec {
         self.round_retired = false;
         // Field-by-field borrows: the round is read out of `self.sched`
         // while its handles are pushed onto `self.sends`/`self.recvs`.
-        let round = &self.sched.rounds[self.next_round];
+        let round = self.sched.round(self.next_round);
         // The header stamp models the sender touching its buffer.
         let stamp = (((self.rank as u64) << 32) | self.next_round as u64).to_le_bytes();
         self.next_round += 1;
@@ -279,34 +279,35 @@ impl ScheduleExec {
         let comm = self.comm.as_deref();
         let global = |peer: RankId| comm.map_or(peer, |c| c[peer]);
         let mut t = now;
-        for a in &round.0 {
-            match &a.kind {
-                ActionKind::Send { peer, .. } => {
-                    let peer = global(*peer);
+        for op in round {
+            let bytes = op.bytes();
+            match op.kind() {
+                OpKind::Send => {
+                    let peer = global(op.peer());
                     t += w.o_send(rank, peer);
                     // The handle itself never affects simulated time.
-                    let payload = stage.then(|| fan_out(&mut self.staged, w, a.bytes, &stamp));
+                    let payload = stage.then(|| fan_out(&mut self.staged, w, bytes, &stamp));
                     if payload.is_some() && w.tracing() {
                         // Payload staged into the send buffer just before
                         // posting.
-                        let args = [("bytes", a.bytes as u64), ("", 0)];
+                        let args = [("bytes", bytes as u64), ("", 0)];
                         w.trace_instant(rank, "stage", "exec", t, args);
                     }
                     self.sends
-                        .push(w.isend_payload(rank, peer, tag, a.bytes, t, payload));
+                        .push(w.isend_payload(rank, peer, tag, bytes, t, payload));
                 }
-                ActionKind::Recv { peer } => {
-                    let peer = global(*peer);
+                OpKind::Recv => {
+                    let peer = global(op.peer());
                     t += w.o_recv(rank, peer);
-                    self.recvs.push(w.irecv(rank, peer, tag, a.bytes, t));
+                    self.recvs.push(w.irecv(rank, peer, tag, bytes, t));
                 }
-                ActionKind::Copy => {
-                    t += w.platform().intra.serialize(a.bytes);
+                OpKind::Copy => {
+                    t += w.platform().intra.serialize(bytes);
                 }
-                ActionKind::Calc => {
+                OpKind::Calc => {
                     // Reduction arithmetic: modelled as two passes over the
                     // data (load + combine/store).
-                    t += w.platform().intra.serialize(a.bytes).scale(2.0);
+                    t += w.platform().intra.serialize(bytes).scale(2.0);
                 }
             }
         }
@@ -326,7 +327,7 @@ impl ScheduleExec {
     pub fn start(&mut self, w: &mut World, now: SimTime) -> SimTime {
         assert!(!self.started, "schedule started twice");
         self.started = true;
-        if self.sched.rounds.is_empty() {
+        if self.sched.num_rounds() == 0 {
             return SimTime::ZERO;
         }
         self.post_round(w, now)
@@ -370,7 +371,7 @@ impl ScheduleExec {
                 return (cost, false);
             }
             self.retire_round(w);
-            if self.next_round >= self.sched.rounds.len() {
+            if self.next_round >= self.sched.num_rounds() {
                 return (cost, true);
             }
             cost += self.post_round(w, t);
@@ -638,7 +639,7 @@ mod tests {
         let p = 16;
         let spec = CollSpec::new(p, 128 * 1024);
         let build = |r: usize| build_alltoall(AlltoallAlgo::Pairwise, r, &spec);
-        assert!(build(1).rounds.len() >= p - 1);
+        assert!(build(1).num_rounds() >= p - 1);
         let (_, w) = run_collective_world(Platform::whale(), p, PayloadMode::Pooled, None, build);
         assert!(
             w.msg_slots_max() <= 6,
@@ -748,9 +749,9 @@ mod tests {
         fn step(&mut self, w: &mut World, r: RankId) -> Step {
             let now = w.rank_now(r);
             if let Some(exec) = self.inner.execs[r].as_ref().filter(|e| !e.round_retired) {
-                assert_eq!(exec.sched.rounds.len(), 1, "probe expects one round");
-                let recvs = exec.sched.rounds[0].0.iter().filter_map(|a| match a.kind {
-                    ActionKind::Recv { peer } => Some((peer, a.bytes)),
+                assert_eq!(exec.sched.num_rounds(), 1, "probe expects one round");
+                let recvs = exec.sched.round(0).iter().filter_map(|op| match op.kind() {
+                    OpKind::Recv => Some((op.peer(), op.bytes())),
                     _ => None,
                 });
                 for (&h, (peer, bytes)) in exec.recvs.iter().zip(recvs) {

@@ -51,4 +51,4 @@ pub use executor::{
 };
 pub use gather::GatherAlgo;
 pub use neighbor::{Cart2d, NeighborAlgo};
-pub use schedule::{Action, ActionKind, CollSpec, Round, Schedule};
+pub use schedule::{Action, CollSpec, Op, OpKind, Round, Schedule};

@@ -15,7 +15,7 @@
 //! to it; the root combined or gathered every contribution; every rank
 //! combined every contribution).
 
-use crate::schedule::{ActionKind, Schedule};
+use crate::schedule::{OpKind, Schedule};
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Result of a logical execution: the set of blocks each rank received.
@@ -47,24 +47,26 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
         held: &[HashSet<u32>],
         chans: &mut Channels<'s>,
     ) -> Result<(), String> {
-        let Some(rd) = scheds[r].rounds.get(round[r]) else {
+        let s = &scheds[r];
+        if round[r] >= s.num_rounds() {
             return Ok(());
-        };
-        for a in &rd.0 {
-            if let ActionKind::Send { peer, blocks } = &a.kind {
-                for b in blocks {
-                    if !held[r].contains(b) {
-                        return Err(format!(
-                            "rank {r} round {}: sends block {b} it does not hold",
-                            round[r]
-                        ));
-                    }
-                }
-                chans
-                    .entry((r, *peer))
-                    .or_default()
-                    .push_back((a.bytes, blocks.as_slice()));
+        }
+        for (op, blocks) in s.round(round[r]).iter().zip(s.round_blocks(round[r])) {
+            if op.kind() != OpKind::Send {
+                continue;
             }
+            for b in blocks {
+                if !held[r].contains(b) {
+                    return Err(format!(
+                        "rank {r} round {}: sends block {b} it does not hold",
+                        round[r]
+                    ));
+                }
+            }
+            chans
+                .entry((r, op.peer()))
+                .or_default()
+                .push_back((op.bytes(), blocks));
         }
         Ok(())
     }
@@ -73,7 +75,7 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
         let mut progressed = false;
         for r in 0..p {
             loop {
-                if round[r] >= scheds[r].rounds.len() {
+                if round[r] >= scheds[r].num_rounds() {
                     break;
                 }
                 if !entered[r] {
@@ -82,12 +84,13 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
                     progressed = true;
                 }
                 // Can the current round's receives all be satisfied?
-                let rd = &scheds[r].rounds[round[r]];
+                let recvs = || {
+                    let ops = scheds[r].round(round[r]).iter();
+                    ops.filter(|op| op.kind() == OpKind::Recv)
+                };
                 let mut needed: HashMap<usize, usize> = HashMap::new();
-                for a in &rd.0 {
-                    if let ActionKind::Recv { peer } = &a.kind {
-                        *needed.entry(*peer).or_default() += 1;
-                    }
+                for op in recvs() {
+                    *needed.entry(op.peer()).or_default() += 1;
                 }
                 let ready = needed
                     .iter()
@@ -96,20 +99,20 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
                     break;
                 }
                 // Pop the receives in action order, checking sizes.
-                for a in &rd.0 {
-                    if let ActionKind::Recv { peer } = &a.kind {
-                        let q = chans.get_mut(&(*peer, r)).expect("checked above");
-                        let (bytes, blocks) = q.pop_front().expect("checked above");
-                        if bytes != a.bytes {
-                            return Err(format!(
-                                "rank {r} round {}: recv expects {} B from {peer}, got {bytes} B",
-                                round[r], a.bytes
-                            ));
-                        }
-                        for &b in blocks {
-                            held[r].insert(b);
-                            received[r].insert(b);
-                        }
+                for op in recvs() {
+                    let peer = op.peer();
+                    let q = chans.get_mut(&(peer, r)).expect("checked above");
+                    let (bytes, blocks) = q.pop_front().expect("checked above");
+                    if bytes != op.bytes() {
+                        return Err(format!(
+                            "rank {r} round {}: recv expects {} B from {peer}, got {bytes} B",
+                            round[r],
+                            op.bytes()
+                        ));
+                    }
+                    for &b in blocks {
+                        held[r].insert(b);
+                        received[r].insert(b);
                     }
                 }
                 round[r] += 1;
@@ -117,13 +120,13 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
                 progressed = true;
             }
         }
-        let all_done = (0..p).all(|r| round[r] >= scheds[r].rounds.len());
+        let all_done = (0..p).all(|r| round[r] >= scheds[r].num_rounds());
         if all_done {
             break;
         }
         if !progressed {
             let stuck: Vec<usize> = (0..p)
-                .filter(|&r| round[r] < scheds[r].rounds.len())
+                .filter(|&r| round[r] < scheds[r].num_rounds())
                 .collect();
             return Err(format!("logical deadlock; stuck ranks {stuck:?}"));
         }
@@ -273,7 +276,7 @@ mod tests {
     use crate::bcast::{build_bcast, BcastAlgo};
     use crate::gather::{build_gather, build_scatter, GatherAlgo};
     use crate::reduce::{build_reduce, ReduceAlgo};
-    use crate::schedule::{Action, CollSpec, Round, Schedule};
+    use crate::schedule::{Action, CollSpec, Op, Round, Schedule};
 
     const SIZES: &[usize] = &[2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33, 64];
 
@@ -434,18 +437,16 @@ mod tests {
     /// send and its receive), so the exchange stays consistent and only the
     /// postcondition can notice the missing blocks.
     fn drop_message(mut scheds: Vec<Schedule>, src: usize, dst: usize) -> Vec<Schedule> {
-        let to_dst = |k: &ActionKind| matches!(k, ActionKind::Send { peer, .. } if *peer == dst);
-        let from_src = |k: &ActionKind| matches!(k, ActionKind::Recv { peer } if *peer == src);
+        let to_dst = |op: &Op| op.kind() == OpKind::Send && op.peer() == dst;
+        let from_src = |op: &Op| op.kind() == OpKind::Recv && op.peer() == src;
         remove_first(&mut scheds[src], to_dst);
         remove_first(&mut scheds[dst], from_src);
         scheds
     }
 
-    fn remove_first(s: &mut Schedule, hit: impl Fn(&ActionKind) -> bool) {
-        let (round, i) = (s.rounds.iter_mut())
-            .find_map(|rd| rd.0.iter().position(|a| hit(&a.kind)).map(|i| (rd, i)))
-            .expect("no such action");
-        round.0.remove(i);
+    fn remove_first(s: &mut Schedule, hit: impl Fn(&Op) -> bool) {
+        let j = s.ops().iter().position(hit).expect("no such action");
+        s.remove_op(j);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification pass: formatting, lints, build, tests, the release-mode
 # mpisim allocation/golden-digest tests, a tiny run of the benchmark/ ledger,
-# the smoke-sized figure suite (serial vs parallel, memo replay, tracing and
+# a byte-compare of every committed results/*.txt against a fresh default-size
+# regeneration, the smoke-sized figure suite (serial vs parallel, memo replay, tracing and
 # NBC_FAULTS=off must all be byte-identical; payloads on/off is the tier-1
 # test `payload_modes_produce_byte_identical_tables`), the guideline gates
 # and the adcld smoke / open-loop / NBC_RACING=off / admission gates.
@@ -45,6 +46,24 @@ cargo test --release -q -p mpisim --test alloc_free --test golden_digest
 
 echo "== ledger: benchmark/ must build and run against this tree (tiny sizes)"
 bash benchmark/run.sh --check
+
+echo "== results: every committed results/*.txt must regenerate byte-identical (--jobs 2)"
+# The figures are what this repository reproduces. A change that moves a
+# byte of one must regenerate and commit it; one that claims to move none
+# is held to that here. About 190 s on a 2-CPU host.
+regen_dir=$(mktemp -d)
+for file in results/*.txt; do
+    name=$(basename "$file" .txt)
+    ./target/release/"$name" --jobs 2 >"$regen_dir/$name.txt"
+    if ! cmp -s "$file" "$regen_dir/$name.txt"; then
+        echo "FAIL: $file differs from a fresh ./target/release/$name --jobs 2" >&2
+        diff "$file" "$regen_dir/$name.txt" >&2 || true
+        rm -rf "$regen_dir"
+        exit 1
+    fi
+done
+rm -rf "$regen_dir"
+echo "   $(ls results/*.txt | wc -l) files byte-identical"
 
 echo "== quick figure suite: --jobs 1 vs --jobs 8 must be byte-identical"
 for bin in table_verification_stats table_fft_stats; do
