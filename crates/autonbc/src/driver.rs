@@ -417,21 +417,11 @@ impl MicrobenchSpec {
         (out, replayed)
     }
 
-    /// Pre-build (intern) every schedule this spec's runs will need, so
-    /// schedule construction happens before any timed region instead of
-    /// inside the first measured iteration. All default function-sets
-    /// route their builders through the global schedule cache
-    /// (`nbc::cache`), so calling each builder for each rank both interns
-    /// the schedule globally.
-    pub fn prebuild_schedules(&self) {
-        let fnset = self.op.fnset(self.coll_spec());
-        let coll = self.coll_spec();
-        for f in &fnset.functions {
-            for rank in 0..self.nprocs {
-                let _ = (f.builder)(rank, &coll);
-            }
-        }
-    }
+    /// Does nothing. Schedules belong to the tuning session that runs them
+    /// (`adcl::runner::TunedOp` builds each on its first start and frees it
+    /// with the session), so there is nothing to build ahead of a run. Kept
+    /// only for callers written when a process-wide cache was warmed here.
+    pub fn prebuild_schedules(&self) {}
 
     /// Order-of-magnitude estimate of one run's wall-clock cost in
     /// nanoseconds, for the serial-cutoff heuristic
@@ -451,30 +441,22 @@ impl MicrobenchSpec {
     }
 
     /// Untimed sweep pre-warm on the calling thread: lease-and-release a
-    /// world for each distinct shape in `specs` and pre-build the
-    /// schedules of the shape's largest message. After this, the caller's
+    /// world for each distinct shape in `specs`. After this, the caller's
     /// share of a timed sweep over `specs` constructs no worlds. A sweep's
     /// helper threads live for that sweep only, so there is nothing to
     /// warm on them in advance; `jobs` is accepted for callers built
     /// against the earlier signature and does not change what is warmed.
     pub fn prewarm_sweep(_jobs: usize, specs: &[MicrobenchSpec]) {
-        // Distinct world shapes, each with its largest message.
         let mut shapes: Vec<&MicrobenchSpec> = Vec::new();
         for s in specs {
-            match shapes.iter_mut().find(|p| {
+            if !shapes.iter().any(|p| {
                 p.nprocs == s.nprocs && p.placement == s.placement && p.platform == s.platform
             }) {
-                Some(p) => {
-                    if s.msg_bytes > p.msg_bytes {
-                        *p = s;
-                    }
-                }
-                None => shapes.push(s),
+                shapes.push(s);
             }
         }
         for s in &shapes {
             mpisim::worldpool::with_world(&s.platform, s.nprocs, s.placement, s.noise, |_| ());
-            s.prebuild_schedules();
         }
     }
 

@@ -20,28 +20,25 @@
 
 use crate::attr::AttributeSet;
 use mpisim::RankId;
-use nbc::allgather::AllgatherAlgo;
-use nbc::allreduce::AllreduceAlgo;
-use nbc::alltoall::AlltoallAlgo;
-use nbc::bcast::BcastAlgo;
-use nbc::cache;
-use nbc::gather::GatherAlgo;
-use nbc::neighbor::{Cart2d, NeighborAlgo};
-use nbc::reduce::ReduceAlgo;
+use nbc::allgather::{build_allgather, AllgatherAlgo};
+use nbc::allreduce::{build_allreduce, AllreduceAlgo};
+use nbc::alltoall::{build_alltoall, AlltoallAlgo};
+use nbc::bcast::{build_bcast, BcastAlgo};
+use nbc::gather::{build_gather, build_scatter, GatherAlgo};
+use nbc::neighbor::{build_neighbor, Cart2d, NeighborAlgo};
+use nbc::reduce::{build_reduce, ReduceAlgo};
 use nbc::schedule::{CollSpec, Schedule};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Attribute value encoding the binomial ("N") fan-out.
 pub const FANOUT_BINOMIAL: i64 = 99;
 
-/// Builds the per-rank schedule of one implementation. Returns a shared
-/// `Arc<Schedule>`: the default function-sets route through the global
-/// schedule cache ([`nbc::cache`]), so repeated builds of the same shape
-/// (every iteration of every rank of every simulated run) are pointer
-/// copies of one interned schedule.
-pub type ScheduleBuilder = Rc<dyn Fn(RankId, &CollSpec) -> Arc<Schedule>>;
+/// Builds the per-rank schedule of one implementation. Every call is a
+/// fresh build: the operation that runs the schedule
+/// ([`crate::runner::TunedOp`]) calls the builder once per rank on its
+/// first start, stores the result and shares it with every later start.
+pub type ScheduleBuilder = Rc<dyn Fn(RankId, &CollSpec) -> Schedule>;
 
 /// One implementation of a collective operation.
 #[derive(Clone)]
@@ -119,7 +116,7 @@ impl FunctionSet {
                     name: format!("{}-seg{}k", algo.name(), seg_kib),
                     attrs: vec![fanout, seg as i64],
                     blocking: false,
-                    builder: Rc::new(move |rank, spec| cache::cached_bcast(algo, seg, rank, spec)),
+                    builder: Rc::new(move |rank, spec| build_bcast(algo, seg, rank, spec)),
                 });
             }
         }
@@ -141,7 +138,7 @@ impl FunctionSet {
                 name: algo.name().to_string(),
                 attrs: vec![i as i64],
                 blocking: false,
-                builder: Rc::new(move |rank, spec| cache::cached_alltoall(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_alltoall(algo, rank, spec)),
             })
             .collect();
         FunctionSet {
@@ -169,7 +166,7 @@ impl FunctionSet {
                 name: format!("{}-blocking", algo.name()),
                 attrs: vec![i as i64, 1],
                 blocking: true,
-                builder: Rc::new(move |rank, spec| cache::cached_alltoall(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_alltoall(algo, rank, spec)),
             })
             .collect();
         set.functions.extend(blocking);
@@ -185,7 +182,7 @@ impl FunctionSet {
                 name: algo.name().to_string(),
                 attrs: vec![i as i64],
                 blocking: false,
-                builder: Rc::new(move |rank, spec| cache::cached_allgather(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_allgather(algo, rank, spec)),
             })
             .collect();
         FunctionSet {
@@ -205,7 +202,7 @@ impl FunctionSet {
                 name: algo.name().to_string(),
                 attrs: vec![i as i64],
                 blocking: false,
-                builder: Rc::new(move |rank, spec| cache::cached_reduce(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_reduce(algo, rank, spec)),
             })
             .collect();
         FunctionSet {
@@ -226,7 +223,7 @@ impl FunctionSet {
                 name: algo.name().to_string(),
                 attrs: vec![i as i64],
                 blocking: false,
-                builder: Rc::new(move |rank, spec| cache::cached_allreduce(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_allreduce(algo, rank, spec)),
             })
             .collect();
         FunctionSet {
@@ -246,7 +243,7 @@ impl FunctionSet {
                 name: algo.name().to_string(),
                 attrs: vec![i as i64],
                 blocking: false,
-                builder: Rc::new(move |rank, spec| cache::cached_gather(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_gather(algo, rank, spec)),
             })
             .collect();
         FunctionSet {
@@ -266,7 +263,7 @@ impl FunctionSet {
                 name: algo.name().to_string(),
                 attrs: vec![i as i64],
                 blocking: false,
-                builder: Rc::new(move |rank, spec| cache::cached_scatter(algo, rank, spec)),
+                builder: Rc::new(move |rank, spec| build_scatter(algo, rank, spec)),
             })
             .collect();
         FunctionSet {
@@ -294,7 +291,7 @@ impl FunctionSet {
                 attrs: vec![i as i64],
                 blocking: false,
                 builder: Rc::new(move |rank, spec| {
-                    cache::cached_neighbor(algo, grid, rank, spec.msg_bytes)
+                    build_neighbor(algo, grid, rank, spec.msg_bytes)
                 }),
             })
             .collect();

@@ -48,11 +48,11 @@ use crate::simmemo;
 use crate::strategy::SelectionLogic;
 use crate::tuner::TunerConfig;
 use mpisim::NoiseConfig;
-use nbc::allgather::AllgatherAlgo;
-use nbc::bcast::BcastAlgo;
-use nbc::cache;
-use nbc::gather::GatherAlgo;
-use nbc::reduce::ReduceAlgo;
+use nbc::allgather::{build_allgather, AllgatherAlgo};
+use nbc::barrier::build_barrier;
+use nbc::bcast::{build_bcast, BcastAlgo};
+use nbc::gather::{build_gather, build_scatter, GatherAlgo};
+use nbc::reduce::{build_reduce, ReduceAlgo};
 use nbc::schedule::{sequence, CollSpec};
 use netmodel::{Placement, Platform};
 use simcore::{metrics, trace, SimTime};
@@ -190,7 +190,7 @@ fn ibarrier_set(nprocs: usize) -> FunctionSet {
             name: "dissemination".into(),
             attrs: vec![0],
             blocking: false,
-            builder: Rc::new(cache::cached_barrier),
+            builder: Rc::new(build_barrier),
         }],
         spec: CollSpec::new(nprocs, 1),
     }
@@ -213,10 +213,10 @@ fn mock_bcast_set(spec: CollSpec) -> FunctionSet {
                         msg_bytes: per_rank_block(spec.msg_bytes, spec.nprocs),
                         root: spec.root,
                     };
-                    Arc::new(sequence(&[
-                        &cache::cached_scatter(s_algo, rank, &sub),
-                        &cache::cached_allgather(a_algo, rank, &sub),
-                    ]))
+                    sequence(&[
+                        &build_scatter(s_algo, rank, &sub),
+                        &build_allgather(a_algo, rank, &sub),
+                    ])
                 }),
             });
         }
@@ -239,10 +239,10 @@ fn mock_allreduce_set(spec: CollSpec) -> FunctionSet {
             attrs: vec![i as i64],
             blocking: false,
             builder: Rc::new(move |rank, spec: &CollSpec| {
-                Arc::new(sequence(&[
-                    &cache::cached_reduce(r_algo, rank, spec),
-                    &cache::cached_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, spec),
-                ]))
+                sequence(&[
+                    &build_reduce(r_algo, rank, spec),
+                    &build_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, spec),
+                ])
             }),
         })
         .collect();
@@ -283,10 +283,10 @@ fn mock_allgather_set(spec: CollSpec) -> FunctionSet {
                     msg_bytes: spec.msg_bytes * spec.nprocs,
                     root: spec.root,
                 };
-                Arc::new(sequence(&[
-                    &cache::cached_gather(g_algo, rank, spec),
-                    &cache::cached_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, &bcast_spec),
-                ]))
+                sequence(&[
+                    &build_gather(g_algo, rank, spec),
+                    &build_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, &bcast_spec),
+                ])
             }),
         })
         .collect();

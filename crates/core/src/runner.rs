@@ -24,7 +24,11 @@ use crate::timer::Timer;
 use crate::tuner::{Tuner, TunerConfig};
 use mpisim::{RankBehavior, RankId, Step, Tag, World};
 use nbc::executor::ScheduleExec;
+use nbc::schedule::Schedule;
+use simcore::metrics::{self, Counter};
 use simcore::SimTime;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// One instruction of an application script.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,6 +56,12 @@ pub trait Script {
 
 /// A persistent, tuned collective operation (the ADCL request plus its
 /// selection state).
+///
+/// Like the paper's request it owns its schedules: the first start of a
+/// function on a rank builds that rank's schedule, and every later start
+/// shares it. They are freed with the op, so a finished session keeps
+/// none. Builds count as `nbc.cache.misses` and reuses as
+/// `nbc.cache.hits`.
 pub struct TunedOp {
     /// Operation name for reports.
     pub name: String,
@@ -64,9 +74,14 @@ pub struct TunedOp {
     pub timer: Option<usize>,
     /// Sub-communicator (global ranks, in local-rank order); `None` means
     /// the world communicator.
-    pub comm: Option<std::rc::Rc<Vec<RankId>>>,
+    comm: Option<Rc<Vec<RankId>>>,
     base_tag: u64,
     per_rank: Vec<RankOpState>,
+    /// Schedule of function `f` on communicator-local rank `r` at
+    /// `f * fnset.spec.nprocs + r`, built on its first start.
+    schedules: Vec<Option<Arc<Schedule>>>,
+    hits: &'static Counter,
+    misses: &'static Counter,
 }
 
 struct RankOpState {
@@ -77,6 +92,8 @@ struct RankOpState {
     instance_count: u64,
     /// Iteration counter used when the op has no timer.
     own_iter: usize,
+    /// This rank's communicator-local rank; `None` off the communicator.
+    local: Option<RankId>,
 }
 
 struct Instance {
@@ -95,19 +112,49 @@ impl TunedOp {
     fn new(name: &str, fnset: FunctionSet, tuner: Tuner, base_tag: u64, nranks: usize) -> TunedOp {
         TunedOp {
             name: name.to_string(),
-            fnset,
             tuner,
             timer: None,
             comm: None,
             base_tag,
             per_rank: (0..nranks)
-                .map(|_| RankOpState {
+                .map(|rank| RankOpState {
                     instances: Vec::new(),
                     instance_count: 0,
                     own_iter: 0,
+                    local: Some(rank),
                 })
                 .collect(),
+            schedules: vec![None; fnset.len() * fnset.spec.nprocs],
+            fnset,
+            hits: metrics::counter("nbc.cache.hits"),
+            misses: metrics::counter("nbc.cache.misses"),
         }
+    }
+
+    /// Run the op on sub-communicator `comm` (global ranks, in local-rank
+    /// order) instead of the world.
+    fn set_comm(&mut self, comm: Vec<RankId>) {
+        for st in &mut self.per_rank {
+            st.local = None;
+        }
+        for (local, &rank) in comm.iter().enumerate() {
+            self.per_rank[rank].local = Some(local);
+        }
+        self.comm = Some(Rc::new(comm));
+    }
+
+    /// The schedule of function `f` on communicator-local rank `local`:
+    /// built (and shrunk) on the first call, shared by every later one.
+    pub fn schedule(&mut self, f: usize, local: RankId) -> Arc<Schedule> {
+        let slot = &mut self.schedules[f * self.fnset.spec.nprocs + local];
+        if let Some(sched) = slot {
+            self.hits.inc();
+            return Arc::clone(sched);
+        }
+        self.misses.inc();
+        let mut built = (self.fnset.functions[f].builder)(local, &self.fnset.spec);
+        built.shrink_to_fit();
+        Arc::clone(slot.insert(Arc::new(built)))
     }
 
     /// Start one instance. `iter` is the tuning iteration; `active` says
@@ -126,16 +173,12 @@ impl TunedOp {
         } else {
             self.tuner.frozen_for_iter(iter)
         };
-        let func = &self.fnset.functions[f_idx];
         // Schedules are built against communicator-local ranks.
-        let local = match &self.comm {
-            Some(c) => c
-                .iter()
-                .position(|&g| g == rank)
-                .unwrap_or_else(|| panic!("op {}: rank {rank} not in communicator", self.name)),
-            None => rank,
-        };
-        let sched = (func.builder)(local, &self.fnset.spec);
+        let local = self.per_rank[rank]
+            .local
+            .unwrap_or_else(|| panic!("op {}: rank {rank} not in communicator", self.name));
+        let sched = self.schedule(f_idx, local);
+        let blocking = self.fnset.functions[f_idx].blocking;
         let st = &mut self.per_rank[rank];
         let tag = Tag((self.base_tag << 40) | st.instance_count);
         st.instance_count += 1;
@@ -146,7 +189,6 @@ impl TunedOp {
         };
         let now = w.rank_now(rank);
         let cost = exec.start(w, now);
-        let blocking = func.blocking;
         match st.find(slot) {
             Ok(_) => panic!("op {}: slot {slot} already in use", self.name),
             Err(at) => st.instances.insert(at, Instance { slot, exec }),
@@ -272,7 +314,7 @@ impl TuningSession {
             "communicator rank out of range"
         );
         let id = self.add_op(name, fnset, cfg);
-        self.ops[id].comm = Some(std::rc::Rc::new(comm));
+        self.ops[id].set_comm(comm);
         id
     }
 

@@ -95,9 +95,8 @@ pub struct ScheduleExec {
     /// ranks. `None` means the schedule already uses global ranks.
     comm: Option<std::rc::Rc<Vec<RankId>>>,
     tag: Tag,
-    /// The schedule, shared: the same built schedule is reused across
-    /// ranks, iterations and (via `nbc::cache`) whole sweeps without
-    /// copying any rounds.
+    /// The schedule, shared: the operation that owns it starts it again
+    /// on every iteration without copying any rounds.
     sched: Arc<Schedule>,
     /// Index of the next round to post.
     next_round: usize,
@@ -127,8 +126,8 @@ pub struct ScheduleExec {
 
 impl ScheduleExec {
     /// Wrap a schedule for execution by `rank` using `tag`. Accepts either
-    /// an owned `Schedule` or a shared `Arc<Schedule>` (e.g. from the
-    /// schedule cache).
+    /// an owned `Schedule` or a shared `Arc<Schedule>` (e.g. one an
+    /// operation stored on its first start).
     pub fn new(rank: RankId, tag: Tag, sched: impl Into<Arc<Schedule>>) -> Self {
         ScheduleExec {
             rank,

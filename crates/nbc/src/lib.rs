@@ -21,10 +21,7 @@
 //!   its collective and is deadlock-free,
 //! * the simulator executor ([`executor`]) that runs a schedule against a
 //!   [`mpisim::World`], enforcing the round-barrier/progress semantics that
-//!   make non-blocking collectives hard to overlap,
-//! * a global schedule cache ([`cache`]) interning built schedules as
-//!   `Arc<Schedule>` so identical shapes are constructed once and shared
-//!   across ranks, iterations and sweep worker threads.
+//!   make non-blocking collectives hard to overlap.
 
 #![forbid(unsafe_code)]
 
@@ -33,7 +30,6 @@ pub mod allreduce;
 pub mod alltoall;
 pub mod barrier;
 pub mod bcast;
-pub mod cache;
 pub mod executor;
 pub mod gather;
 pub mod neighbor;

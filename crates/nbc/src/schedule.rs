@@ -172,8 +172,8 @@ impl Schedule {
     }
 
     /// Release the spare capacity the builder's pushes left behind, before
-    /// the schedule is interned for the life of the process.
-    pub(crate) fn shrink_to_fit(&mut self) {
+    /// the schedule is stored for the life of the operation that runs it.
+    pub fn shrink_to_fit(&mut self) {
         self.ops.shrink_to_fit();
         self.round_ends.shrink_to_fit();
         self.blocks.shrink_to_fit();

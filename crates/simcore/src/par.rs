@@ -190,7 +190,7 @@ pub fn pool_sweeps() -> u64 {
     SPAWNED_SWEEPS.load(Ordering::Relaxed)
 }
 
-/// Does nothing. The schedule cache and the run memo count every hit and
+/// Does nothing. Schedule tables and the run memo count every hit and
 /// miss on the spot, so there is nothing left to flush at a sweep
 /// boundary; the function stays for callers built against it.
 pub fn run_sweep_flush_hooks() {}

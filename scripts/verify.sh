@@ -6,8 +6,9 @@
 # NBC_FAULTS=off must all be byte-identical; payloads on/off is the tier-1
 # test `payload_modes_produce_byte_identical_tables`), the guideline gates
 # and the adcld smoke / open-loop / NBC_RACING=off / admission gates.
-# Nothing here times the engine: a speed regression is what
-# `benchmark/run.sh compare A.json B.json` is for.
+# Nothing here gates on time: the results step only prints each figure
+# binary's wall time, so a slowdown shows in the log. A speed regression is
+# what `benchmark/run.sh compare A.json B.json` is for.
 #
 # Usage: scripts/verify.sh [--guidelines]
 #   --guidelines  also run the FULL guideline sweep twice and require the
@@ -51,10 +52,15 @@ echo "== results: every committed results/*.txt must regenerate byte-identical (
 # The figures are what this repository reproduces. A change that moves a
 # byte of one must regenerate and commit it; one that claims to move none
 # is held to that here. About 190 s on a 2-CPU host.
+# Seconds since a `date +%s%N` stamp, to two decimals.
+since() { awk -v a="$1" -v b="$(date +%s%N)" 'BEGIN { printf "%.2f", (b - a) / 1e9 }'; }
 regen_dir=$(mktemp -d)
+regen_start=$(date +%s%N)
 for file in results/*.txt; do
     name=$(basename "$file" .txt)
+    start=$(date +%s%N)
     ./target/release/"$name" --jobs 2 >"$regen_dir/$name.txt"
+    echo "   $name: $(since "$start") s"
     if ! cmp -s "$file" "$regen_dir/$name.txt"; then
         echo "FAIL: $file differs from a fresh ./target/release/$name --jobs 2" >&2
         diff "$file" "$regen_dir/$name.txt" >&2 || true
@@ -63,7 +69,7 @@ for file in results/*.txt; do
     fi
 done
 rm -rf "$regen_dir"
-echo "   $(ls results/*.txt | wc -l) files byte-identical"
+echo "   $(ls results/*.txt | wc -l) files byte-identical, $(since "$regen_start") s in all"
 
 echo "== quick figure suite: --jobs 1 vs --jobs 8 must be byte-identical"
 for bin in table_verification_stats table_fft_stats; do

@@ -1,11 +1,12 @@
 //! Integration tests for the parallel sweep engine: sweeps executed on
 //! worker threads produce bit-identical results to the serial baseline,
-//! and the global schedule cache never changes simulated outcomes.
+//! and the schedules a session stores never change simulated outcomes.
 
+use autonbc::adcl::runner::TuningSession;
+use autonbc::adcl::tuner::TunerConfig;
 use autonbc::driver::{CollectiveOp, MicrobenchSpec};
 use autonbc::prelude::*;
 use nbc::bcast::{build_bcast, BcastAlgo};
-use nbc::cache;
 use nbc::schedule::CollSpec;
 use std::sync::{Mutex, MutexGuard};
 
@@ -87,32 +88,37 @@ fn par_map_merges_in_input_order() {
 
 #[test]
 fn schedule_cache_matches_fresh_builds_end_to_end() {
-    // The runtime routes every builder through the cache; a cached
-    // schedule must render identically to a fresh build for shapes the
-    // microbenchmark actually uses.
+    // A session stores each schedule on its first start and shares it
+    // with every later one; a stored schedule must render identically to
+    // a fresh build for shapes the microbenchmark actually uses.
     let _g = reg_lock();
     let s = spec(CollectiveOp::Ibcast, 256 * 1024);
-    let _ = s.run(SelectionLogic::Fixed(0));
-    let coll = CollSpec::new(s.nprocs, s.msg_bytes);
+    let coll = s.coll_spec();
+    let mut session = TuningSession::new(s.nprocs);
+    let op = session.add_op("ibcast", s.op.fnset(coll), TunerConfig::default());
+    let op = &mut session.ops[op];
+    let mut f = 0;
     for algo in BcastAlgo::all() {
         for seg in [32 * 1024, 64 * 1024, 128 * 1024] {
             for rank in 0..s.nprocs {
-                let cached = cache::cached_bcast(algo, seg, rank, &coll);
+                let stored = op.schedule(f, rank);
                 let fresh = build_bcast(algo, seg, rank, &coll);
                 assert_eq!(
-                    cached.render(),
+                    stored.render(),
                     fresh.render(),
                     "{algo:?} seg={seg} rank={rank}"
                 );
+                assert!(std::sync::Arc::ptr_eq(&stored, &op.schedule(f, rank)));
             }
+            f += 1;
         }
     }
 }
 
 #[test]
 fn cached_run_equals_cold_run() {
-    // A run against a warm cache must time out identically to the first
-    // (cache-cold) run of the same scenario.
+    // A second run of a scenario (its world reused from the pool) must
+    // time out identically to the first.
     let _g = reg_lock();
     let s = spec(CollectiveOp::Iallreduce, 16 * 1024);
     let cold = s.run(SelectionLogic::BruteForce);
@@ -242,10 +248,9 @@ fn digest64(totals: &[u64]) -> u64 {
 }
 
 #[test]
-fn schedule_cache_jobs_invariant_after_clear() {
-    // Clearing the schedule cache between sweeps makes every sweep rebuild
-    // its schedules, racing builders included: the sweep results must stay
-    // byte-identical at every jobs value regardless.
+fn session_schedules_jobs_invariant() {
+    // Every run builds its own schedules on whichever thread runs it: the
+    // sweep results must stay byte-identical at every jobs value.
     let _g = reg_lock();
     adcl::simmemo::set_enabled(false);
     let points = metrics_probe_points();
@@ -253,7 +258,6 @@ fn schedule_cache_jobs_invariant_after_clear() {
         .fnset(CollSpec::new(8, 128 * 1024))
         .len();
     let sweep_digest = |jobs: usize| -> u64 {
-        cache::clear();
         let totals = simcore::par::par_map(jobs, &points, |i, s| {
             s.run(SelectionLogic::Fixed(i % nfuncs)).total.to_bits()
         });
@@ -313,23 +317,27 @@ fn cache_and_memo_counts_are_exact_without_a_flush() {
     // sweep boundary or flush is needed before a reading is exact.
     let _g = reg_lock();
     adcl::simmemo::set_enabled(true);
-    let spec = CollSpec::new(29, 4321);
+    let mut s = spec(CollectiveOp::Ialltoall, 1024);
+    s.iters = 5;
     let key = "integration_par/exact-counts";
     adcl::simmemo::clear();
     let scope = simcore::metrics::Scope::begin();
+    // One fixed-logic session: every rank builds its schedule on the first
+    // of `iters` starts and reuses it on the rest.
+    let _ = s.run(SelectionLogic::Fixed(1));
     for _ in 0..2 {
-        cache::cached_barrier(5, &spec);
         adcl::simmemo::get_or_run(key, || 7u64);
     }
     let d = scope.delta();
     adcl::simmemo::clear_enabled_override();
     let get = |name: &str| d.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
+    let (p, starts) = (s.nprocs as u64, (s.nprocs * s.iters) as u64);
     assert_eq!(
         (
             (get("nbc.cache.hits"), get("nbc.cache.misses")),
             (get("adcl.simmemo.hits"), get("adcl.simmemo.misses")),
         ),
-        ((1, 1), (1, 1))
+        ((starts - p, p), (1, 1))
     );
 }
 
@@ -392,11 +400,10 @@ fn half_memoized_sweep_is_jobs_invariant() {
 
 #[test]
 fn concurrent_sweeps_share_caches_without_corruption() {
-    // Stress the shared caches through the full driver:
-    // eight OS threads race identical sweeps against a cold schedule cache.
+    // Stress the shared state through the full driver: eight OS threads
+    // race identical sweeps, each building its own sessions' schedules.
     // Every thread must see the same results as an uncontended reference
-    // run — lost inserts or cross-thread corruption would perturb some
-    // thread's totals.
+    // run — cross-thread corruption would perturb some thread's totals.
     let _g = reg_lock();
     adcl::simmemo::set_enabled(false);
     let points = metrics_probe_points();
@@ -407,7 +414,6 @@ fn concurrent_sweeps_share_caches_without_corruption() {
             .collect()
     };
     let reference = run_all();
-    cache::clear();
     let outs: Vec<Vec<u64>> = std::thread::scope(|sc| {
         let handles: Vec<_> = (0..8).map(|_| sc.spawn(run_all)).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
