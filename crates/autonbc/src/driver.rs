@@ -248,10 +248,9 @@ impl MicrobenchSpec {
         )
     }
 
-    /// One attempt of the benchmark loop over `fnset`. The world comes
-    /// from the per-thread reuse pool (`mpisim::worldpool`): consecutive
-    /// sweep points on the same worker share arenas instead of rebuilding
-    /// them, with byte-identical results.
+    /// One attempt of the benchmark loop over `fnset`, in a world of its
+    /// own (`mpisim::worldpool::with_world`): built for the attempt and
+    /// dropped with it, so a finished run keeps nothing.
     fn try_run(
         &self,
         fnset: FunctionSet,
@@ -440,25 +439,12 @@ impl MicrobenchSpec {
             .saturating_mul(self.iters as u64)
     }
 
-    /// Untimed sweep pre-warm on the calling thread: lease-and-release a
-    /// world for each distinct shape in `specs`. After this, the caller's
-    /// share of a timed sweep over `specs` constructs no worlds. A sweep's
-    /// helper threads live for that sweep only, so there is nothing to
-    /// warm on them in advance; `jobs` is accepted for callers built
-    /// against the earlier signature and does not change what is warmed.
-    pub fn prewarm_sweep(_jobs: usize, specs: &[MicrobenchSpec]) {
-        let mut shapes: Vec<&MicrobenchSpec> = Vec::new();
-        for s in specs {
-            if !shapes.iter().any(|p| {
-                p.nprocs == s.nprocs && p.placement == s.placement && p.platform == s.platform
-            }) {
-                shapes.push(s);
-            }
-        }
-        for s in &shapes {
-            mpisim::worldpool::with_world(&s.platform, s.nprocs, s.placement, s.noise, |_| ());
-        }
-    }
+    /// Does nothing. Every run builds its own world and its own schedules
+    /// (`mpisim::worldpool::with_world`, `adcl::runner::TunedOp`) and drops
+    /// them when it ends, so there is nothing to warm ahead of a sweep.
+    /// Kept only for callers written when a per-thread world pool was
+    /// filled here.
+    pub fn prewarm_sweep(_jobs: usize, _specs: &[MicrobenchSpec]) {}
 
     /// The verification runs: execute every implementation of the
     /// function-set with the selection logic bypassed. Returns

@@ -1,8 +1,9 @@
 //! Schedules belong to the tuning session that runs them, checked with a
 //! counting allocator: a brute-force decision builds each schedule once per
-//! rank and reuses it on every later start, and a finished decision keeps
-//! none of them — a second decision on another message size leaves the
-//! heap where the first one left it.
+//! rank — once for all ranks, for a rank-symmetric function — and reuses it
+//! on every later start, and a finished decision keeps none of them — a
+//! second decision on another message size leaves the heap where the first
+//! one left it.
 //!
 //! One test function on purpose: the counter is process-wide, and the test
 //! harness runs the functions of one file on parallel threads.
@@ -43,8 +44,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-fn spec(msg_bytes: usize) -> MicrobenchSpec {
-    let op = CollectiveOp::Ibcast;
+fn spec(op: CollectiveOp, msg_bytes: usize) -> MicrobenchSpec {
     let iters = 4 * op.fnset(CollSpec::new(8, msg_bytes)).len() + 20;
     MicrobenchSpec {
         platform: Platform::whale(),
@@ -61,22 +61,28 @@ fn spec(msg_bytes: usize) -> MicrobenchSpec {
     }
 }
 
-#[test]
-fn a_decision_builds_each_schedule_once_and_keeps_none() {
-    /// Live blocks a second decision may leave beyond the first: one
-    /// decision's schedules are 21 functions × 8 ranks × 5 blocks.
-    const SLACK: i64 = 16;
-    // (a) Brute force starts every function on every rank at least once:
-    // each (function, rank) pair is one build, every other start a reuse.
-    let a = spec(1024);
-    let nfuncs = a.op.fnset(a.coll_spec()).len() as u64;
+/// `nbc.cache.{hits, misses}` of one brute-force decision of `s`.
+fn cache_counts(s: &MicrobenchSpec) -> (u64, u64) {
     let scope = simcore::metrics::Scope::begin();
-    let out = a.run(SelectionLogic::BruteForce);
-    assert!(out.winner.is_some(), "decision A did not converge");
+    let out = s.run(SelectionLogic::BruteForce);
+    assert!(out.winner.is_some(), "{:?} did not converge", s.op);
     drop(out);
     let d = scope.delta();
     let get = |name: &str| d.iter().find(|(n, _)| *n == name).map_or(0, |&(_, v)| v);
-    let (hits, misses) = (get("nbc.cache.hits"), get("nbc.cache.misses"));
+    (get("nbc.cache.hits"), get("nbc.cache.misses"))
+}
+
+#[test]
+fn a_decision_builds_each_schedule_once_and_keeps_none() {
+    /// Live blocks a second decision may leave beyond the first: one
+    /// decision's schedules are 21 functions × 8 ranks × 3 blocks.
+    const SLACK: i64 = 16;
+    // (a) Brute force starts every function on every rank at least once:
+    // each (function, rank) pair of a broadcast tree is one build, every
+    // other start a reuse.
+    let a = spec(CollectiveOp::Ibcast, 1024);
+    let nfuncs = a.op.fnset(a.coll_spec()).len() as u64;
+    let (hits, misses) = cache_counts(&a);
     let starts = (a.nprocs * a.iters) as u64;
     assert_eq!(
         misses,
@@ -88,7 +94,7 @@ fn a_decision_builds_each_schedule_once_and_keeps_none() {
     // (b) Decision B on the same world shape with another message size:
     // with schedules owned by the session, nothing of B's stays behind.
     let after_a = LIVE.load(Ordering::Relaxed);
-    let b = spec(2048);
+    let b = spec(CollectiveOp::Ibcast, 2048);
     let out = b.run(SelectionLogic::BruteForce);
     assert!(out.winner.is_some(), "decision B did not converge");
     drop(out);
@@ -97,4 +103,13 @@ fn a_decision_builds_each_schedule_once_and_keeps_none() {
         (after_b - after_a).abs() <= SLACK,
         "live heap blocks {after_a} after decision A, {after_b} after decision B"
     );
+
+    // (c) All-to-all is rank-symmetric: one build per function, not one
+    // per (function, rank).
+    let c = spec(CollectiveOp::Ialltoall, 1024);
+    let nfuncs = c.op.fnset(c.coll_spec()).len() as u64;
+    let (hits, misses) = cache_counts(&c);
+    let starts = (c.nprocs * c.iters) as u64;
+    assert_eq!((nfuncs, misses), (3, 3), "one build per function");
+    assert_eq!(hits, starts - misses, "every other start reuses");
 }

@@ -36,8 +36,9 @@ pub const FANOUT_BINOMIAL: i64 = 99;
 
 /// Builds the per-rank schedule of one implementation. Every call is a
 /// fresh build: the operation that runs the schedule
-/// ([`crate::runner::TunedOp`]) calls the builder once per rank on its
-/// first start, stores the result and shares it with every later start.
+/// ([`crate::runner::TunedOp`]) calls the builder on a rank's first start
+/// (on the first start of any rank for a [`Function::symmetric`] one),
+/// stores the result and shares it with every later start.
 pub type ScheduleBuilder = Rc<dyn Fn(RankId, &CollSpec) -> Schedule>;
 
 /// One implementation of a collective operation.
@@ -51,6 +52,10 @@ pub struct Function {
     /// `start` and the wait is a no-op (the "wait function pointer is
     /// NULL" trick of §III-C).
     pub blocking: bool,
+    /// The builder's algorithm is rank-symmetric: every rank's schedule,
+    /// with peers relative to the rank, is the same, so the operation that
+    /// runs it builds one and shares it across all ranks.
+    pub symmetric: bool,
     /// Schedule builder.
     pub builder: ScheduleBuilder,
 }
@@ -61,6 +66,7 @@ impl fmt::Debug for Function {
             .field("name", &self.name)
             .field("attrs", &self.attrs)
             .field("blocking", &self.blocking)
+            .field("symmetric", &self.symmetric)
             .finish_non_exhaustive()
     }
 }
@@ -116,6 +122,7 @@ impl FunctionSet {
                     name: format!("{}-seg{}k", algo.name(), seg_kib),
                     attrs: vec![fanout, seg as i64],
                     blocking: false,
+                    symmetric: false,
                     builder: Rc::new(move |rank, spec| build_bcast(algo, seg, rank, spec)),
                 });
             }
@@ -128,25 +135,44 @@ impl FunctionSet {
         }
     }
 
+    /// A set `name` of one attribute, `attr`, whose value is each
+    /// function's index: one non-blocking function per `(name, symmetric,
+    /// builder)`.
+    pub(crate) fn indexed<N, B>(
+        name: &str,
+        attr: &str,
+        spec: CollSpec,
+        functions: impl IntoIterator<Item = (N, bool, B)>,
+    ) -> FunctionSet
+    where
+        N: Into<String>,
+        B: Fn(RankId, &CollSpec) -> Schedule + 'static,
+    {
+        let functions = functions.into_iter().enumerate();
+        FunctionSet {
+            name: name.into(),
+            attr_names: vec![attr.into()],
+            functions: functions
+                .map(|(i, (name, symmetric, build))| Function {
+                    name: name.into(),
+                    attrs: vec![i as i64],
+                    blocking: false,
+                    symmetric,
+                    builder: Rc::new(build),
+                })
+                .collect(),
+            spec,
+        }
+    }
+
     /// The paper's default `Ialltoall` function-set: linear, dissemination
     /// (Bruck) and pairwise exchange.
     pub fn ialltoall_default(spec: CollSpec) -> FunctionSet {
-        let functions = AlltoallAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| build_alltoall(algo, rank, spec)),
-            })
-            .collect();
-        FunctionSet {
-            name: "ialltoall".into(),
-            attr_names: vec!["algorithm".into()],
-            functions,
-            spec,
-        }
+        let algos = AlltoallAlgo::all().into_iter().map(|algo| {
+            let build = move |rank, spec: &CollSpec| build_alltoall(algo, rank, spec);
+            (algo.name(), algo.symmetric(), build)
+        });
+        FunctionSet::indexed("ialltoall", "algorithm", spec, algos)
     }
 
     /// The §IV-B *extended* `Ialltoall` function-set: the three non-blocking
@@ -156,122 +182,67 @@ impl FunctionSet {
         let mut set = Self::ialltoall_default(spec);
         set.name = "ialltoall-ext".into();
         set.attr_names.push("blocking".into());
+        let blocking: Vec<Function> = set
+            .functions
+            .iter()
+            .map(|f| Function {
+                name: format!("{}-blocking", f.name),
+                attrs: vec![f.attrs[0], 1],
+                blocking: true,
+                ..f.clone()
+            })
+            .collect();
         for f in &mut set.functions {
             f.attrs.push(0);
         }
-        let blocking: Vec<Function> = AlltoallAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: format!("{}-blocking", algo.name()),
-                attrs: vec![i as i64, 1],
-                blocking: true,
-                builder: Rc::new(move |rank, spec| build_alltoall(algo, rank, spec)),
-            })
-            .collect();
         set.functions.extend(blocking);
         set
     }
 
     /// `Iallgather` function-set: linear, ring and Bruck.
     pub fn iallgather_default(spec: CollSpec) -> FunctionSet {
-        let functions = AllgatherAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| build_allgather(algo, rank, spec)),
-            })
-            .collect();
-        FunctionSet {
-            name: "iallgather".into(),
-            attr_names: vec!["algorithm".into()],
-            functions,
-            spec,
-        }
+        let algos = AllgatherAlgo::all().into_iter().map(|algo| {
+            let build = move |rank, spec: &CollSpec| build_allgather(algo, rank, spec);
+            (algo.name(), algo.symmetric(), build)
+        });
+        FunctionSet::indexed("iallgather", "algorithm", spec, algos)
     }
 
     /// `Ireduce` function-set: binomial, chain and linear trees.
     pub fn ireduce_default(spec: CollSpec) -> FunctionSet {
-        let functions = ReduceAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| build_reduce(algo, rank, spec)),
-            })
-            .collect();
-        FunctionSet {
-            name: "ireduce".into(),
-            attr_names: vec!["algorithm".into()],
-            functions,
-            spec,
-        }
+        let algos = ReduceAlgo::all().into_iter().map(|algo| {
+            let build = move |rank, spec: &CollSpec| build_reduce(algo, rank, spec);
+            (algo.name(), false, build)
+        });
+        FunctionSet::indexed("ireduce", "algorithm", spec, algos)
     }
 
     /// `Iallreduce` function-set: recursive doubling, ring
     /// (reduce-scatter + all-gather), and reduce + broadcast.
     pub fn iallreduce_default(spec: CollSpec) -> FunctionSet {
-        let functions = AllreduceAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| build_allreduce(algo, rank, spec)),
-            })
-            .collect();
-        FunctionSet {
-            name: "iallreduce".into(),
-            attr_names: vec!["algorithm".into()],
-            functions,
-            spec,
-        }
+        let algos = AllreduceAlgo::all().into_iter().map(|algo| {
+            let build = move |rank, spec: &CollSpec| build_allreduce(algo, rank, spec);
+            (algo.name(), algo.symmetric(), build)
+        });
+        FunctionSet::indexed("iallreduce", "algorithm", spec, algos)
     }
 
     /// `Igather` function-set: linear and binomial trees.
     pub fn igather_default(spec: CollSpec) -> FunctionSet {
-        let functions = GatherAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| build_gather(algo, rank, spec)),
-            })
-            .collect();
-        FunctionSet {
-            name: "igather".into(),
-            attr_names: vec!["algorithm".into()],
-            functions,
-            spec,
-        }
+        let algos = GatherAlgo::all().into_iter().map(|algo| {
+            let build = move |rank, spec: &CollSpec| build_gather(algo, rank, spec);
+            (algo.name(), false, build)
+        });
+        FunctionSet::indexed("igather", "algorithm", spec, algos)
     }
 
     /// `Iscatter` function-set: linear and binomial trees.
     pub fn iscatter_default(spec: CollSpec) -> FunctionSet {
-        let functions = GatherAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| build_scatter(algo, rank, spec)),
-            })
-            .collect();
-        FunctionSet {
-            name: "iscatter".into(),
-            attr_names: vec!["algorithm".into()],
-            functions,
-            spec,
-        }
+        let algos = GatherAlgo::all().into_iter().map(|algo| {
+            let build = move |rank, spec: &CollSpec| build_scatter(algo, rank, spec);
+            (algo.name(), false, build)
+        });
+        FunctionSet::indexed("iscatter", "algorithm", spec, algos)
     }
 
     /// Cartesian neighborhood-exchange function-set (ADCL's original core
@@ -283,24 +254,12 @@ impl FunctionSet {
     pub fn ineighbor_default(spec: CollSpec, gx: usize, gy: usize) -> FunctionSet {
         assert_eq!(spec.nprocs, gx * gy, "grid must cover all ranks");
         let grid = Cart2d { gx, gy };
-        let functions = NeighborAlgo::all()
-            .into_iter()
-            .enumerate()
-            .map(|(i, algo)| Function {
-                name: algo.name().to_string(),
-                attrs: vec![i as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec| {
-                    build_neighbor(algo, grid, rank, spec.msg_bytes)
-                }),
-            })
-            .collect();
-        FunctionSet {
-            name: "ineighbor".into(),
-            attr_names: vec!["schedule".into()],
-            functions,
-            spec,
-        }
+        let algos = NeighborAlgo::all().into_iter().map(|algo| {
+            let build =
+                move |rank, spec: &CollSpec| build_neighbor(algo, grid, rank, spec.msg_bytes);
+            (algo.name(), false, build)
+        });
+        FunctionSet::indexed("ineighbor", "schedule", spec, algos)
     }
 
     /// A single-function set (used to pin a baseline implementation, e.g.
@@ -380,7 +339,7 @@ mod tests {
         for f in &set.functions {
             let sched = (f.builder)(0, &set.spec);
             assert!(sched.num_rounds() > 0, "{}", f.name);
-            sched.validate(0, None).unwrap();
+            sched.validate().unwrap();
         }
     }
 
@@ -408,7 +367,7 @@ mod tests {
         assert_eq!(neigh.len(), 3);
         for f in &neigh.functions {
             let sched = (f.builder)(3, &neigh.spec);
-            sched.validate(3, None).unwrap();
+            sched.validate().unwrap();
             assert!(sched.num_sends() >= 2, "{}", f.name);
         }
     }

@@ -49,7 +49,7 @@ use crate::strategy::SelectionLogic;
 use crate::tuner::TunerConfig;
 use mpisim::NoiseConfig;
 use nbc::allgather::{build_allgather, AllgatherAlgo};
-use nbc::barrier::build_barrier;
+use nbc::barrier::{self, build_barrier};
 use nbc::bcast::{build_bcast, BcastAlgo};
 use nbc::gather::{build_gather, build_scatter, GatherAlgo};
 use nbc::reduce::{build_reduce, ReduceAlgo};
@@ -57,7 +57,6 @@ use nbc::schedule::{sequence, CollSpec};
 use netmodel::{Placement, Platform};
 use simcore::{metrics, trace, SimTime};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -183,75 +182,56 @@ fn per_rank_block(total: usize, nprocs: usize) -> usize {
 }
 
 fn ibarrier_set(nprocs: usize) -> FunctionSet {
-    FunctionSet {
-        name: "ibarrier".into(),
-        attr_names: vec!["algorithm".into()],
-        functions: vec![Function {
-            name: "dissemination".into(),
-            attrs: vec![0],
-            blocking: false,
-            builder: Rc::new(build_barrier),
-        }],
-        spec: CollSpec::new(nprocs, 1),
-    }
+    let dissemination = ("dissemination", barrier::SYMMETRIC, build_barrier);
+    FunctionSet::indexed(
+        "ibarrier",
+        "algorithm",
+        CollSpec::new(nprocs, 1),
+        [dissemination],
+    )
 }
 
 /// Scatter × allgather mock-ups of a broadcast of `spec.msg_bytes` bytes:
 /// both phases move per-rank blocks of `⌈m/p⌉`, so the stitched schedule
 /// delivers the full payload everywhere (the van-de-Geijn construction).
 fn mock_bcast_set(spec: CollSpec) -> FunctionSet {
-    let mut functions = Vec::new();
-    for s_algo in GatherAlgo::all() {
-        for a_algo in AllgatherAlgo::all() {
-            functions.push(Function {
-                name: format!("scatter-{}+allgather-{}", s_algo.name(), a_algo.name()),
-                attrs: vec![functions.len() as i64],
-                blocking: false,
-                builder: Rc::new(move |rank, spec: &CollSpec| {
-                    let sub = CollSpec {
-                        nprocs: spec.nprocs,
-                        msg_bytes: per_rank_block(spec.msg_bytes, spec.nprocs),
-                        root: spec.root,
-                    };
-                    sequence(&[
-                        &build_scatter(s_algo, rank, &sub),
-                        &build_allgather(a_algo, rank, &sub),
-                    ])
-                }),
-            });
-        }
-    }
-    FunctionSet {
-        name: "mock-ibcast".into(),
-        attr_names: vec!["combination".into()],
-        functions,
-        spec,
-    }
+    let pairs = GatherAlgo::all()
+        .into_iter()
+        .flat_map(|s| AllgatherAlgo::all().into_iter().map(move |a| (s, a)));
+    let mocks = pairs.map(|(s_algo, a_algo)| {
+        let build = move |rank, spec: &CollSpec| {
+            let sub = CollSpec {
+                nprocs: spec.nprocs,
+                msg_bytes: per_rank_block(spec.msg_bytes, spec.nprocs),
+                root: spec.root,
+            };
+            sequence(&[
+                &build_scatter(s_algo, rank, &sub),
+                &build_allgather(a_algo, rank, &sub),
+            ])
+        };
+        let name = format!("scatter-{}+allgather-{}", s_algo.name(), a_algo.name());
+        (name, false, build)
+    });
+    FunctionSet::indexed("mock-ibcast", "combination", spec, mocks)
 }
 
 /// Reduce-then-broadcast mock-ups of an all-reduce of `spec.msg_bytes`.
 fn mock_allreduce_set(spec: CollSpec) -> FunctionSet {
-    let functions = ReduceAlgo::all()
-        .into_iter()
-        .enumerate()
-        .map(|(i, r_algo)| Function {
-            name: format!("reduce-{}+bcast-binomial", r_algo.name()),
-            attrs: vec![i as i64],
-            blocking: false,
-            builder: Rc::new(move |rank, spec: &CollSpec| {
-                sequence(&[
-                    &build_reduce(r_algo, rank, spec),
-                    &build_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, spec),
-                ])
-            }),
-        })
-        .collect();
-    FunctionSet {
-        name: "mock-iallreduce".into(),
-        attr_names: vec!["combination".into()],
-        functions,
-        spec,
-    }
+    let mocks = ReduceAlgo::all().into_iter().map(|r_algo| {
+        let build = move |rank, spec: &CollSpec| {
+            sequence(&[
+                &build_reduce(r_algo, rank, spec),
+                &build_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, spec),
+            ])
+        };
+        (
+            format!("reduce-{}+bcast-binomial", r_algo.name()),
+            false,
+            build,
+        )
+    });
+    FunctionSet::indexed("mock-iallreduce", "combination", spec, mocks)
 }
 
 /// 1-byte all-gather mock-ups of a barrier (the "zero-byte all-gather":
@@ -270,32 +250,25 @@ fn mock_barrier_set(nprocs: usize) -> FunctionSet {
 /// `spec.msg_bytes`: gather the blocks at the root, broadcast all `p·m`
 /// bytes back out.
 fn mock_allgather_set(spec: CollSpec) -> FunctionSet {
-    let functions = GatherAlgo::all()
-        .into_iter()
-        .enumerate()
-        .map(|(i, g_algo)| Function {
-            name: format!("gather-{}+bcast-binomial", g_algo.name()),
-            attrs: vec![i as i64],
-            blocking: false,
-            builder: Rc::new(move |rank, spec: &CollSpec| {
-                let bcast_spec = CollSpec {
-                    nprocs: spec.nprocs,
-                    msg_bytes: spec.msg_bytes * spec.nprocs,
-                    root: spec.root,
-                };
-                sequence(&[
-                    &build_gather(g_algo, rank, spec),
-                    &build_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, &bcast_spec),
-                ])
-            }),
-        })
-        .collect();
-    FunctionSet {
-        name: "mock-iallgather".into(),
-        attr_names: vec!["combination".into()],
-        functions,
-        spec,
-    }
+    let mocks = GatherAlgo::all().into_iter().map(|g_algo| {
+        let build = move |rank, spec: &CollSpec| {
+            let bcast_spec = CollSpec {
+                nprocs: spec.nprocs,
+                msg_bytes: spec.msg_bytes * spec.nprocs,
+                root: spec.root,
+            };
+            sequence(&[
+                &build_gather(g_algo, rank, spec),
+                &build_bcast(BcastAlgo::Binomial, MOCK_BCAST_SEG, rank, &bcast_spec),
+            ])
+        };
+        (
+            format!("gather-{}+bcast-binomial", g_algo.name()),
+            false,
+            build,
+        )
+    });
+    FunctionSet::indexed("mock-iallgather", "combination", spec, mocks)
 }
 
 // ---------------------------------------------------------------------------
@@ -362,6 +335,7 @@ fn run_probe(platform: &Platform, set: &FunctionSet, func: usize) -> ProbeOutcom
             name: f.name.clone(),
             attrs: vec![0],
             blocking: false,
+            symmetric: f.symmetric,
             builder: f.builder.clone(),
         }],
         spec: set.spec,
@@ -1312,7 +1286,7 @@ mod tests {
                     let (r, f) = (0usize, &set.functions[0]);
                     let sched = (f.builder)(r, &set.spec);
                     sched
-                        .validate(r, None)
+                        .validate()
                         .unwrap_or_else(|e| panic!("{op:?}/{} invalid at rank {r}: {e}", f.name));
                     assert!(sched.num_rounds() > 0, "{op:?}/{}", f.name);
                 }

@@ -59,9 +59,9 @@ pub trait Script {
 ///
 /// Like the paper's request it owns its schedules: the first start of a
 /// function on a rank builds that rank's schedule, and every later start
-/// shares it. They are freed with the op, so a finished session keeps
-/// none. Builds count as `nbc.cache.misses` and reuses as
-/// `nbc.cache.hits`.
+/// shares it; a symmetric function has one schedule for all ranks. They
+/// are freed with the op, so a finished session keeps none. Builds count
+/// as `nbc.cache.misses` and reuses as `nbc.cache.hits`.
 pub struct TunedOp {
     /// Operation name for reports.
     pub name: String,
@@ -78,7 +78,8 @@ pub struct TunedOp {
     base_tag: u64,
     per_rank: Vec<RankOpState>,
     /// Schedule of function `f` on communicator-local rank `r` at
-    /// `f * fnset.spec.nprocs + r`, built on its first start.
+    /// `f * fnset.spec.nprocs + r`, built on its first start (a symmetric
+    /// function uses only its rank-0 slot).
     schedules: Vec<Option<Arc<Schedule>>>,
     hits: &'static Counter,
     misses: &'static Counter,
@@ -144,16 +145,19 @@ impl TunedOp {
     }
 
     /// The schedule of function `f` on communicator-local rank `local`:
-    /// built (and shrunk) on the first call, shared by every later one.
+    /// built on the first call, shared by every later one. A symmetric
+    /// function's schedule is the same on every rank, so it is built once,
+    /// as rank 0's, and shared by all of them.
     pub fn schedule(&mut self, f: usize, local: RankId) -> Arc<Schedule> {
+        let func = &self.fnset.functions[f];
+        let local = if func.symmetric { 0 } else { local };
         let slot = &mut self.schedules[f * self.fnset.spec.nprocs + local];
         if let Some(sched) = slot {
             self.hits.inc();
             return Arc::clone(sched);
         }
         self.misses.inc();
-        let mut built = (self.fnset.functions[f].builder)(local, &self.fnset.spec);
-        built.shrink_to_fit();
+        let built = (func.builder)(local, &self.fnset.spec);
         Arc::clone(slot.insert(Arc::new(built)))
     }
 
@@ -184,7 +188,7 @@ impl TunedOp {
         st.instance_count += 1;
         st.own_iter = iter + 1;
         let mut exec = match &self.comm {
-            Some(c) => ScheduleExec::new_on_comm(rank, tag, sched, c.clone()),
+            Some(c) => ScheduleExec::new_on_comm(c.clone(), local, tag, sched),
             None => ScheduleExec::new(rank, tag, sched),
         };
         let now = w.rank_now(rank);

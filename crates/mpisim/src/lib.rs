@@ -40,6 +40,6 @@ pub use message::{Protocol, RecvState, SendState};
 pub use types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
 pub use workload::NeighborExchange;
 pub use world::{
-    sim_events_total, FaultStats, RankAccounting, RankBehavior, SegmentKind, SimError, Step,
-    TraceSegment, World,
+    payloads_staged_total, sim_events_total, FaultStats, RankAccounting, RankBehavior, SegmentKind,
+    SimError, Step, TraceSegment, World,
 };

@@ -49,6 +49,11 @@ fn m_rdv_stalls() -> &'static Counter {
     M.get_or_init(|| metrics::counter("mpisim.rdv_stalls"))
 }
 
+fn m_payloads_staged() -> &'static Counter {
+    static M: OnceLock<&'static Counter> = OnceLock::new();
+    M.get_or_init(|| metrics::counter("mpisim.payloads_staged"))
+}
+
 fn m_msg_slots_max() -> &'static Gauge {
     static M: OnceLock<&'static Gauge> = OnceLock::new();
     M.get_or_init(|| metrics::gauge("mpisim.msg_slots_max"))
@@ -97,6 +102,13 @@ fn m_fault_backoff_ns() -> &'static Histogram {
 /// [`World::run`], successful or deadlocked).
 pub fn sim_events_total() -> u64 {
     m_sim_events().get()
+}
+
+/// Payload buffers staged by the worlds of this process (the
+/// `mpisim.payloads_staged` registry counter; [`World::payloads_staged`]
+/// flushed at the end of each [`World::run`]).
+pub fn payloads_staged_total() -> u64 {
+    m_payloads_staged().get()
 }
 
 /// What a rank does next, as decided by its [`RankBehavior`].
@@ -536,6 +548,8 @@ pub struct World {
     /// Payload buffers staged by [`World::acquire_payload`] over this
     /// world's lifetime; [`World::reset`] keeps it.
     payloads_staged: u64,
+    /// The portion of `payloads_staged` already flushed to the registry.
+    payloads_flushed: u64,
     /// Fault-injection model; `None` (the default) makes every injection
     /// site a single branch and guarantees byte-identical behaviour to a
     /// build without fault support. Carries one RNG stream per rank.
@@ -582,6 +596,7 @@ impl World {
             trace_on: false,
             otrace: trace::enabled().then(|| Box::new(WorldTrace::new(nranks))),
             payloads_staged: 0,
+            payloads_flushed: 0,
             fault: fault_model,
             timed_out: None,
             cur_key: 0,
@@ -657,13 +672,9 @@ impl World {
         self.events.popped() - self.popped_at_reset
     }
 
-    /// Publish the observability timeline to the global trace collector now
-    /// (instead of waiting for `Drop`). Used by the world-reuse pool:
-    /// cached worlds live in thread-locals whose destructors may never run
-    /// (the main thread's, for one), so traces must be pushed out at
-    /// release time. A
+    /// Publish the observability timeline to the global trace collector. A
     /// no-op when tracing is off or the trace was already published.
-    pub fn publish_trace(&mut self) {
+    fn publish_trace(&mut self) {
         if let Some(t) = self.otrace.take() {
             trace::publish(*t);
         }
@@ -2029,6 +2040,12 @@ impl World {
         m_rdv_stalls().add(std::mem::take(&mut self.rdv_stalls));
         m_rdv_stall_ns().absorb(&mut self.rdv_stall_ns);
         m_msg_slots_max().record_max(self.msg_slots_max() as u64);
+        // Staged payloads flush only when there are some, so a run that
+        // stages none never registers the counter.
+        if self.payloads_staged > self.payloads_flushed {
+            m_payloads_staged().add(self.payloads_staged - self.payloads_flushed);
+            self.payloads_flushed = self.payloads_staged;
+        }
         // Fault tallies flush only when a model is armed, so a healthy
         // process never registers the fault metrics at all.
         if self.fault.is_some() {
@@ -2050,9 +2067,7 @@ impl Drop for World {
         // Publish the observability timeline when the world goes away (not
         // at the end of `run`: a world can run multiple times, and a
         // deadlocked or panicked run should still surface its trace).
-        if let Some(t) = self.otrace.take() {
-            trace::publish(*t);
-        }
+        self.publish_trace();
     }
 }
 

@@ -4,7 +4,7 @@
 //! the Open MPI `MPI_Allgather` implementations to LibNBC schedules). Block
 //! id `i` denotes rank `i`'s contribution.
 
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// The all-gather algorithm.
@@ -36,65 +36,73 @@ impl AllgatherAlgo {
             AllgatherAlgo::Bruck => "bruck",
         }
     }
+
+    /// Every all-gather is rank-symmetric: each rank's schedule, with peers
+    /// relative to the rank, is the same.
+    pub fn symmetric(self) -> bool {
+        true
+    }
 }
 
 /// Build the all-gather schedule for `rank`. `spec.msg_bytes` is the size
 /// of each rank's contribution.
 pub fn build_allgather(algo: AllgatherAlgo, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| {
+        write_allgather(algo, rank, spec, out)
+    })
+}
+
+/// Write the all-gather schedule for `rank` into `out`.
+pub fn write_allgather(algo: AllgatherAlgo, rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
     let s = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || s == 0 {
-        return sched;
+        return;
     }
+    out.copy(s); // own block into the result
     match algo {
         AllgatherAlgo::Linear => {
-            let mut round = Round::new();
-            round.0.push(Action::copy(s)); // own block into the result
             for off in 1..p {
-                let to = (rank + off) % p;
-                let from = (rank + p - off) % p;
-                round.0.push(Action::send(to, s, vec![rank as u32]));
-                round.0.push(Action::recv(from, s));
+                out.send((rank + off) % p, s, &[rank as u32]);
+                out.recv((rank + p - off) % p, s);
             }
-            sched.push_round(round);
+            out.round();
         }
         AllgatherAlgo::Ring => {
-            sched.push_round(Round(vec![Action::copy(s)]));
+            out.round();
             let next = (rank + 1) % p;
             let prev = (rank + p - 1) % p;
             for k in 0..p - 1 {
                 // Forward the block gathered k rounds ago.
                 let fwd = (rank + p - k) % p;
-                sched.push_round(Round(vec![
-                    Action::send(next, s, vec![fwd as u32]),
-                    Action::recv(prev, s),
-                ]));
+                out.send(next, s, &[fwd as u32]);
+                out.recv(prev, s);
+                out.round();
             }
         }
         AllgatherAlgo::Bruck => {
-            sched.push_round(Round(vec![Action::copy(s)]));
+            out.round();
             // After round k the rank holds blocks {rank .. rank+2^(k+1)-1}.
             let phases = usize::BITS - (p - 1).leading_zeros();
+            // One list for every round's blocks: a build allocates it once.
+            let mut blocks = Vec::with_capacity(p);
             for k in 0..phases {
                 let bit = 1usize << k;
                 let cnt = bit.min(p - bit);
-                let to = (rank + p - bit) % p;
-                let from = (rank + bit) % p;
-                let blocks: Vec<u32> = (0..cnt).map(|i| ((rank + i) % p) as u32).collect();
-                sched.push_round(Round(vec![
-                    Action::send(to, cnt * s, blocks),
-                    Action::recv(from, cnt * s),
-                ]));
+                blocks.clear();
+                blocks.extend((0..cnt).map(|i| ((rank + i) % p) as u32));
+                out.send((rank + p - bit) % p, cnt * s, &blocks);
+                out.recv((rank + bit) % p, cnt * s);
+                out.round();
             }
         }
     }
-    sched
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Annotated;
 
     #[test]
     fn linear_single_round() {
@@ -139,8 +147,9 @@ mod tests {
         for p in [2usize, 4, 9] {
             for algo in AllgatherAlgo::all() {
                 for r in 0..p {
-                    build_allgather(algo, r, &CollSpec::new(p, 32))
-                        .validate(r, Some(32))
+                    let spec = CollSpec::new(p, 32);
+                    Annotated::build(r, p, |out| write_allgather(algo, r, &spec, out))
+                        .validate(Some(32))
                         .unwrap_or_else(|e| panic!("{algo:?} p={p} r={r}: {e}"));
                 }
             }

@@ -6,8 +6,9 @@
 //! verifier checks every rank ends up having (transitively) received every
 //! other rank's contribution.
 
-use crate::bcast::{build_bcast, tree_links, BcastAlgo};
-use crate::schedule::{Action, CollSpec, OpKind, Round, Schedule};
+use crate::bcast::{tree_links, BcastAlgo};
+use crate::reduce::{write_reduce, ReduceAlgo};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// The all-reduce algorithm.
@@ -41,154 +42,152 @@ impl AllreduceAlgo {
             AllreduceAlgo::ReduceBcast => "reduce-bcast",
         }
     }
+
+    /// Whether each rank's schedule, with peers relative to the rank, is
+    /// the same: true for the ring, whose every rank sends to its
+    /// successor; the other two are shaped by the rank's place in a tree
+    /// or a hypercube.
+    pub fn symmetric(self) -> bool {
+        self == AllreduceAlgo::Ring
+    }
 }
 
 /// Build the all-reduce schedule for `rank`. `spec.msg_bytes` is the full
 /// reduction payload.
 pub fn build_allreduce(algo: AllreduceAlgo, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| {
+        write_allreduce(algo, rank, spec, out)
+    })
+}
+
+/// Write the all-reduce schedule for `rank` into `out`.
+pub fn write_allreduce(algo: AllreduceAlgo, rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
     let bytes = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || bytes == 0 {
-        return sched;
+        return;
     }
     match algo {
-        AllreduceAlgo::RecursiveDoubling => build_recursive_doubling(rank, p, bytes, &mut sched),
-        AllreduceAlgo::Ring => build_ring(rank, p, bytes, &mut sched),
-        AllreduceAlgo::ReduceBcast => build_reduce_bcast(rank, spec, &mut sched),
+        AllreduceAlgo::RecursiveDoubling => write_recursive_doubling(rank, p, bytes, out),
+        AllreduceAlgo::Ring => write_ring(rank, p, bytes, out),
+        AllreduceAlgo::ReduceBcast => write_reduce_bcast(rank, spec, out),
     }
-    sched
 }
 
 /// Recursive doubling with the standard non-power-of-two pre/post phases:
 /// extra ranks (`r >= 2^K`) first fold their contribution into `r − 2^K`,
 /// the power-of-two core runs log₂ rounds of pairwise exchanges, and the
 /// result is copied back out to the extras.
-fn build_recursive_doubling(rank: RankId, p: usize, bytes: usize, sched: &mut Schedule) {
+fn write_recursive_doubling(rank: RankId, p: usize, bytes: usize, out: &mut dyn Sink) {
     let k = p.ilog2() as usize; // largest power of two <= p
     let core = 1usize << k;
     let rem = p - core;
-    let all: Vec<u32> = (0..p as u32).collect();
 
     if rank >= core {
         // Extra rank: contribute, then receive the final result.
         let partner = rank - core;
-        sched.push_round(Round(vec![Action::send(partner, bytes, vec![rank as u32])]));
-        sched.push_round(Round(vec![Action::recv(partner, bytes)]));
+        out.send(partner, bytes, &[rank as u32]);
+        out.round();
+        out.recv(partner, bytes);
+        out.round();
         return;
     }
     // Fold in the extra rank's contribution, if any.
     let mut contrib: Vec<u32> = vec![rank as u32];
     if rank < rem {
-        sched.push_round(Round(vec![
-            Action::recv(rank + core, bytes),
-            Action::calc(bytes),
-        ]));
+        out.recv(rank + core, bytes);
+        out.calc(bytes);
+        out.round();
         contrib.push((rank + core) as u32);
     }
     // Doubling rounds: after round j, a rank holds contributions of every
     // core rank sharing its high bits, plus those ranks' folded extras.
     for j in 0..k {
         let peer = rank ^ (1 << j);
-        sched.push_round(Round(vec![
-            Action::send(peer, bytes, contrib.clone()),
-            Action::recv(peer, bytes),
-            Action::calc(bytes),
-        ]));
+        out.send(peer, bytes, &contrib);
+        out.recv(peer, bytes);
+        out.calc(bytes);
+        out.round();
         // After the exchange, our set unions the peer's; the peer group is
         // our group with bit j flipped (plus their extras).
         let mask = (1usize << (j + 1)) - 1;
-        contrib = (0..core)
-            .filter(|&c| c & !mask == rank & !mask)
-            .flat_map(|c| {
-                let mut v = vec![c as u32];
-                if c < rem {
-                    v.push((c + core) as u32);
-                }
-                v
-            })
-            .collect();
+        contrib.clear();
+        for c in (0..core).filter(|&c| c & !mask == rank & !mask) {
+            contrib.push(c as u32);
+            if c < rem {
+                contrib.push((c + core) as u32);
+            }
+        }
     }
     debug_assert_eq!(contrib.len(), p);
     // Push the result back to the extra rank.
     if rank < rem {
-        sched.push_round(Round(vec![Action::send(rank + core, bytes, all)]));
+        out.send(rank + core, bytes, &contrib);
+        out.round();
     }
 }
 
 /// Ring all-reduce: `p−1` reduce-scatter rounds followed by `p−1`
 /// all-gather rounds, all on `ceil(bytes/p)`-sized segments.
-fn build_ring(rank: RankId, p: usize, bytes: usize, sched: &mut Schedule) {
+fn write_ring(rank: RankId, p: usize, bytes: usize, out: &mut dyn Sink) {
     let seg = bytes.div_ceil(p);
     let next = (rank + 1) % p;
     let prev = (rank + p - 1) % p;
     // Reduce-scatter: in round k we forward segment (rank - k) carrying the
-    // partial sums accumulated along the ring behind us.
+    // partial sums accumulated along the ring behind us. One list for every
+    // round's blocks: a build allocates it once.
+    let mut contrib = Vec::with_capacity(p);
     for k in 0..p - 1 {
-        let contrib: Vec<u32> = (0..=k).map(|i| ((rank + p - k + i) % p) as u32).collect();
-        sched.push_round(Round(vec![
-            Action::send(next, seg, contrib),
-            Action::recv(prev, seg),
-            Action::calc(seg),
-        ]));
+        contrib.clear();
+        contrib.extend((0..=k).map(|i| ((rank + p - k + i) % p) as u32));
+        out.send(next, seg, &contrib);
+        out.recv(prev, seg);
+        out.calc(seg);
+        out.round();
     }
     // All-gather: circulate the fully reduced segments. The reductions are
     // complete, so these rounds move no *new* contributions (empty block
     // annotations); they distribute the reduced vector.
     for _k in 0..p - 1 {
-        sched.push_round(Round(vec![
-            Action::send(next, seg, Vec::new()),
-            Action::recv(prev, seg),
-            Action::copy(seg),
-        ]));
+        out.send(next, seg, &[]);
+        out.recv(prev, seg);
+        out.copy(seg);
+        out.round();
     }
 }
 
 /// Binomial reduce to the root followed by a binomial broadcast, with the
 /// broadcast's payload carrying every contribution.
-fn build_reduce_bcast(rank: RankId, spec: &CollSpec, sched: &mut Schedule) {
-    let p = spec.nprocs;
+fn write_reduce_bcast(rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
+    write_reduce(ReduceAlgo::Binomial, rank, spec, out);
+    // Broadcast phase: the root now holds everything, and sends the whole
+    // payload down the binomial tree in one segment. The sends carry the
+    // full contribution set so the verifier can track the result reaching
+    // every rank.
     let bytes = spec.msg_bytes;
-    // Reduce phase (same construction as nbc::reduce, binomial).
     let (parent, children) = tree_links(BcastAlgo::Binomial, rank, spec);
-    for &c in children.iter().rev() {
-        sched.push_round(Round(vec![Action::recv(c, bytes), Action::calc(bytes)]));
-    }
     if let Some(par) = parent {
-        let contrib: Vec<u32> =
-            crate::reduce::subtree(crate::reduce::ReduceAlgo::Binomial, rank, spec)
-                .iter()
-                .map(|&r| r as u32)
-                .collect();
-        sched.push_round(Round(vec![Action::send(par, bytes, contrib)]));
+        out.recv(par, bytes);
+        out.round();
     }
-    // Broadcast phase: root now holds everything. Annotate the broadcast
-    // sends with the full contribution set so the verifier can track the
-    // result reaching every rank. We reuse the bcast builder's structure
-    // but re-annotate its (segment-id) blocks.
-    let all: Vec<u32> = (0..p as u32).collect();
-    let bc = build_bcast(BcastAlgo::Binomial, bytes.max(1), rank, spec);
-    for round in bc.rounds() {
-        let r2 = round.iter().map(|op| match op.kind() {
-            OpKind::Send => Action::send(op.peer(), op.bytes(), all.clone()),
-            OpKind::Recv => Action::recv(op.peer(), op.bytes()),
-            OpKind::Copy => Action::copy(op.bytes()),
-            OpKind::Calc => Action::calc(op.bytes()),
-        });
-        sched.push_round(Round(r2.collect()));
+    let all: Vec<u32> = (0..spec.nprocs as u32).collect();
+    for &c in &children {
+        out.send(c, bytes, &all);
     }
+    out.round();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::OpKind;
     use crate::verify;
 
     fn verify_allreduce(p: usize, bytes: usize, algo: AllreduceAlgo) -> Result<(), String> {
         let spec = CollSpec::new(p, bytes);
-        let scheds: Vec<Schedule> = (0..p).map(|r| build_allreduce(algo, r, &spec)).collect();
-        for (r, s) in scheds.iter().enumerate() {
-            s.validate(r, None)?;
+        let scheds = verify::annotate_all(p, |r, out| write_allreduce(algo, r, &spec, out));
+        for s in &scheds {
+            s.validate(None)?;
         }
         verify::verify_allreduce(&scheds)
     }

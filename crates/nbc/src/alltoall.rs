@@ -18,7 +18,7 @@
 //! Logical block ids encode `(src, dst)` pairs as `src * p + dst`; the
 //! verifier checks every rank ends up with every block addressed to it.
 
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// The all-to-all algorithm (the paper's three implementations).
@@ -50,6 +50,12 @@ impl AlltoallAlgo {
             AlltoallAlgo::Dissemination => "dissemination",
         }
     }
+
+    /// Every all-to-all is rank-symmetric: each rank's schedule, with peers
+    /// relative to the rank, is the same.
+    pub fn symmetric(self) -> bool {
+        true
+    }
 }
 
 /// Logical block id for the payload travelling `src → dst`.
@@ -60,43 +66,41 @@ pub fn block_id(src: RankId, dst: RankId, p: usize) -> u32 {
 /// Build the all-to-all schedule for `rank`. `spec.msg_bytes` is the
 /// per-pair block size (the paper's "message length per process pair").
 pub fn build_alltoall(algo: AlltoallAlgo, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| {
+        write_alltoall(algo, rank, spec, out)
+    })
+}
+
+/// Write the all-to-all schedule for `rank` into `out`.
+pub fn write_alltoall(algo: AlltoallAlgo, rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
     let s = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || s == 0 {
-        return sched;
+        return;
     }
     match algo {
         AlltoallAlgo::Linear => {
-            let mut round = Round::new();
             // Self-block: plain memcpy.
-            round.0.push(Action::copy(s));
+            out.copy(s);
             for off in 1..p {
                 let peer = (rank + off) % p;
-                round
-                    .0
-                    .push(Action::send(peer, s, vec![block_id(rank, peer, p)]));
-                let from = (rank + p - off) % p;
-                round.0.push(Action::recv(from, s));
+                out.send(peer, s, &[block_id(rank, peer, p)]);
+                out.recv((rank + p - off) % p, s);
             }
-            sched.push_round(round);
+            out.round();
         }
         AlltoallAlgo::Pairwise => {
-            sched.push_round(Round(vec![Action::copy(s)]));
+            out.copy(s);
+            out.round();
             for k in 1..p {
                 let to = (rank + k) % p;
-                let from = (rank + p - k) % p;
-                sched.push_round(Round(vec![
-                    Action::send(to, s, vec![block_id(rank, to, p)]),
-                    Action::recv(from, s),
-                ]));
+                out.send(to, s, &[block_id(rank, to, p)]);
+                out.recv((rank + p - k) % p, s);
+                out.round();
             }
         }
-        AlltoallAlgo::Dissemination => {
-            build_bruck(rank, p, s, &mut sched);
-        }
+        AlltoallAlgo::Dissemination => write_bruck(rank, p, s, out),
     }
-    sched
 }
 
 /// Bruck's algorithm.
@@ -107,41 +111,38 @@ pub fn build_alltoall(algo: AlltoallAlgo, rank: RankId, spec: &CollSpec) -> Sche
 /// Phase `k` ships every position with bit `k` set to rank `(r + 2^k) mod p`
 /// and receives the same positions from `(r − 2^k) mod p`. After all phases
 /// every position holds a block destined for `r`.
-fn build_bruck(rank: RankId, p: usize, s: usize, sched: &mut Schedule) {
+fn write_bruck(rank: RankId, p: usize, s: usize, out: &mut dyn Sink) {
     // Phase 1: local rotation of the send buffer (p blocks).
-    sched.push_round(Round(vec![Action::copy(p * s)]));
+    out.copy(p * s);
+    out.round();
+    // One list for every phase's blocks: a build allocates it once.
+    let mut blocks = Vec::with_capacity(p);
     let phases = usize::BITS - (p - 1).leading_zeros(); // ceil(log2 p)
     for k in 0..phases {
         let bit = 1usize << k;
-        let to = (rank + bit) % p;
-        let from = (rank + p - bit) % p;
         // Blocks at positions with bit k set, given the invariant above.
-        let mut blocks = Vec::new();
-        for i in 0..p {
-            if i & bit != 0 {
-                let low = i % bit; // i mod 2^k
-                let src = (rank + p - low) % p;
-                let dst = (rank + i - low) % p;
-                blocks.push(block_id(src, dst, p));
-            }
-        }
+        blocks.clear();
+        blocks.extend((0..p).filter(|i| i & bit != 0).map(|i| {
+            let low = i % bit; // i mod 2^k
+            block_id((rank + p - low) % p, (rank + i - low) % p, p)
+        }));
         let cnt = blocks.len();
         debug_assert!(cnt > 0, "phase with nothing to send (p={p}, k={k})");
         // Pack, exchange, unpack.
-        sched.push_round(Round(vec![
-            Action::copy(cnt * s),
-            Action::send(to, cnt * s, blocks),
-            Action::recv(from, cnt * s),
-        ]));
+        out.copy(cnt * s);
+        out.send((rank + bit) % p, cnt * s, &blocks);
+        out.recv((rank + p - bit) % p, cnt * s);
+        out.round();
     }
     // Phase 3: final local inverse rotation.
-    sched.push_round(Round(vec![Action::copy(p * s)]));
+    out.copy(p * s);
+    out.round();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::OpKind;
+    use crate::schedule::{Annotated, OpKind};
 
     #[test]
     fn linear_is_single_round() {
@@ -172,7 +173,7 @@ mod tests {
         let mut partners = Vec::new();
         for round in sched.rounds().skip(1) {
             let sends = round.iter().filter(|op| op.kind() == OpKind::Send);
-            partners.extend(sends.map(|op| op.peer()));
+            partners.extend(sends.map(|op| op.peer(3, p)));
         }
         partners.sort_unstable();
         partners.dedup();
@@ -234,8 +235,8 @@ mod tests {
             let spec = CollSpec::new(p, 128);
             for algo in AlltoallAlgo::all() {
                 for r in 0..p {
-                    build_alltoall(algo, r, &spec)
-                        .validate(r, Some(128))
+                    Annotated::build(r, p, |out| write_alltoall(algo, r, &spec, out))
+                        .validate(Some(128))
                         .unwrap_or_else(|e| panic!("{algo:?} p={p} r={r}: {e}"));
                 }
             }

@@ -4,30 +4,34 @@
 //! waits for a signal from `(r − 2^k) mod p`. After the last round every
 //! rank has (transitively) heard from every other rank.
 
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// Size of a barrier signal message.
 pub const SIGNAL_BYTES: usize = 1;
 
+/// The dissemination barrier is rank-symmetric: each rank's schedule, with
+/// peers relative to the rank, is the same.
+pub const SYMMETRIC: bool = true;
+
 /// Build the dissemination-barrier schedule for `rank`.
 pub fn build_barrier(rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| write_barrier(rank, spec, out))
+}
+
+/// Write the dissemination-barrier schedule for `rank` into `out`.
+pub fn write_barrier(rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
-    let mut sched = Schedule::new();
     if p <= 1 {
-        return sched;
+        return;
     }
     let phases = usize::BITS - (p - 1).leading_zeros();
     for k in 0..phases {
         let bit = 1usize << k;
-        let to = (rank + bit) % p;
-        let from = (rank + p - bit) % p;
-        sched.push_round(Round(vec![
-            Action::send(to, SIGNAL_BYTES, Vec::new()),
-            Action::recv(from, SIGNAL_BYTES),
-        ]));
+        out.send((rank + bit) % p, SIGNAL_BYTES, &[]);
+        out.recv((rank + p - bit) % p, SIGNAL_BYTES);
+        out.round();
     }
-    sched
 }
 
 #[cfg(test)]
@@ -51,9 +55,7 @@ mod tests {
     fn validates() {
         for p in [2usize, 7, 64] {
             for r in 0..p {
-                build_barrier(r, &CollSpec::new(p, 0))
-                    .validate(r, None)
-                    .unwrap();
+                build_barrier(r, &CollSpec::new(p, 0)).validate().unwrap();
             }
         }
     }

@@ -13,7 +13,7 @@
 //! Logical block ids are segment indices; the semantic verifier checks that
 //! every non-root rank receives every segment.
 
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// Broadcast tree shape (the paper's fan-out attribute).
@@ -127,13 +127,25 @@ pub fn tree_links(algo: BcastAlgo, rank: RankId, spec: &CollSpec) -> (Option<Ran
 /// receiving segment *s* from their parent, so segments stream down the
 /// tree.
 pub fn build_bcast(algo: BcastAlgo, segsize: usize, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| {
+        write_bcast(algo, segsize, rank, spec, out)
+    })
+}
+
+/// Write the pipelined broadcast schedule for `rank` into `out`.
+pub fn write_bcast(
+    algo: BcastAlgo,
+    segsize: usize,
+    rank: RankId,
+    spec: &CollSpec,
+    out: &mut dyn Sink,
+) {
     assert!(segsize > 0, "segment size must be positive");
     assert!(spec.nprocs > 0);
     let p = spec.nprocs;
     let bytes = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || bytes == 0 {
-        return sched;
+        return;
     }
     let nseg = bytes.div_ceil(segsize);
     let seg_bytes = |s: usize| -> usize {
@@ -144,48 +156,41 @@ pub fn build_bcast(algo: BcastAlgo, segsize: usize, rank: RankId, spec: &CollSpe
         }
     };
     let (parent, children) = tree_links(algo, rank, spec);
+    // Segment `s` to every child.
+    let forward = |out: &mut dyn Sink, s: usize| {
+        for &c in &children {
+            out.send(c, seg_bytes(s), &[s as u32]);
+        }
+    };
 
     match (parent, children.is_empty()) {
         (None, _) => {
             // Root: one round per segment, sending it to every child.
             for s in 0..nseg {
-                let round = Round(
-                    children
-                        .iter()
-                        .map(|&c| Action::send(c, seg_bytes(s), vec![s as u32]))
-                        .collect(),
-                );
-                sched.push_round(round);
+                forward(out, s);
+                out.round();
             }
         }
         (Some(par), true) => {
             // Leaf: pre-post every segment receive in a single round.
-            let round = Round((0..nseg).map(|s| Action::recv(par, seg_bytes(s))).collect());
-            sched.push_round(round);
+            for s in 0..nseg {
+                out.recv(par, seg_bytes(s));
+            }
+            out.round();
         }
         (Some(par), false) => {
             // Interior: pipeline — receive segment s while forwarding s-1.
-            sched.push_round(Round(vec![Action::recv(par, seg_bytes(0))]));
+            out.recv(par, seg_bytes(0));
+            out.round();
             for s in 1..nseg {
-                let mut round = Round::new();
-                for &c in &children {
-                    round
-                        .0
-                        .push(Action::send(c, seg_bytes(s - 1), vec![(s - 1) as u32]));
-                }
-                round.0.push(Action::recv(par, seg_bytes(s)));
-                sched.push_round(round);
+                forward(out, s - 1);
+                out.recv(par, seg_bytes(s));
+                out.round();
             }
-            let last = Round(
-                children
-                    .iter()
-                    .map(|&c| Action::send(c, seg_bytes(nseg - 1), vec![(nseg - 1) as u32]))
-                    .collect(),
-            );
-            sched.push_round(last);
+            forward(out, nseg - 1);
+            out.round();
         }
     }
-    sched
 }
 
 #[cfg(test)]
@@ -302,7 +307,7 @@ mod tests {
             for algo in BcastAlgo::all() {
                 for r in 0..p {
                     let sched = build_bcast(algo, 64 * 1024, r, &s);
-                    sched.validate(r, None).expect("valid schedule");
+                    sched.validate().expect("valid schedule");
                 }
             }
         }

@@ -32,7 +32,7 @@
 //!   builds check the cursor's answer against a full rescan on every
 //!   visit.
 
-use crate::schedule::{OpKind, Schedule};
+use crate::schedule::{Op, OpKind, Schedule};
 use mpisim::{Payload, RankId, RecvHandle, SendHandle, Tag, World};
 use simcore::SimTime;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,6 +91,9 @@ pub fn default_payload_mode() -> PayloadMode {
 pub struct ScheduleExec {
     /// Global rank executing the schedule.
     rank: RankId,
+    /// The executing rank in the schedule's communicator: its relative
+    /// peers are taken from here.
+    local: RankId,
     /// Communicator: maps the schedule's local peer indices to global
     /// ranks. `None` means the schedule already uses global ranks.
     comm: Option<std::rc::Rc<Vec<RankId>>>,
@@ -131,6 +134,7 @@ impl ScheduleExec {
     pub fn new(rank: RankId, tag: Tag, sched: impl Into<Arc<Schedule>>) -> Self {
         ScheduleExec {
             rank,
+            local: rank,
             comm: None,
             tag,
             sched: sched.into(),
@@ -147,32 +151,22 @@ impl ScheduleExec {
         }
     }
 
-    /// Wrap a schedule built against communicator-local ranks: the peers in
-    /// the schedule index into `comm`, which maps them to global ranks.
-    /// `rank` is the executing *global* rank and must appear in `comm`.
+    /// Wrap a schedule built against communicator-local ranks for the
+    /// rank `local` of `comm`: the peers in the schedule index into `comm`,
+    /// which maps them to global ranks.
+    ///
+    /// # Panics
+    /// Panics if `local` is outside `comm`.
     pub fn new_on_comm(
-        rank: RankId,
+        comm: std::rc::Rc<Vec<RankId>>,
+        local: RankId,
         tag: Tag,
         sched: impl Into<Arc<Schedule>>,
-        comm: std::rc::Rc<Vec<RankId>>,
     ) -> Self {
-        assert!(comm.contains(&rank), "rank {rank} not in communicator");
-        ScheduleExec {
-            rank,
-            comm: Some(comm),
-            tag,
-            sched: sched.into(),
-            next_round: 0,
-            sends: Vec::new(),
-            recvs: Vec::new(),
-            sends_seen: 0,
-            recvs_seen: 0,
-            staged: Vec::new(),
-            started: false,
-            payload_mode: default_payload_mode(),
-            round_posted_at: SimTime::ZERO,
-            round_retired: true,
-        }
+        let mut exec = ScheduleExec::new(comm[local], tag, sched);
+        exec.local = local;
+        exec.comm = Some(comm);
+        exec
     }
 
     /// Override the payload staging mode for this instance.
@@ -276,13 +270,18 @@ impl ScheduleExec {
         let (rank, tag) = (self.rank, self.tag);
         let stage = self.payload_mode == PayloadMode::Pooled;
         let comm = self.comm.as_deref();
-        let global = |peer: RankId| comm.map_or(peer, |c| c[peer]);
+        let (local, p) = (self.local, self.sched.nprocs());
+        debug_assert!(local < p, "rank {local} runs a schedule of {p} ranks");
+        let global = |op: &Op| {
+            let peer = op.peer(local, p);
+            comm.map_or(peer, |c| c[peer])
+        };
         let mut t = now;
         for op in round {
             let bytes = op.bytes();
             match op.kind() {
                 OpKind::Send => {
-                    let peer = global(op.peer());
+                    let peer = global(op);
                     t += w.o_send(rank, peer);
                     // The handle itself never affects simulated time.
                     let payload = stage.then(|| fan_out(&mut self.staged, w, bytes, &stamp));
@@ -296,7 +295,7 @@ impl ScheduleExec {
                         .push(w.isend_payload(rank, peer, tag, bytes, t, payload));
                 }
                 OpKind::Recv => {
-                    let peer = global(op.peer());
+                    let peer = global(op);
                     t += w.o_recv(rank, peer);
                     self.recvs.push(w.irecv(rank, peer, tag, bytes, t));
                 }
@@ -579,6 +578,43 @@ mod tests {
     }
 
     #[test]
+    fn one_shared_symmetric_schedule_runs_like_per_rank_builds() {
+        // Relative peers let every rank run rank 0's all-to-all: the run is
+        // the one per-rank builds give, event for event, on communicators
+        // that keep and that reverse the world's rank order.
+        let p = 12;
+        let spec = CollSpec::new(p, 4096);
+        for (algo, reversed) in AlltoallAlgo::all()
+            .into_iter()
+            .flat_map(|a| [(a, false), (a, true)])
+        {
+            let mut comm: Vec<RankId> = (0..p).collect();
+            if reversed {
+                comm.reverse();
+            }
+            let comm = std::rc::Rc::new(comm);
+            let run = |build: &dyn Fn(usize) -> Arc<Schedule>| {
+                let mut w = World::new(Platform::whale(), p, Placement::Block, NoiseConfig::none());
+                let tag = w.alloc_tag();
+                let mut execs: Vec<_> = (0..p)
+                    .map(|l| ScheduleExec::new_on_comm(comm.clone(), l, tag, build(l)))
+                    .collect();
+                // `OneShot` indexes by global rank.
+                execs.sort_by_key(|e| e.rank());
+                let makespan = w.run(&mut OneShot::new(execs)).expect("no deadlock");
+                (makespan, w.event_digest())
+            };
+            let shared = Arc::new(build_alltoall(algo, 0, &spec));
+            let own = run(&|l| build_alltoall(algo, l, &spec).into());
+            assert_eq!(
+                own,
+                run(&|_| shared.clone()),
+                "{algo:?} reversed: {reversed}"
+            );
+        }
+    }
+
+    #[test]
     fn payload_modes_are_timing_invariant() {
         // The whole point of the payload engine: host-side staging strategy
         // must be invisible to the simulated clock.
@@ -750,7 +786,7 @@ mod tests {
             if let Some(exec) = self.inner.execs[r].as_ref().filter(|e| !e.round_retired) {
                 assert_eq!(exec.sched.num_rounds(), 1, "probe expects one round");
                 let recvs = exec.sched.round(0).iter().filter_map(|op| match op.kind() {
-                    OpKind::Recv => Some((op.peer(), op.bytes())),
+                    OpKind::Recv => Some((op.peer(r, exec.sched.nprocs()), op.bytes())),
                     _ => None,
                 });
                 for (&h, (peer, bytes)) in exec.recvs.iter().zip(recvs) {

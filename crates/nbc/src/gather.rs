@@ -7,7 +7,7 @@
 //! message.
 
 use crate::bcast::{tree_links, BcastAlgo};
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// The tree shape for gather/scatter.
@@ -55,61 +55,64 @@ fn subtree(algo: GatherAlgo, rank: RankId, spec: &CollSpec) -> Vec<RankId> {
 /// subtree blocks, then send the whole subtree's blocks to the parent.
 /// `spec.msg_bytes` is the per-rank block size.
 pub fn build_gather(algo: GatherAlgo, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| write_gather(algo, rank, spec, out))
+}
+
+/// Write the gather schedule for `rank` into `out`.
+pub fn write_gather(algo: GatherAlgo, rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
     let s = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || s == 0 {
-        return sched;
+        return;
     }
     let (parent, children) = tree_links(algo.tree(), rank, spec);
-    if !children.is_empty() {
-        let mut round = Round::new();
-        for &c in &children {
-            let cnt = subtree(algo, c, spec).len();
-            round.0.push(Action::recv(c, cnt * s));
-        }
-        sched.push_round(round);
+    for &c in &children {
+        out.recv(c, subtree(algo, c, spec).len() * s);
     }
+    out.round();
     if let Some(par) = parent {
-        let blocks: Vec<u32> = subtree(algo, rank, spec)
-            .iter()
-            .map(|&r| r as u32)
-            .collect();
-        let bytes = blocks.len() * s;
-        sched.push_round(Round(vec![Action::send(par, bytes, blocks)]));
+        let blocks = subtree_blocks(algo, rank, spec);
+        out.send(par, blocks.len() * s, &blocks);
     } else {
         // Root: copy its own block into the result buffer.
-        sched.push_round(Round(vec![Action::copy(s)]));
+        out.copy(s);
     }
-    sched
+    out.round();
 }
 
 /// Build the scatter schedule for `rank`: receive this subtree's blocks
 /// from the parent, then forward each child its subtree's share.
 pub fn build_scatter(algo: GatherAlgo, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| {
+        write_scatter(algo, rank, spec, out)
+    })
+}
+
+/// Write the scatter schedule for `rank` into `out`.
+pub fn write_scatter(algo: GatherAlgo, rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
     let s = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || s == 0 {
-        return sched;
+        return;
     }
     let (parent, children) = tree_links(algo.tree(), rank, spec);
     if let Some(par) = parent {
-        let cnt = subtree(algo, rank, spec).len();
-        sched.push_round(Round(vec![Action::recv(par, cnt * s)]));
+        out.recv(par, subtree(algo, rank, spec).len() * s);
     } else {
-        sched.push_round(Round(vec![Action::copy(s)]));
+        out.copy(s);
     }
-    if !children.is_empty() {
-        let mut round = Round::new();
-        for &c in &children {
-            let blocks: Vec<u32> = subtree(algo, c, spec).iter().map(|&r| r as u32).collect();
-            let bytes = blocks.len() * s;
-            round.0.push(Action::send(c, bytes, blocks));
-        }
-        sched.push_round(round);
+    out.round();
+    for &c in &children {
+        let blocks = subtree_blocks(algo, c, spec);
+        out.send(c, blocks.len() * s, &blocks);
     }
-    sched
+    out.round();
+}
+
+/// [`subtree`] as block ids.
+fn subtree_blocks(algo: GatherAlgo, rank: RankId, spec: &CollSpec) -> Vec<u32> {
+    let ranks = subtree(algo, rank, spec);
+    ranks.into_iter().map(|r| r as u32).collect()
 }
 
 #[cfg(test)]
@@ -123,9 +126,9 @@ mod tests {
             msg_bytes: 128,
             root,
         };
-        let scheds: Vec<Schedule> = (0..p).map(|r| build_gather(algo, r, &spec)).collect();
-        for (r, sc) in scheds.iter().enumerate() {
-            sc.validate(r, Some(128))?;
+        let scheds = verify::annotate_all(p, |r, out| write_gather(algo, r, &spec, out));
+        for sc in &scheds {
+            sc.validate(Some(128))?;
         }
         verify::verify_gather(&scheds, root)
     }
@@ -136,9 +139,9 @@ mod tests {
             msg_bytes: 64,
             root,
         };
-        let scheds: Vec<Schedule> = (0..p).map(|r| build_scatter(algo, r, &spec)).collect();
-        for (r, sc) in scheds.iter().enumerate() {
-            sc.validate(r, Some(64))?;
+        let scheds = verify::annotate_all(p, |r, out| write_scatter(algo, r, &spec, out));
+        for sc in &scheds {
+            sc.validate(Some(64))?;
         }
         verify::verify_scatter(&scheds, root)
     }

@@ -10,7 +10,8 @@
 //!
 //! This crate provides:
 //!
-//! * the schedule representation ([`schedule`]),
+//! * the schedule representation ([`schedule`]): builders write each
+//!   rank's schedule once, through a [`Sink`], in its stored form,
 //! * schedule builders for the collective algorithms evaluated in the paper
 //!   ([`bcast`]: linear / chain / k-ary tree / binomial, each with 32, 64 or
 //!   128 KiB segmentation; [`alltoall`]: linear / pairwise / dissemination
@@ -47,4 +48,4 @@ pub use executor::{
 };
 pub use gather::GatherAlgo;
 pub use neighbor::{Cart2d, NeighborAlgo};
-pub use schedule::{Action, CollSpec, Op, OpKind, Round, Schedule};
+pub use schedule::{Annotated, CollSpec, Op, OpKind, Schedule, Sink};

@@ -14,7 +14,7 @@
 //! * [`NeighborAlgo::Ordered`] — four rounds, one direction at a time
 //!   (minimal buffer pressure, most rounds).
 
-use crate::schedule::{Action, Round, Schedule};
+use crate::schedule::{Schedule, Sink};
 use mpisim::RankId;
 
 /// A periodic 2-D process grid.
@@ -107,53 +107,51 @@ pub fn build_neighbor(
     rank: RankId,
     halo_bytes: usize,
 ) -> Schedule {
+    Schedule::build(rank, grid.size(), |out| {
+        write_neighbor(algo, grid, rank, halo_bytes, out)
+    })
+}
+
+/// Write the halo-exchange schedule for `rank` on `grid` into `out`.
+pub fn write_neighbor(
+    algo: NeighborAlgo,
+    grid: Cart2d,
+    rank: RankId,
+    halo_bytes: usize,
+    out: &mut dyn Sink,
+) {
     let p = grid.size();
-    let mut sched = Schedule::new();
     if p <= 1 || halo_bytes == 0 {
-        return sched;
+        return;
     }
     let [left, right, down, up] = grid.neighbors(rank);
     // (send-to, recv-from) per direction; sending left means receiving
     // from the right, and so on.
     let dirs: [(RankId, RankId); 4] = [(left, right), (right, left), (down, up), (up, down)];
-    let mk = |to: RankId, from: RankId| {
-        let mut acts = Vec::new();
+    let exchange = |out: &mut dyn Sink, (to, from): (RankId, RankId)| {
         if to != rank {
-            acts.push(Action::send(to, halo_bytes, vec![halo_block(rank, to, p)]));
+            out.send(to, halo_bytes, &[halo_block(rank, to, p)]);
         }
         if from != rank {
-            acts.push(Action::recv(from, halo_bytes));
+            out.recv(from, halo_bytes);
         }
         if to == rank || from == rank {
             // Self-neighbour on a degenerate dimension: local copy.
-            acts.push(Action::copy(halo_bytes));
+            out.copy(halo_bytes);
         }
-        acts
     };
-    match algo {
-        NeighborAlgo::PostAll => {
-            let mut round = Round::new();
-            for &(to, from) in &dirs {
-                round.0.extend(mk(to, from));
-            }
-            sched.push_round(round);
+    // Directions per round.
+    let per_round = match algo {
+        NeighborAlgo::PostAll => 4,
+        NeighborAlgo::PairwiseDim => 2,
+        NeighborAlgo::Ordered => 1,
+    };
+    for round in dirs.chunks(per_round) {
+        for &dir in round {
+            exchange(out, dir);
         }
-        NeighborAlgo::PairwiseDim => {
-            for pair in dirs.chunks(2) {
-                let mut round = Round::new();
-                for &(to, from) in pair {
-                    round.0.extend(mk(to, from));
-                }
-                sched.push_round(round);
-            }
-        }
-        NeighborAlgo::Ordered => {
-            for &(to, from) in &dirs {
-                sched.push_round(Round(mk(to, from)));
-            }
-        }
+        out.round();
     }
-    sched
 }
 
 #[cfg(test)]
@@ -164,9 +162,9 @@ mod tests {
 
     fn verify_halo(grid: Cart2d, algo: NeighborAlgo) -> Result<(), String> {
         let p = grid.size();
-        let scheds: Vec<Schedule> = (0..p).map(|r| build_neighbor(algo, grid, r, 256)).collect();
-        for (r, s) in scheds.iter().enumerate() {
-            s.validate(r, Some(256))?;
+        let scheds = verify::annotate_all(p, |r, out| write_neighbor(algo, grid, r, 256, out));
+        for s in &scheds {
+            s.validate(Some(256))?;
         }
         let initial: Vec<HashSet<u32>> = (0..p)
             .map(|r| (0..p).map(|d| halo_block(r, d, p)).collect())

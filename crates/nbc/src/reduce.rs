@@ -6,7 +6,7 @@
 //! prove the root receives every rank's contribution exactly once.
 
 use crate::bcast::{tree_links, BcastAlgo};
-use crate::schedule::{Action, CollSpec, Round, Schedule};
+use crate::schedule::{CollSpec, Schedule, Sink};
 use mpisim::RankId;
 
 /// The reduce tree shape.
@@ -59,17 +59,23 @@ pub fn subtree(algo: ReduceAlgo, rank: RankId, spec: &CollSpec) -> Vec<RankId> {
 /// partial result (in its own round — combining is sequential), then send
 /// the combined payload to the parent.
 pub fn build_reduce(algo: ReduceAlgo, rank: RankId, spec: &CollSpec) -> Schedule {
+    Schedule::build(rank, spec.nprocs, |out| write_reduce(algo, rank, spec, out))
+}
+
+/// Write the reduce schedule for `rank` into `out`.
+pub fn write_reduce(algo: ReduceAlgo, rank: RankId, spec: &CollSpec, out: &mut dyn Sink) {
     let p = spec.nprocs;
     let bytes = spec.msg_bytes;
-    let mut sched = Schedule::new();
     if p <= 1 || bytes == 0 {
-        return sched;
+        return;
     }
     let (parent, children) = tree_links(algo.tree(), rank, spec);
     // Children are combined in reverse order so the deepest subtree (posted
     // first in bcast order) is awaited first.
     for &c in children.iter().rev() {
-        sched.push_round(Round(vec![Action::recv(c, bytes), Action::calc(bytes)]));
+        out.recv(c, bytes);
+        out.calc(bytes);
+        out.round();
     }
     if let Some(par) = parent {
         let mut contrib: Vec<u32> = subtree(algo, rank, spec)
@@ -77,9 +83,9 @@ pub fn build_reduce(algo: ReduceAlgo, rank: RankId, spec: &CollSpec) -> Schedule
             .map(|&r| r as u32)
             .collect();
         contrib.sort_unstable();
-        sched.push_round(Round(vec![Action::send(par, bytes, contrib)]));
+        out.send(par, bytes, &contrib);
+        out.round();
     }
-    sched
 }
 
 #[cfg(test)]
@@ -131,7 +137,7 @@ mod tests {
             for algo in ReduceAlgo::all() {
                 for r in 0..p {
                     build_reduce(algo, r, &spec)
-                        .validate(r, None)
+                        .validate()
                         .unwrap_or_else(|e| panic!("{algo:?} p={p} r={r}: {e}"));
                 }
             }

@@ -1,20 +1,31 @@
 //! The collective-operation schedule representation.
 //!
-//! A [`Schedule`] is local to one rank. It consists of rounds; all
-//! operations inside a round are independent and may proceed concurrently,
-//! and a round only begins once the previous round has completed locally
-//! (the LibNBC "barrier" semantics). Send operations carry the logical
-//! *block ids* they move, which the [`crate::verify`] module uses to prove
-//! collective semantics; the timing simulator only looks at byte counts.
+//! A [`Schedule`] is one rank's part of a collective operation. It consists
+//! of rounds; all operations inside a round are independent and may
+//! proceed concurrently, and a round only begins once the previous round
+//! has completed locally (the LibNBC "barrier" semantics).
 //!
-//! Builders write a schedule as [`Round`]s of [`Action`]s and hand each
-//! round to [`Schedule::push_round`], the one place that flattens. The
-//! stored form is LibNBC's: one contiguous array of 16-byte [`Op`]s with
-//! round delimiters beside it, and every send's block ids concatenated in
-//! one more array — a constant number of heap blocks per schedule however
-//! many rounds and sends it has. Readers see a round as `&[Op]`
-//! ([`Schedule::round`]) and a round's block lists through
-//! [`Schedule::round_blocks`].
+//! Builders write a schedule once, through a [`Sink`]: `send`, `recv`,
+//! `copy` and `calc` add an operation to the open round, and `round`
+//! closes it. The same builder code feeds two sinks:
+//!
+//! * the run-time form, [`Schedule`] ([`Schedule::build`]): LibNBC's static
+//!   array of rounds — one contiguous array of 16-byte [`Op`]s with round
+//!   delimiters beside it, sized exactly before it is written, so a stored
+//!   schedule is two heap blocks however many rounds and sends it has.
+//!   Sends carry *logical block ids* that prove collective semantics; the
+//!   run-time form ignores them, because the timing simulator only looks
+//!   at byte counts;
+//! * the verifier's form, [`Annotated`]: the same schedule plus every
+//!   send's block ids, which [`crate::verify`] moves through its channels.
+//!
+//! A stored op names its peer relative to the rank that runs it, as
+//! `(peer − rank) mod p`, and the executor resolves it when it posts the
+//! round. Most exchange patterns are then one parametric shape in `p`: an
+//! all-to-all, an all-gather, a ring all-reduce or a barrier has the same
+//! relative form on every rank. A builder that declares its algorithm
+//! rank-symmetric lets the operation that runs it store one schedule for
+//! all ranks.
 
 use mpisim::RankId;
 use std::ops::Range;
@@ -36,7 +47,8 @@ pub enum OpKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     kind: OpKind,
-    /// Peer rank of a send or receive; 0 for local operations.
+    /// Peer of a send or receive relative to the executing rank,
+    /// `(peer − rank) mod p`; 0 for local operations.
     peer: u32,
     bytes: u64,
 }
@@ -45,22 +57,20 @@ pub struct Op {
 const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 impl Op {
-    fn new(kind: OpKind, peer: RankId, bytes: usize) -> Op {
-        Op {
-            kind,
-            peer: u32::try_from(peer).expect("rank ids fit in u32"),
-            bytes: bytes as u64,
-        }
-    }
-
     /// The operation.
     pub fn kind(&self) -> OpKind {
         self.kind
     }
 
-    /// Destination of a send, source of a receive (0 for local work).
-    pub fn peer(&self) -> RankId {
-        self.peer as RankId
+    /// Destination of a send, source of a receive, when `rank` of `nprocs`
+    /// runs the op (`rank` itself for local work).
+    pub fn peer(&self, rank: RankId, nprocs: usize) -> RankId {
+        let peer = rank + self.peer as usize;
+        if peer >= nprocs {
+            peer - nprocs
+        } else {
+            peer
+        }
     }
 
     /// Payload size in bytes.
@@ -69,76 +79,46 @@ impl Op {
     }
 }
 
-/// One schedule action as a builder writes it: an [`Op`] and, for a send,
-/// the logical data blocks it carries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Action {
-    op: Op,
-    blocks: Vec<u32>,
-}
+/// Where a builder writes one rank's schedule.
+///
+/// Operations go into the open round; [`round`](Sink::round) closes it,
+/// and closing an empty round does nothing. Peers are absolute ranks.
+pub trait Sink {
+    /// Close the open round: what follows starts only once it completed.
+    fn round(&mut self);
+    /// Add an op of `kind` over `bytes` to the open round: `peer` names the
+    /// other end of a send or receive (local work ignores it), and
+    /// `blocks` the logical data a send carries.
+    fn op(&mut self, kind: OpKind, peer: RankId, bytes: usize, blocks: &[u32]);
 
-impl Action {
-    /// A send of `bytes` to `peer` carrying `blocks`.
-    pub fn send(peer: RankId, bytes: usize, blocks: Vec<u32>) -> Action {
-        Action {
-            op: Op::new(OpKind::Send, peer, bytes),
-            blocks,
-        }
+    /// Send `bytes` to `peer`, carrying the logical data `blocks`.
+    fn send(&mut self, peer: RankId, bytes: usize, blocks: &[u32]) {
+        self.op(OpKind::Send, peer, bytes, blocks);
     }
-
-    /// A receive of `bytes` from `peer`.
-    pub fn recv(peer: RankId, bytes: usize) -> Action {
-        Action::local(Op::new(OpKind::Recv, peer, bytes))
+    /// Receive `bytes` from `peer`.
+    fn recv(&mut self, peer: RankId, bytes: usize) {
+        self.op(OpKind::Recv, peer, bytes, &[]);
     }
-
-    /// A local copy of `bytes`.
-    pub fn copy(bytes: usize) -> Action {
-        Action::local(Op::new(OpKind::Copy, 0, bytes))
+    /// Copy `bytes` locally.
+    fn copy(&mut self, bytes: usize) {
+        self.op(OpKind::Copy, 0, bytes, &[]);
     }
-
-    /// A local reduction over `bytes`.
-    pub fn calc(bytes: usize) -> Action {
-        Action::local(Op::new(OpKind::Calc, 0, bytes))
-    }
-
-    fn local(op: Op) -> Action {
-        Action {
-            op,
-            blocks: Vec::new(),
-        }
+    /// Reduce over `bytes` locally.
+    fn calc(&mut self, bytes: usize) {
+        self.op(OpKind::Calc, 0, bytes, &[]);
     }
 }
 
-/// A set of independent actions separated from the next set by a local
-/// barrier.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Round(pub Vec<Action>);
-
-impl Round {
-    /// Empty round (useful while building).
-    pub fn new() -> Round {
-        Round(Vec::new())
-    }
-
-    /// True if the round has no actions.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-/// A complete per-rank schedule, stored flat (see the module docs).
+/// A complete per-rank schedule in its run-time form (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Schedule {
+    /// The communicator size its relative peers are taken modulo.
+    nprocs: u32,
     /// Every operation, in round order.
     ops: Vec<Op>,
     /// One past the last op of each round: round `i` is
     /// `ops[round_ends[i - 1]..round_ends[i]]`.
     round_ends: Vec<u32>,
-    /// The block ids of every send, concatenated in op order.
-    blocks: Vec<u32>,
-    /// One past the last block of each op (an op that is not a send adds
-    /// none): op `j` carries `blocks[block_ends[j - 1]..block_ends[j]]`.
-    block_ends: Vec<u32>,
 }
 
 /// An array length as a stored offset.
@@ -152,32 +132,94 @@ fn span(ends: &[u32], i: usize) -> Range<usize> {
     start..ends[i] as usize
 }
 
+/// The sink of the sizing pass: counts what a builder writes.
+#[derive(Default)]
+struct Count {
+    ops: usize,
+    rounds: usize,
+    open: bool,
+}
+
+impl Sink for Count {
+    fn round(&mut self) {
+        self.rounds += usize::from(std::mem::take(&mut self.open));
+    }
+    fn op(&mut self, _: OpKind, _: RankId, _: usize, _: &[u32]) {
+        self.ops += 1;
+        self.open = true;
+    }
+}
+
+/// The run-time sink: `rank`'s ops, with relative peers and no blocks.
+struct Writer {
+    rank: RankId,
+    sched: Schedule,
+}
+
+impl Sink for Writer {
+    fn round(&mut self) {
+        self.sched.close_round();
+    }
+    fn op(&mut self, kind: OpKind, peer: RankId, bytes: usize, _: &[u32]) {
+        self.sched.push(kind, self.rank, peer, bytes);
+    }
+}
+
 impl Schedule {
     /// Empty schedule (a no-op operation).
     pub fn new() -> Schedule {
         Schedule::default()
     }
 
-    /// Append a round, skipping empty ones.
-    pub fn push_round(&mut self, round: Round) {
-        if round.is_empty() {
-            return;
-        }
-        for Action { op, blocks } in round.0 {
-            self.ops.push(op);
-            self.blocks.extend_from_slice(&blocks);
-            self.block_ends.push(offset(self.blocks.len()));
-        }
-        self.round_ends.push(offset(self.ops.len()));
+    /// `rank`'s schedule among `nprocs` ranks, as `write` describes it.
+    /// `write` runs twice: once to count the ops and rounds, and once into
+    /// arrays of exactly that size, so a build allocates the same number
+    /// of times whatever its size (beyond what `write` allocates itself).
+    pub fn build(rank: RankId, nprocs: usize, write: impl Fn(&mut dyn Sink)) -> Schedule {
+        let mut count = Count::default();
+        write(&mut count);
+        count.round();
+        let mut out = Writer {
+            rank,
+            sched: Schedule {
+                nprocs: offset(nprocs),
+                ops: Vec::with_capacity(count.ops),
+                round_ends: Vec::with_capacity(count.rounds),
+            },
+        };
+        write(&mut out);
+        out.sched.close_round();
+        debug_assert_eq!(out.sched.ops.len(), count.ops, "a builder wrote twice");
+        out.sched
     }
 
-    /// Release the spare capacity the builder's pushes left behind, before
-    /// the schedule is stored for the life of the operation that runs it.
-    pub fn shrink_to_fit(&mut self) {
-        self.ops.shrink_to_fit();
-        self.round_ends.shrink_to_fit();
-        self.blocks.shrink_to_fit();
-        self.block_ends.shrink_to_fit();
+    /// Append an op of `rank`, naming absolute `peer` if it is a message.
+    fn push(&mut self, kind: OpKind, rank: RankId, peer: RankId, bytes: usize) {
+        let p = self.nprocs as usize;
+        let message = matches!(kind, OpKind::Send | OpKind::Recv);
+        debug_assert!(
+            rank < p && peer < p,
+            "rank {rank} or peer {peer} outside {p} ranks"
+        );
+        let peer = if message { (peer + p - rank) % p } else { 0 };
+        self.ops.push(Op {
+            kind,
+            peer: offset(peer),
+            bytes: bytes as u64,
+        });
+    }
+
+    /// End the open round, unless it is empty.
+    fn close_round(&mut self) {
+        let end = offset(self.ops.len());
+        if self.round_ends.last().map_or(0, |&e| e) < end {
+            self.round_ends.push(end);
+        }
+    }
+
+    /// The communicator size the relative peers refer to.
+    pub fn nprocs(&self) -> usize {
+        self.nprocs as usize
     }
 
     /// Number of rounds.
@@ -191,15 +233,6 @@ impl Schedule {
     /// Panics if `i >= self.num_rounds()`.
     pub fn round(&self, i: usize) -> &[Op] {
         &self.ops[span(&self.round_ends, i)]
-    }
-
-    /// The block lists of round `i`, one per op of [`round(i)`](Self::round)
-    /// and in the same order; empty for everything but an annotated send.
-    ///
-    /// # Panics
-    /// Panics if `i >= self.num_rounds()`.
-    pub fn round_blocks(&self, i: usize) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
-        span(&self.round_ends, i).map(|j| &self.blocks[span(&self.block_ends, j)])
     }
 
     /// Every round, in order.
@@ -237,20 +270,21 @@ impl Schedule {
         self.count_and_bytes(OpKind::Recv).1
     }
 
-    /// Render the schedule as a compact human-readable listing, one line
-    /// per round — a debugging aid for builder development:
+    /// Render the schedule as `rank` runs it, as a compact human-readable
+    /// listing with absolute peers, one line per round — a debugging aid
+    /// for builder development:
     ///
     /// ```text
     /// round 0: copy(1024)
     /// round 1: send->3(1024) recv<-1(1024)
     /// ```
-    pub fn render(&self) -> String {
+    pub fn render(&self, rank: RankId) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (i, round) in self.rounds().enumerate() {
             let _ = write!(out, "round {i}:");
             for op in round {
-                let (peer, bytes) = (op.peer, op.bytes);
+                let (peer, bytes) = (op.peer(rank, self.nprocs()), op.bytes);
                 let _ = match op.kind {
                     OpKind::Send => write!(out, " send->{peer}({bytes})"),
                     OpKind::Recv => write!(out, " recv<-{peer}({bytes})"),
@@ -263,31 +297,21 @@ impl Schedule {
         out
     }
 
-    /// Basic well-formedness checks: no zero-byte sends/recvs, no
-    /// self-messages for `rank`, block annotations consistent with sizes
-    /// when `block_bytes` is known.
-    pub fn validate(&self, rank: RankId, block_bytes: Option<usize>) -> Result<(), String> {
-        for ri in 0..self.num_rounds() {
-            for (op, blocks) in self.round(ri).iter().zip(self.round_blocks(ri)) {
+    /// Basic well-formedness checks: no zero-byte sends/recvs and no
+    /// self-messages (a relative peer of 0), on any rank.
+    pub fn validate(&self) -> Result<(), String> {
+        for (ri, round) in self.rounds().enumerate() {
+            for op in round {
                 let (dir, to_self) = match op.kind() {
                     OpKind::Send => ("send", "send to self"),
                     OpKind::Recv => ("recv", "recv from self"),
                     OpKind::Copy | OpKind::Calc => continue,
                 };
-                if op.peer() == rank {
+                if op.peer == 0 {
                     return Err(format!("round {ri}: {to_self}"));
                 }
                 if op.bytes() == 0 {
                     return Err(format!("round {ri}: zero-byte {dir}"));
-                }
-                if let Some(bb) = block_bytes {
-                    if !blocks.is_empty() && blocks.len() * bb != op.bytes() {
-                        return Err(format!(
-                            "round {ri}: {} blocks x {bb} B != {} B",
-                            blocks.len(),
-                            op.bytes()
-                        ));
-                    }
                 }
             }
         }
@@ -296,13 +320,134 @@ impl Schedule {
 
     /// Append `next`'s rounds after this schedule's own.
     fn append(&mut self, next: &Schedule) {
-        let (ops, blocks) = (offset(self.ops.len()), offset(self.blocks.len()));
+        if next.num_rounds() == 0 {
+            return;
+        }
+        assert!(
+            self.num_rounds() == 0 || self.nprocs == next.nprocs,
+            "stages of one schedule span {} and {} ranks",
+            self.nprocs,
+            next.nprocs
+        );
+        self.nprocs = next.nprocs;
+        let ops = offset(self.ops.len());
         self.ops.extend_from_slice(&next.ops);
         self.round_ends
             .extend(next.round_ends.iter().map(|&e| e + ops));
-        self.blocks.extend_from_slice(&next.blocks);
-        self.block_ends
-            .extend(next.block_ends.iter().map(|&e| e + blocks));
+    }
+}
+
+/// Sequential composition of per-rank schedules: the rounds of every
+/// stage, concatenated in order. Because a round only begins once the
+/// previous round completed *locally*, the result executes stage `k+1`
+/// strictly after stage `k` on each rank — without any global barrier in
+/// between, exactly like issuing the operations back to back on one
+/// request. Channel FIFO order keeps the matching sound: every rank posts
+/// all of stage `k`'s sends/recvs before stage `k+1`'s, so per-(src, dst)
+/// traffic of consecutive stages can never cross. Writing the stages one
+/// after the other into one [`Sink`] gives the same schedule.
+///
+/// This is the mock-up constructor of the performance-guideline literature
+/// (Hunold & Carpen-Amarie): e.g. `sequence(&[scatter, allgather])` is a
+/// broadcast mock-up whose measured time upper-bounds what a well-tuned
+/// `Ibcast` should cost.
+///
+/// # Panics
+/// Panics if two non-empty stages span different numbers of ranks.
+pub fn sequence(stages: &[&Schedule]) -> Schedule {
+    let mut out = Schedule::new();
+    for stage in stages {
+        out.append(stage);
+    }
+    out
+}
+
+/// A schedule in the verifier's form: the run-time [`Schedule`] of one
+/// rank, plus the block ids of every send (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Annotated {
+    rank: RankId,
+    sched: Schedule,
+    /// The block ids of every send, concatenated in op order.
+    blocks: Vec<u32>,
+    /// One past the last block of each op (an op that is not a send adds
+    /// none): op `j` carries `blocks[block_ends[j - 1]..block_ends[j]]`.
+    block_ends: Vec<u32>,
+}
+
+impl Sink for Annotated {
+    fn round(&mut self) {
+        self.sched.close_round();
+    }
+    fn op(&mut self, kind: OpKind, peer: RankId, bytes: usize, blocks: &[u32]) {
+        self.sched.push(kind, self.rank, peer, bytes);
+        self.blocks.extend_from_slice(blocks);
+        self.block_ends.push(offset(self.blocks.len()));
+    }
+}
+
+impl Annotated {
+    /// `rank`'s schedule among `nprocs` ranks with its block ids, as
+    /// `write` describes it.
+    pub fn build(rank: RankId, nprocs: usize, write: impl FnOnce(&mut dyn Sink)) -> Annotated {
+        let mut out = Annotated {
+            rank,
+            sched: Schedule {
+                nprocs: offset(nprocs),
+                ..Schedule::default()
+            },
+            blocks: Vec::new(),
+            block_ends: Vec::new(),
+        };
+        write(&mut out);
+        out.sched.close_round();
+        out
+    }
+
+    /// The run-time form: the same ops without their blocks.
+    pub fn schedule(&self) -> &Schedule {
+        &self.sched
+    }
+
+    /// Number of rounds.
+    pub fn num_rounds(&self) -> usize {
+        self.sched.num_rounds()
+    }
+
+    /// The operations of round `i`, each with its block ids (empty for
+    /// everything but an annotated send).
+    ///
+    /// # Panics
+    /// Panics if `i >= self.num_rounds()`.
+    pub fn round(&self, i: usize) -> impl ExactSizeIterator<Item = (&Op, &[u32])> + '_ {
+        span(&self.sched.round_ends, i)
+            .map(|j| (&self.sched.ops[j], &self.blocks[span(&self.block_ends, j)]))
+    }
+
+    /// The absolute peer `op` names on this rank.
+    pub fn peer(&self, op: &Op) -> RankId {
+        op.peer(self.rank, self.sched.nprocs())
+    }
+
+    /// [`Schedule::validate`], and block annotations consistent with sizes
+    /// when `block_bytes` is known.
+    pub fn validate(&self, block_bytes: Option<usize>) -> Result<(), String> {
+        self.sched.validate()?;
+        let Some(bb) = block_bytes else {
+            return Ok(());
+        };
+        for ri in 0..self.num_rounds() {
+            for (op, blocks) in self.round(ri) {
+                if !blocks.is_empty() && blocks.len() * bb != op.bytes() {
+                    return Err(format!(
+                        "round {ri}: {} blocks x {bb} B != {} B",
+                        blocks.len(),
+                        op.bytes()
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Remove op `j` with its blocks. Its round keeps its place even when
@@ -316,38 +461,15 @@ impl Schedule {
         for e in &mut self.block_ends[j..] {
             *e -= nblocks;
         }
-        self.ops.remove(j);
-        for e in self.round_ends.iter_mut().filter(|e| **e as usize > j) {
+        self.sched.ops.remove(j);
+        for e in self
+            .sched
+            .round_ends
+            .iter_mut()
+            .filter(|e| **e as usize > j)
+        {
             *e -= 1;
         }
-    }
-}
-
-/// Sequential composition of per-rank schedules: the rounds of every
-/// stage, concatenated in order. Because a round only begins once the
-/// previous round completed *locally*, the result executes stage `k+1`
-/// strictly after stage `k` on each rank — without any global barrier in
-/// between, exactly like issuing the operations back to back on one
-/// request. Channel FIFO order keeps the matching sound: every rank posts
-/// all of stage `k`'s sends/recvs before stage `k+1`'s, so per-(src, dst)
-/// traffic of consecutive stages can never cross.
-///
-/// This is the mock-up constructor of the performance-guideline literature
-/// (Hunold & Carpen-Amarie): e.g. `sequence(&[scatter, allgather])` is a
-/// broadcast mock-up whose measured time upper-bounds what a well-tuned
-/// `Ibcast` should cost.
-pub fn sequence(stages: &[&Schedule]) -> Schedule {
-    let mut out = Schedule::new();
-    for stage in stages {
-        out.append(stage);
-    }
-    out
-}
-
-impl Schedule {
-    /// `self` followed by `next` (see [`sequence`]).
-    pub fn then(&self, next: &Schedule) -> Schedule {
-        sequence(&[self, next])
     }
 }
 
@@ -379,63 +501,77 @@ impl CollSpec {
 mod tests {
     use super::*;
 
+    /// Rank 0's schedule among 4 ranks, as `write` describes it.
+    fn build(write: impl Fn(&mut dyn Sink)) -> Schedule {
+        Schedule::build(0, 4, write)
+    }
+
     #[test]
-    fn push_round_skips_empty() {
-        let mut s = Schedule::new();
-        s.push_round(Round::new());
+    fn empty_rounds_are_skipped() {
+        let s = build(|out| {
+            out.round();
+            out.round();
+        });
         assert_eq!(s.num_rounds(), 0);
-        s.push_round(Round(vec![Action::copy(10)]));
+        let s = build(|out| {
+            out.copy(10);
+            out.round();
+            out.round();
+        });
         assert_eq!(s.num_rounds(), 1);
     }
 
     #[test]
     fn rounds_read_back_with_their_blocks() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![
-            Action::copy(8),
-            Action::send(1, 100, vec![4, 5]),
-            Action::recv(2, 50),
-        ]));
-        s.push_round(Round(vec![Action::send(3, 200, vec![]), Action::calc(16)]));
-        s.push_round(Round(vec![Action::send(2, 300, vec![6])]));
+        let s = Annotated::build(2, 4, |out| {
+            out.copy(8);
+            out.send(1, 100, &[4, 5]);
+            out.recv(3, 50);
+            out.round();
+            out.send(3, 200, &[]);
+            out.calc(16);
+            out.round();
+            out.send(0, 300, &[6]);
+        });
         assert_eq!(s.num_rounds(), 3);
-        let round1: Vec<_> = s
-            .round(1)
-            .iter()
-            .map(|op| (op.kind(), op.bytes()))
-            .collect();
+        let round1: Vec<_> = s.round(1).map(|(op, _)| (op.kind(), op.bytes())).collect();
         assert_eq!(round1, [(OpKind::Send, 200), (OpKind::Calc, 16)]);
-        assert_eq!(s.round(0)[1].peer(), 1);
-        let blocks = |i| s.round_blocks(i).collect::<Vec<_>>();
+        let (send, _) = s.round(0).nth(1).unwrap();
+        assert_eq!((s.peer(send), send.peer(0, 4)), (1, 3));
+        let blocks = |i| s.round(i).map(|(_, b)| b).collect::<Vec<_>>();
         assert_eq!(blocks(0), [&[][..], &[4, 5], &[]]);
         assert_eq!(blocks(1), [&[][..], &[]]);
         assert_eq!(blocks(2), [&[6][..]]);
-        assert_eq!(s.ops().len(), 6);
+        assert_eq!(s.schedule().ops().len(), 6);
     }
 
     #[test]
     fn remove_op_keeps_the_other_ops_and_their_blocks() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![Action::send(1, 8, vec![1, 2])]));
-        s.push_round(Round(vec![Action::send(2, 8, vec![3]), Action::recv(2, 8)]));
+        let mut s = Annotated::build(0, 4, |out| {
+            out.send(1, 8, &[1, 2]);
+            out.round();
+            out.send(2, 8, &[3]);
+            out.recv(2, 8);
+        });
         s.remove_op(0);
         // The emptied round keeps its place.
         assert_eq!(s.num_rounds(), 2);
-        assert!(s.round(0).is_empty());
+        assert_eq!(s.round(0).len(), 0);
         assert_eq!(s.round(1).len(), 2);
-        assert_eq!(s.round_blocks(1).collect::<Vec<_>>(), [&[3][..], &[]]);
+        let blocks: Vec<_> = s.round(1).map(|(_, b)| b).collect();
+        assert_eq!(blocks, [&[3][..], &[]]);
         s.remove_op(1);
-        assert_eq!(s.render(), "round 0:\nround 1: send->2(8)\n");
+        assert_eq!(s.schedule().render(0), "round 0:\nround 1: send->2(8)\n");
     }
 
     #[test]
     fn byte_accounting() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![
-            Action::send(1, 100, vec![0]),
-            Action::recv(2, 50),
-        ]));
-        s.push_round(Round(vec![Action::send(3, 200, vec![1, 2])]));
+        let s = build(|out| {
+            out.send(1, 100, &[0]);
+            out.recv(2, 50);
+            out.round();
+            out.send(3, 200, &[1, 2]);
+        });
         assert_eq!(s.bytes_sent(), 300);
         assert_eq!(s.bytes_received(), 50);
         assert_eq!(s.num_sends(), 2);
@@ -444,57 +580,60 @@ mod tests {
 
     #[test]
     fn render_is_readable() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![Action::copy(1024)]));
-        s.push_round(Round(vec![
-            Action::send(3, 1024, vec![0]),
-            Action::recv(1, 1024),
-            Action::calc(8),
-        ]));
-        let r = s.render();
+        let s = build(|out| {
+            out.copy(1024);
+            out.round();
+            out.send(3, 1024, &[0]);
+            out.recv(1, 1024);
+            out.calc(8);
+        });
+        let r = s.render(0);
         assert_eq!(
             r,
             "round 0: copy(1024)\nround 1: send->3(1024) recv<-1(1024) calc(8)\n"
+        );
+        // The same relative form, run by rank 2, names other peers.
+        assert_eq!(
+            s.render(2),
+            "round 0: copy(1024)\nround 1: send->1(1024) recv<-3(1024) calc(8)\n"
         );
     }
 
     #[test]
     fn validate_rejects_self_send() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![Action::send(0, 10, vec![])]));
-        assert!(s.validate(0, None).is_err());
-        assert!(s.validate(1, None).is_ok());
+        assert!(Schedule::build(0, 2, |out| out.send(0, 10, &[]))
+            .validate()
+            .is_err());
+        assert!(Schedule::build(1, 2, |out| out.send(0, 10, &[]))
+            .validate()
+            .is_ok());
     }
 
     #[test]
     fn validate_rejects_zero_bytes() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![Action::recv(1, 0)]));
-        assert!(s.validate(0, None).is_err());
+        assert!(build(|out| out.recv(1, 0)).validate().is_err());
     }
 
     #[test]
     fn sequence_concatenates_rounds_in_stage_order() {
-        let mut a = Schedule::new();
-        a.push_round(Round(vec![Action::send(1, 10, vec![0])]));
-        a.push_round(Round(vec![Action::recv(1, 10)]));
-        let mut b = Schedule::new();
-        b.push_round(Round(vec![Action::copy(10)]));
+        let a = build(|out| {
+            out.send(1, 10, &[0]);
+            out.round();
+            out.recv(1, 10);
+        });
+        let b = build(|out| out.copy(10));
         let s = sequence(&[&a, &b]);
         assert_eq!(s.num_rounds(), 3);
         assert_eq!(s.round(0), a.round(0));
         assert_eq!(s.round(1), a.round(1));
         assert_eq!(s.round(2), b.round(0));
-        assert_eq!(s.round_blocks(0).collect::<Vec<_>>(), [[0u32].as_slice()]);
-        assert_eq!(a.then(&b), s);
     }
 
     #[test]
     fn sequence_of_empty_stages_is_empty() {
         let empty = Schedule::new();
         assert_eq!(sequence(&[&empty, &empty]).num_rounds(), 0);
-        let mut a = Schedule::new();
-        a.push_round(Round(vec![Action::calc(8)]));
+        let a = build(|out| out.calc(8));
         assert_eq!(sequence(&[&empty, &a, &empty]), a);
     }
 
@@ -503,22 +642,28 @@ mod tests {
         // Scatter delivers block r to rank r; allgather then shares every
         // rank's block. Stitched sequentially, the pair implements a
         // broadcast of all p blocks from the root — the classic mock-up.
-        use crate::allgather::{build_allgather, AllgatherAlgo};
-        use crate::gather::{build_scatter, GatherAlgo};
+        use crate::allgather::{build_allgather, write_allgather, AllgatherAlgo};
+        use crate::gather::{build_scatter, write_scatter, GatherAlgo};
         use crate::verify;
         use std::collections::HashSet;
         for p in [2usize, 4, 7, 8] {
             let spec = CollSpec::new(p, 512);
-            let scheds: Vec<Schedule> = (0..p)
+            let scheds: Vec<Annotated> = (0..p)
                 .map(|r| {
-                    sequence(&[
-                        &build_scatter(GatherAlgo::Binomial, r, &spec),
-                        &build_allgather(AllgatherAlgo::Ring, r, &spec),
-                    ])
+                    Annotated::build(r, p, |out| {
+                        write_scatter(GatherAlgo::Binomial, r, &spec, out);
+                        write_allgather(AllgatherAlgo::Ring, r, &spec, out);
+                    })
                 })
                 .collect();
             for (r, s) in scheds.iter().enumerate() {
-                s.validate(r, None).unwrap();
+                s.validate(None).unwrap();
+                // Writing both stages into one sink is `sequence`.
+                let stitched = sequence(&[
+                    &build_scatter(GatherAlgo::Binomial, r, &spec),
+                    &build_allgather(AllgatherAlgo::Ring, r, &spec),
+                ]);
+                assert_eq!(&stitched, s.schedule(), "p={p} rank {r}");
             }
             let mut initial: Vec<HashSet<u32>> = vec![HashSet::new(); p];
             initial[0] = (0..p as u32).collect();
@@ -536,13 +681,11 @@ mod tests {
 
     #[test]
     fn validate_checks_block_sizes() {
-        let mut s = Schedule::new();
-        s.push_round(Round(vec![Action::send(1, 100, vec![0, 1])]));
-        assert!(s.validate(0, Some(50)).is_ok());
-        assert!(s.validate(0, Some(60)).is_err());
+        let s = Annotated::build(0, 2, |out| out.send(1, 100, &[0, 1]));
+        assert!(s.validate(Some(50)).is_ok());
+        assert!(s.validate(Some(60)).is_err());
         // Unannotated sends pass regardless.
-        let mut s2 = Schedule::new();
-        s2.push_round(Round(vec![Action::send(1, 100, vec![])]));
-        assert!(s2.validate(0, Some(60)).is_ok());
+        let s2 = Annotated::build(0, 2, |out| out.send(1, 100, &[]));
+        assert!(s2.validate(Some(60)).is_ok());
     }
 }

@@ -15,8 +15,17 @@
 //! to it; the root combined or gathered every contribution; every rank
 //! combined every contribution).
 
-use crate::schedule::{OpKind, Schedule};
+use crate::schedule::{Annotated, OpKind, Sink};
+use mpisim::RankId;
 use std::collections::{HashMap, HashSet, VecDeque};
+
+/// Every rank's schedule among `p` in the verifier's form: `write(r, out)`
+/// writes rank `r`'s.
+pub fn annotate_all(p: usize, write: impl Fn(RankId, &mut dyn Sink)) -> Vec<Annotated> {
+    (0..p)
+        .map(|r| Annotated::build(r, p, |out| write(r, out)))
+        .collect()
+}
 
 /// Result of a logical execution: the set of blocks each rank received.
 pub type ReceivedBlocks = Vec<HashSet<u32>>;
@@ -29,7 +38,7 @@ type Channels<'s> = HashMap<(usize, usize), VecDeque<(usize, &'s [u32])>>;
 
 /// Execute one schedule per rank logically. `initial[r]` is the set of
 /// blocks rank `r` holds before the operation.
-pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<ReceivedBlocks, String> {
+pub fn execute(scheds: &[Annotated], initial: &[HashSet<u32>]) -> Result<ReceivedBlocks, String> {
     let p = scheds.len();
     assert_eq!(initial.len(), p, "one initial block set per rank");
     // FIFO channel per (src, dst): queue of (bytes, blocks).
@@ -42,7 +51,7 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
     // Push the sends of rank r's current round (round entry).
     fn enter_round<'s>(
         r: usize,
-        scheds: &'s [Schedule],
+        scheds: &'s [Annotated],
         round: &[usize],
         held: &[HashSet<u32>],
         chans: &mut Channels<'s>,
@@ -51,7 +60,7 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
         if round[r] >= s.num_rounds() {
             return Ok(());
         }
-        for (op, blocks) in s.round(round[r]).iter().zip(s.round_blocks(round[r])) {
+        for (op, blocks) in s.round(round[r]) {
             if op.kind() != OpKind::Send {
                 continue;
             }
@@ -64,7 +73,7 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
                 }
             }
             chans
-                .entry((r, op.peer()))
+                .entry((r, s.peer(op)))
                 .or_default()
                 .push_back((op.bytes(), blocks));
         }
@@ -84,13 +93,14 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
                     progressed = true;
                 }
                 // Can the current round's receives all be satisfied?
+                let s = &scheds[r];
                 let recvs = || {
-                    let ops = scheds[r].round(round[r]).iter();
+                    let ops = s.round(round[r]).map(|(op, _)| op);
                     ops.filter(|op| op.kind() == OpKind::Recv)
                 };
                 let mut needed: HashMap<usize, usize> = HashMap::new();
                 for op in recvs() {
-                    *needed.entry(op.peer()).or_default() += 1;
+                    *needed.entry(s.peer(op)).or_default() += 1;
                 }
                 let ready = needed
                     .iter()
@@ -100,7 +110,7 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
                 }
                 // Pop the receives in action order, checking sizes.
                 for op in recvs() {
-                    let peer = op.peer();
+                    let peer = s.peer(op);
                     let q = chans.get_mut(&(peer, r)).expect("checked above");
                     let (bytes, blocks) = q.pop_front().expect("checked above");
                     if bytes != op.bytes() {
@@ -144,7 +154,7 @@ pub fn execute(scheds: &[Schedule], initial: &[HashSet<u32>]) -> Result<Received
 
 /// Verify a broadcast: every non-root rank must receive segments
 /// `0..nseg`; the root receives nothing.
-pub fn verify_bcast(scheds: &[Schedule], root: usize, nseg: usize) -> Result<(), String> {
+pub fn verify_bcast(scheds: &[Annotated], root: usize, nseg: usize) -> Result<(), String> {
     let p = scheds.len();
     let mut initial = vec![HashSet::new(); p];
     initial[root] = (0..nseg as u32).collect();
@@ -167,7 +177,7 @@ pub fn verify_bcast(scheds: &[Schedule], root: usize, nseg: usize) -> Result<(),
 
 /// Verify an all-to-all with block ids `src * p + dst`: every rank `r`
 /// must receive block `(src, r)` for every `src != r`.
-pub fn verify_alltoall(scheds: &[Schedule]) -> Result<(), String> {
+pub fn verify_alltoall(scheds: &[Annotated]) -> Result<(), String> {
     let p = scheds.len();
     let initial: Vec<HashSet<u32>> = (0..p)
         .map(|r| (0..p).map(|d| (r * p + d) as u32).collect())
@@ -192,9 +202,9 @@ fn own_blocks(p: usize) -> Vec<HashSet<u32>> {
     (0..p).map(|r| [r as u32].into_iter().collect()).collect()
 }
 
-/// Starting from [`own_blocks`], every rank must receive every other
-/// rank's block: the all-gather and all-reduce postcondition.
-fn everyone_receives_all(scheds: &[Schedule]) -> Result<(), String> {
+/// Verify an all-gather with block id = owner rank: starting from
+/// [`own_blocks`], every rank must receive every other rank's block.
+pub fn verify_allgather(scheds: &[Annotated]) -> Result<(), String> {
     let p = scheds.len();
     let recv = execute(scheds, &own_blocks(p))?;
     for (r, got) in recv.iter().enumerate() {
@@ -207,9 +217,15 @@ fn everyone_receives_all(scheds: &[Schedule]) -> Result<(), String> {
     Ok(())
 }
 
-/// Starting from [`own_blocks`], the root must receive every other rank's
-/// block: the reduce and gather postcondition.
-fn root_receives_all(scheds: &[Schedule], root: usize) -> Result<(), String> {
+/// Verify an all-reduce with block id = contributing rank: every rank must
+/// receive every other rank's contribution, as in an all-gather.
+pub fn verify_allreduce(scheds: &[Annotated]) -> Result<(), String> {
+    verify_allgather(scheds)
+}
+
+/// Verify a gather with block id = owner rank: starting from
+/// [`own_blocks`], the root must receive every other rank's block.
+pub fn verify_gather(scheds: &[Annotated], root: usize) -> Result<(), String> {
     let p = scheds.len();
     let recv = execute(scheds, &own_blocks(p))?;
     for r in 0..p as u32 {
@@ -220,33 +236,15 @@ fn root_receives_all(scheds: &[Schedule], root: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Verify an all-gather with block id = owner rank: every rank must
-/// receive every other rank's block.
-pub fn verify_allgather(scheds: &[Schedule]) -> Result<(), String> {
-    everyone_receives_all(scheds)
-}
-
-/// Verify an all-reduce with block id = contributing rank: every rank must
-/// receive every other rank's contribution.
-pub fn verify_allreduce(scheds: &[Schedule]) -> Result<(), String> {
-    everyone_receives_all(scheds)
-}
-
 /// Verify a reduce with block id = contributing rank: the root must
-/// receive every other rank's contribution.
-pub fn verify_reduce(scheds: &[Schedule], root: usize) -> Result<(), String> {
-    root_receives_all(scheds, root)
-}
-
-/// Verify a gather with block id = owner rank: the root must receive every
-/// other rank's block.
-pub fn verify_gather(scheds: &[Schedule], root: usize) -> Result<(), String> {
-    root_receives_all(scheds, root)
+/// receive every other rank's contribution, as in a gather.
+pub fn verify_reduce(scheds: &[Annotated], root: usize) -> Result<(), String> {
+    verify_gather(scheds, root)
 }
 
 /// Verify a scatter with block id = destination rank: the root starts with
 /// blocks `0..p`, and every non-root rank `r` must receive block `r`.
-pub fn verify_scatter(scheds: &[Schedule], root: usize) -> Result<(), String> {
+pub fn verify_scatter(scheds: &[Annotated], root: usize) -> Result<(), String> {
     let p = scheds.len();
     let mut initial = vec![HashSet::new(); p];
     initial[root] = (0..p as u32).collect();
@@ -260,7 +258,7 @@ pub fn verify_scatter(scheds: &[Schedule], root: usize) -> Result<(), String> {
 }
 
 /// Verify a barrier: only deadlock-freedom and channel consistency matter.
-pub fn verify_barrier(scheds: &[Schedule]) -> Result<(), String> {
+pub fn verify_barrier(scheds: &[Annotated]) -> Result<(), String> {
     let p = scheds.len();
     let initial = vec![HashSet::new(); p];
     execute(scheds, &initial).map(|_| ())
@@ -269,14 +267,14 @@ pub fn verify_barrier(scheds: &[Schedule]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allgather::{build_allgather, AllgatherAlgo};
-    use crate::allreduce::{build_allreduce, AllreduceAlgo};
-    use crate::alltoall::{build_alltoall, AlltoallAlgo};
-    use crate::barrier::build_barrier;
-    use crate::bcast::{build_bcast, BcastAlgo};
-    use crate::gather::{build_gather, build_scatter, GatherAlgo};
-    use crate::reduce::{build_reduce, ReduceAlgo};
-    use crate::schedule::{Action, CollSpec, Op, Round, Schedule};
+    use crate::allgather::{write_allgather, AllgatherAlgo};
+    use crate::allreduce::{write_allreduce, AllreduceAlgo};
+    use crate::alltoall::{write_alltoall, AlltoallAlgo};
+    use crate::barrier::write_barrier;
+    use crate::bcast::{write_bcast, BcastAlgo};
+    use crate::gather::{write_gather, write_scatter, GatherAlgo};
+    use crate::reduce::{write_reduce, ReduceAlgo};
+    use crate::schedule::{CollSpec, Op};
 
     const SIZES: &[usize] = &[2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 33, 64];
 
@@ -290,8 +288,7 @@ mod tests {
                     (262_144, 65_536),
                 ] {
                     let spec = CollSpec::new(p, bytes);
-                    let scheds: Vec<Schedule> =
-                        (0..p).map(|r| build_bcast(algo, seg, r, &spec)).collect();
+                    let scheds = annotate_all(p, |r, out| write_bcast(algo, seg, r, &spec, out));
                     let nseg = bytes.div_ceil(seg);
                     verify_bcast(&scheds, 0, nseg)
                         .unwrap_or_else(|e| panic!("{algo:?} p={p} bytes={bytes}: {e}"));
@@ -309,8 +306,7 @@ mod tests {
                     msg_bytes: 10_000,
                     root: p - 1,
                 };
-                let scheds: Vec<Schedule> =
-                    (0..p).map(|r| build_bcast(algo, 4096, r, &spec)).collect();
+                let scheds = annotate_all(p, |r, out| write_bcast(algo, 4096, r, &spec, out));
                 verify_bcast(&scheds, p - 1, 10_000usize.div_ceil(4096))
                     .unwrap_or_else(|e| panic!("{algo:?} p={p}: {e}"));
             }
@@ -322,8 +318,7 @@ mod tests {
         for &p in SIZES {
             for algo in AlltoallAlgo::all() {
                 let spec = CollSpec::new(p, 128);
-                let scheds: Vec<Schedule> =
-                    (0..p).map(|r| build_alltoall(algo, r, &spec)).collect();
+                let scheds = annotate_all(p, |r, out| write_alltoall(algo, r, &spec, out));
                 verify_alltoall(&scheds).unwrap_or_else(|e| panic!("{algo:?} p={p}: {e}"));
             }
         }
@@ -334,8 +329,7 @@ mod tests {
         for &p in SIZES {
             for algo in AllgatherAlgo::all() {
                 let spec = CollSpec::new(p, 64);
-                let scheds: Vec<Schedule> =
-                    (0..p).map(|r| build_allgather(algo, r, &spec)).collect();
+                let scheds = annotate_all(p, |r, out| write_allgather(algo, r, &spec, out));
                 verify_allgather(&scheds).unwrap_or_else(|e| panic!("{algo:?} p={p}: {e}"));
             }
         }
@@ -346,7 +340,7 @@ mod tests {
         for &p in SIZES {
             for algo in ReduceAlgo::all() {
                 let spec = CollSpec::new(p, 4096);
-                let scheds: Vec<Schedule> = (0..p).map(|r| build_reduce(algo, r, &spec)).collect();
+                let scheds = annotate_all(p, |r, out| write_reduce(algo, r, &spec, out));
                 verify_reduce(&scheds, 0).unwrap_or_else(|e| panic!("{algo:?} p={p}: {e}"));
             }
         }
@@ -361,12 +355,11 @@ mod tests {
                     msg_bytes,
                     root,
                 };
-                let all = |build: &dyn Fn(usize) -> Schedule| (0..p).map(build).collect::<Vec<_>>();
                 for algo in GatherAlgo::all() {
                     let what = format!("{algo:?} p={p} root={root}");
-                    let gather = all(&|r| build_gather(algo, r, &spec(128)));
+                    let gather = annotate_all(p, |r, out| write_gather(algo, r, &spec(128), out));
                     verify_gather(&gather, root).unwrap_or_else(|e| panic!("gather {what}: {e}"));
-                    let scatter = all(&|r| build_scatter(algo, r, &spec(128)));
+                    let scatter = annotate_all(p, |r, out| write_scatter(algo, r, &spec(128), out));
                     verify_scatter(&scatter, root)
                         .unwrap_or_else(|e| panic!("scatter {what}: {e}"));
                 }
@@ -374,7 +367,8 @@ mod tests {
                     .into_iter()
                     .flat_map(|a| [8, 1000, 64 * 1024].map(|b| (a, b)))
                 {
-                    let scheds = all(&|r| build_allreduce(algo, r, &spec(bytes)));
+                    let scheds =
+                        annotate_all(p, |r, out| write_allreduce(algo, r, &spec(bytes), out));
                     verify_allreduce(&scheds)
                         .unwrap_or_else(|e| panic!("{algo:?} p={p} {bytes} B root={root}: {e}"));
                 }
@@ -386,7 +380,7 @@ mod tests {
     fn barrier_deadlock_free() {
         for &p in SIZES {
             let spec = CollSpec::new(p, 0);
-            let scheds: Vec<Schedule> = (0..p).map(|r| build_barrier(r, &spec)).collect();
+            let scheds = annotate_all(p, |r, out| write_barrier(r, &spec, out));
             verify_barrier(&scheds).unwrap_or_else(|e| panic!("p={p}: {e}"));
         }
     }
@@ -394,67 +388,71 @@ mod tests {
     #[test]
     fn detects_deadlock() {
         // Two ranks each waiting for the other before sending.
-        let mk = |peer: usize| {
-            let mut s = Schedule::new();
-            s.push_round(Round(vec![Action::recv(peer, 8)]));
-            s.push_round(Round(vec![Action::send(peer, 8, vec![])]));
-            s
-        };
-        let err = execute(&[mk(1), mk(0)], &[HashSet::new(), HashSet::new()]).unwrap_err();
+        let scheds = annotate_all(2, |r, out| {
+            out.recv(1 - r, 8);
+            out.round();
+            out.send(1 - r, 8, &[]);
+        });
+        let err = execute(&scheds, &[HashSet::new(), HashSet::new()]).unwrap_err();
         assert!(err.contains("deadlock"), "{err}");
     }
 
     #[test]
     fn detects_size_mismatch() {
-        let mut s0 = Schedule::new();
-        s0.push_round(Round(vec![Action::send(1, 100, vec![])]));
-        let mut s1 = Schedule::new();
-        s1.push_round(Round(vec![Action::recv(0, 99)]));
-        let err = execute(&[s0, s1], &[HashSet::new(), HashSet::new()]).unwrap_err();
+        let scheds = annotate_all(2, |r, out| match r {
+            0 => out.send(1, 100, &[]),
+            _ => out.recv(0, 99),
+        });
+        let err = execute(&scheds, &[HashSet::new(), HashSet::new()]).unwrap_err();
         assert!(err.contains("recv expects"), "{err}");
     }
 
     #[test]
     fn detects_phantom_block() {
-        let mut s0 = Schedule::new();
-        s0.push_round(Round(vec![Action::send(1, 8, vec![42])]));
-        let mut s1 = Schedule::new();
-        s1.push_round(Round(vec![Action::recv(0, 8)]));
-        let err = execute(&[s0, s1], &[HashSet::new(), HashSet::new()]).unwrap_err();
+        let scheds = annotate_all(2, |r, out| match r {
+            0 => out.send(1, 8, &[42]),
+            _ => out.recv(0, 8),
+        });
+        let err = execute(&scheds, &[HashSet::new(), HashSet::new()]).unwrap_err();
         assert!(err.contains("does not hold"), "{err}");
     }
 
     #[test]
     fn detects_unconsumed_message() {
-        let mut s0 = Schedule::new();
-        s0.push_round(Round(vec![Action::send(1, 8, vec![])]));
-        let s1 = Schedule::new();
-        let err = execute(&[s0, s1], &[HashSet::new(), HashSet::new()]).unwrap_err();
+        let scheds = annotate_all(2, |r, out| {
+            if r == 0 {
+                out.send(1, 8, &[]);
+            }
+        });
+        let err = execute(&scheds, &[HashSet::new(), HashSet::new()]).unwrap_err();
         assert!(err.contains("unconsumed"), "{err}");
     }
 
     /// The schedules without the first message from `src` to `dst` (its
     /// send and its receive), so the exchange stays consistent and only the
     /// postcondition can notice the missing blocks.
-    fn drop_message(mut scheds: Vec<Schedule>, src: usize, dst: usize) -> Vec<Schedule> {
-        let to_dst = |op: &Op| op.kind() == OpKind::Send && op.peer() == dst;
-        let from_src = |op: &Op| op.kind() == OpKind::Recv && op.peer() == src;
-        remove_first(&mut scheds[src], to_dst);
-        remove_first(&mut scheds[dst], from_src);
+    fn drop_message(mut scheds: Vec<Annotated>, src: usize, dst: usize) -> Vec<Annotated> {
+        remove_first(&mut scheds[src], OpKind::Send, dst);
+        remove_first(&mut scheds[dst], OpKind::Recv, src);
         scheds
     }
 
-    fn remove_first(s: &mut Schedule, hit: impl Fn(&Op) -> bool) {
-        let j = s.ops().iter().position(hit).expect("no such action");
+    /// Remove `s`'s first op of `kind` with `peer`.
+    fn remove_first(s: &mut Annotated, kind: OpKind, peer: usize) {
+        let hit = |op: &Op| op.kind() == kind && s.peer(op) == peer;
+        let j = s
+            .schedule()
+            .ops()
+            .iter()
+            .position(hit)
+            .expect("no such action");
         s.remove_op(j);
     }
 
     #[test]
     fn detects_missing_gather_block() {
         let spec = CollSpec::new(4, 64);
-        let scheds: Vec<Schedule> = (0..4)
-            .map(|r| build_gather(GatherAlgo::Linear, r, &spec))
-            .collect();
+        let scheds = annotate_all(4, |r, out| write_gather(GatherAlgo::Linear, r, &spec, out));
         verify_gather(&scheds, 0).expect("intact gather verifies");
         let err = verify_gather(&drop_message(scheds, 2, 0), 0).unwrap_err();
         assert!(err.contains("missing block of rank 2"), "{err}");
@@ -463,9 +461,7 @@ mod tests {
     #[test]
     fn detects_missing_scatter_block() {
         let spec = CollSpec::new(4, 64);
-        let scheds: Vec<Schedule> = (0..4)
-            .map(|r| build_scatter(GatherAlgo::Linear, r, &spec))
-            .collect();
+        let scheds = annotate_all(4, |r, out| write_scatter(GatherAlgo::Linear, r, &spec, out));
         verify_scatter(&scheds, 0).expect("intact scatter verifies");
         let err = verify_scatter(&drop_message(scheds, 0, 3), 0).unwrap_err();
         assert!(err.contains("rank 3 missing"), "{err}");
@@ -475,7 +471,7 @@ mod tests {
     fn detects_missing_allreduce_contribution() {
         let spec = CollSpec::new(2, 64);
         let algo = AllreduceAlgo::RecursiveDoubling;
-        let scheds: Vec<Schedule> = (0..2).map(|r| build_allreduce(algo, r, &spec)).collect();
+        let scheds = annotate_all(2, |r, out| write_allreduce(algo, r, &spec, out));
         verify_allreduce(&scheds).expect("intact allreduce verifies");
         let err = verify_allreduce(&drop_message(scheds, 1, 0)).unwrap_err();
         assert!(err.contains("rank 0 missing block of 1"), "{err}");

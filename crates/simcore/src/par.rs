@@ -221,11 +221,9 @@ where
 /// `participants - 1` scoped helper threads drain a coarsely chunked
 /// atomic cursor. Each participant claims a contiguous block of about
 /// `n / (participants * 2)` indices at a time — at most ~2 claims per
-/// participant. Coarse blocks matter beyond cursor traffic: consecutive
-/// sweep points usually share a `World` shape, so a participant that runs
-/// a long contiguous run of configs serves them all from one reset world
-/// (`mpisim::worldpool`). Each participant returns its `(index, result)`
-/// pairs and the caller places them in input order. A helper that cannot
+/// participant, so cursor traffic stays negligible. Each participant
+/// returns its `(index, result)` pairs and the caller places them in input
+/// order. A helper that cannot
 /// be spawned just means fewer helpers.
 ///
 /// `jobs <= 1` (or a single item) short-circuits to a plain serial loop on

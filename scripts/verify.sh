@@ -40,10 +40,12 @@ cargo build --release --workspace --all-targets
 echo "== cargo test"
 cargo test --workspace -q
 
-echo "== message-layer memory contract, optimized build (zero allocations on a reused world)"
+echo "== memory contracts, optimized build (a reused world allocates nothing; a stored schedule is three heap blocks; a decision keeps none)"
 # Debug builds keep the overflow checks and asserts the release build drops;
-# the allocation count must hold in the build that is measured.
+# the allocation counts must hold in the build that is measured.
 cargo test --release -q -p mpisim --test alloc_free --test golden_digest
+cargo test --release -q -p autonbc --test session_schedules
+cargo test --release -q -p adcl --test schedule_heap
 
 echo "== ledger: benchmark/ must build and run against this tree (tiny sizes)"
 bash benchmark/run.sh --check

@@ -124,24 +124,13 @@ fn payload_modes_produce_byte_identical_tables() {
     }
 }
 
-/// Payloads staged so far on the calling thread's cached world of this
-/// shape — the world `MicrobenchSpec::run` and `run_fft_kernel` lease.
-fn payloads_staged(platform: &Platform, nprocs: usize) -> u64 {
-    mpisim::worldpool::with_world(
-        platform,
-        nprocs,
-        Placement::Block,
-        NoiseConfig::none(),
-        |w| w.payloads_staged(),
-    )
-}
-
-/// `(staged, heap allocations)` of payload buffers during `f`.
-fn payload_work(platform: &Platform, nprocs: usize, f: impl FnOnce()) -> (u64, u64) {
-    let staged0 = payloads_staged(platform, nprocs);
+/// `(staged, heap allocations)` of payload buffers during `f`: what every
+/// world of the process staged, as each flushes at the end of its run.
+fn payload_work(f: impl FnOnce()) -> (u64, u64) {
+    let staged0 = mpisim::payloads_staged_total();
     let alloc0 = simcore::stats::payload_allocs();
     f();
-    let staged = payloads_staged(platform, nprocs) - staged0;
+    let staged = mpisim::payloads_staged_total() - staged0;
     (staged, simcore::stats::payload_allocs() - alloc0)
 }
 
@@ -159,11 +148,11 @@ fn default_mode_stages_no_payloads() {
         run_fft_kernel(&platform, p, &cfg, FftPattern::WindowTiled, mode, s.noise);
     };
     nbc::clear_default_payload_mode();
-    let tuned_off = payload_work(&s.platform, s.nprocs, tuned);
-    let fft_off = payload_work(&platform, p, fft);
+    let tuned_off = payload_work(tuned);
+    let fft_off = payload_work(fft);
     nbc::set_default_payload_mode(PayloadMode::Pooled);
-    let tuned_pooled = payload_work(&s.platform, s.nprocs, tuned);
-    let fft_pooled = payload_work(&platform, p, fft);
+    let tuned_pooled = payload_work(tuned);
+    let fft_pooled = payload_work(fft);
     nbc::clear_default_payload_mode();
     assert_eq!(tuned_off, (0, 0), "default-mode tuning run staged payloads");
     assert_eq!(fft_off, (0, 0), "default-mode FFT kernel staged payloads");
