@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! adcld [--listen ADDR] [--history PATH] [--checkpoint-every N]
-//!       [--jobs N] [--guidelines] [--faults SPEC] [--addr-file PATH]
+//!       [--jobs N] [--guidelines] [--addr-file PATH]
 //! ```
 //!
 //! Listens on localhost (default `127.0.0.1:7411`; use port `0` for an
@@ -21,14 +21,13 @@ use std::process::exit;
 struct Args {
     listen: String,
     cfg: ServiceConfig,
-    faults: Option<String>,
     addr_file: Option<PathBuf>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: adcld [--listen ADDR] [--history PATH] [--checkpoint-every N] \
-         [--jobs N] [--guidelines] [--faults SPEC] [--addr-file PATH]"
+         [--jobs N] [--guidelines] [--addr-file PATH]"
     );
     exit(2);
 }
@@ -40,7 +39,6 @@ fn parse_args() -> Args {
             history_path: std::env::var_os("NBC_HISTORY_PATH").map(PathBuf::from),
             ..ServiceConfig::default()
         },
-        faults: None,
         addr_file: None,
     };
     let mut it = std::env::args().skip(1);
@@ -68,7 +66,6 @@ fn parse_args() -> Args {
                 })
             }
             "--guidelines" => args.cfg.guidelines = true,
-            "--faults" => args.faults = Some(value("--faults")),
             "--addr-file" => args.addr_file = Some(PathBuf::from(value("--addr-file"))),
             "--help" | "-h" => usage(),
             other => {
@@ -82,15 +79,6 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    if let Some(spec) = &args.faults {
-        match mpisim::fault::FaultConfig::parse(spec) {
-            Ok(cfg) => mpisim::fault::set_override(Some(cfg)),
-            Err(e) => {
-                eprintln!("adcld: --faults {spec:?}: {e}");
-                exit(2);
-            }
-        }
-    }
     let server = match Server::spawn(args.cfg, &args.listen) {
         Ok(s) => s,
         Err(e) => {

@@ -64,8 +64,8 @@ pub enum Request {
         nprocs: usize,
         /// Message size in bytes.
         msg_bytes: usize,
-        /// Optional fault-profile spec the client assumes; must match the
-        /// daemon's active profile.
+        /// Optional context the client assumes (`"off"`, the only one runs
+        /// have); a request naming any other is refused.
         faults: Option<String>,
     },
     /// A control command.

@@ -274,18 +274,11 @@ fn handle_line(shared: &Arc<Shared>, line: &str) -> (String, bool) {
             faults,
         }) => {
             if let Some(spec) = faults {
-                let theirs = match mpisim::fault::FaultConfig::parse(&spec) {
-                    Ok(cfg) => cfg.describe(),
-                    Err(e) => {
-                        return (
-                            protocol::render_error(
-                                &id,
-                                "bad-request",
-                                &format!("bad faults spec: {e}"),
-                            ),
-                            false,
-                        );
-                    }
+                // Every spelling of "no faults" names the one context runs
+                // have; anything else assumes physics the daemon lacks.
+                let theirs = match spec.trim() {
+                    "" | "0" | "false" => "off",
+                    s => s,
                 };
                 if theirs != svc.context() {
                     return (

@@ -29,8 +29,8 @@
 //! after the file is renamed into place, so a killed daemon loses at most
 //! the last `checkpoint_every - 1` decisions; everything checkpointed is
 //! served byte-identically after a restart. The store is stamped with the
-//! fault context it was measured under — a daemon started under a
-//! different fault profile discards the stale entries instead of serving
+//! context it was measured under — a daemon that loads a file stamped
+//! with a different context discards the stale entries instead of serving
 //! them.
 //!
 //! Locks. `state` guards the store, the queue and the in-flight table and
@@ -117,8 +117,9 @@ pub struct ServiceConfig {
     /// Cross-check fresh winners against guideline probes and tag
     /// dominated ones `guideline-flagged` (costs one probe per cold key).
     pub guidelines: bool,
-    /// Test hook: use this context string instead of the process-wide
-    /// fault fingerprint when stamping / validating the history store.
+    /// Test hook: use this context string instead of
+    /// [`mpisim::fault::CONTEXT`] when stamping / validating the history
+    /// store.
     pub context_override: Option<String>,
 }
 
@@ -135,8 +136,8 @@ impl Default for ServiceConfig {
 }
 
 /// A tuning query (the coalescing key is the derived [`HistoryKey`] —
-/// the daemon's fault context is process-wide, so it is part of every
-/// key implicitly).
+/// the daemon's context is fixed at start, so it is part of every key
+/// implicitly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Query {
     /// Operation name.
@@ -240,12 +241,12 @@ impl Service {
         let ctx = cfg
             .context_override
             .clone()
-            .unwrap_or_else(|| mpisim::fault::current().describe());
+            .unwrap_or_else(|| mpisim::fault::CONTEXT.to_string());
         let mut history = match &cfg.history_path {
             Some(p) => HistoryStore::load(p)?,
             None => HistoryStore::new(),
         };
-        // Staleness-aware reuse: entries measured under a different fault
+        // Staleness-aware reuse: entries measured under a different
         // context describe different physics — drop them rather than serve
         // wrong answers, and re-stamp the store with the live context.
         let stale_dropped = if !history.is_empty() && history.context() != ctx {
@@ -295,7 +296,7 @@ impl Service {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The context string (fault fingerprint) this service serves under.
+    /// The context string this service serves under.
     pub fn context(&self) -> &str {
         &self.ctx
     }

@@ -464,3 +464,73 @@ fn warm_traffic_never_resimulates() {
     assert_eq!(warm.fresh_sweeps, 0);
     assert_eq!(warm.warm_served(), warm.requests);
 }
+
+/// The `faults` field of a tune request names the context the client
+/// assumes. Runs have exactly one, `"off"`: a request naming it (or one of
+/// its old spellings) is served the bytes an in-process service decides,
+/// and a request naming any other is refused, never silently answered.
+#[test]
+fn faults_field_is_served_only_when_it_names_the_one_context() {
+    let line = |faults: &str| {
+        format!(
+            r#"{{"id":7,"op":"ialltoall","platform":"whale","nprocs":4,"msg_bytes":41472{faults}}}"#
+        )
+    };
+    let offline = Service::start(ServiceConfig::default()).expect("start");
+    let decided = offline
+        .submit(&Query {
+            op: "ialltoall".into(),
+            platform: "whale".into(),
+            nprocs: 4,
+            msg_bytes: 41472,
+        })
+        .recv()
+        .expect("response")
+        .expect("served");
+    offline.shutdown(false);
+    let id = simcore::json::Json::num(7.0);
+    let hit = adcld::protocol::render_ok(&id, &decided.decision, "history-hit");
+
+    let server = Server::spawn(ServiceConfig::default(), "127.0.0.1:0").expect("spawn");
+    let served = [
+        r#","faults":"off""#,
+        r#","faults":"""#,
+        r#","faults":"0""#,
+        r#","faults":"false""#,
+    ];
+    let refused = [r#","faults":"light:1""#, r#","faults":"heavy""#];
+    let lines: Vec<String> = std::iter::once("")
+        .chain(served)
+        .chain(refused)
+        .map(line)
+        .collect();
+    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let replies = send_lines(server.addr(), &refs);
+    server.shutdown();
+
+    // The first request decides the key; every "off" spelling then hits it.
+    let cold = simcore::json::parse(&replies[0]).expect("reply is JSON");
+    let cold_source = cold.get("source").and_then(|s| s.as_str()).unwrap_or("");
+    assert_eq!(
+        replies[0],
+        adcld::protocol::render_ok(&id, &decided.decision, cold_source),
+        "no faults field"
+    );
+    for (reply, faults) in replies[1..=served.len()].iter().zip(served) {
+        assert_eq!(reply, &hit, "{faults}");
+    }
+    for (reply, faults) in replies[served.len() + 1..].iter().zip(refused) {
+        let doc = simcore::json::parse(reply).expect("reply is JSON");
+        let error = doc.get("error").expect("refused");
+        assert_eq!(
+            error.get("kind").and_then(|k| k.as_str()),
+            Some("bad-request"),
+            "{faults}"
+        );
+        let message = error.get("message").and_then(|m| m.as_str()).unwrap_or("");
+        assert!(
+            message.contains("fault context mismatch"),
+            "{faults}: {message}"
+        );
+    }
+}

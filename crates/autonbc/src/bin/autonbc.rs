@@ -17,7 +17,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  autonbc platforms\n  autonbc tune --platform <name> --op <op> --procs <n> --msg <size> \\\n               [--iters N] [--compute DUR] [--progress N] [--logic brute|heuristic|factorial]\\\n               [--reps N] [--all-fixed] [--noise SEED] [--roundrobin]\n  autonbc fft  --platform <name> --procs <n> [--grid N] [--iters N] \\\n               [--mode adcl|adcl-ext|libnbc|mpi] [--pattern NAME]\n\nops: ialltoall ialltoall-ext ibcast iallgather ireduce iallreduce igather iscatter\nsizes accept K/M suffixes; durations accept us/ms/s suffixes\n\nany command also accepts --trace-out <file> (or NBC_TRACE=<file>): write a\nChrome trace_event timeline plus the tuner decision audit log\n\nany command also accepts --faults <spec> (or NBC_FAULTS=<spec>): inject\ndeterministic faults; spec is off | light[:seed] | heavy[:seed] | k=v list\n(see `mpisim::fault`)"
+        "usage:\n  autonbc platforms\n  autonbc tune --platform <name> --op <op> --procs <n> --msg <size> \\\n               [--iters N] [--compute DUR] [--progress N] [--logic brute|heuristic|factorial]\\\n               [--reps N] [--all-fixed] [--noise SEED] [--roundrobin]\n  autonbc fft  --platform <name> --procs <n> [--grid N] [--iters N] \\\n               [--mode adcl|adcl-ext|libnbc|mpi] [--pattern NAME]\n\nops: ialltoall ialltoall-ext ibcast iallgather ireduce iallreduce igather iscatter\nsizes accept K/M suffixes; durations accept us/ms/s suffixes\n\nany command also accepts --trace-out <file> (or NBC_TRACE=<file>): write a\nChrome trace_event timeline plus the tuner decision audit log"
     );
     exit(2)
 }
@@ -341,38 +341,9 @@ fn take_trace_out(args: &mut Vec<String>) {
     }
 }
 
-/// Strip the global `--faults <spec>` / `--faults=<spec>` flag from `args`,
-/// overriding the `NBC_FAULTS` fault-injection configuration.
-fn take_faults(args: &mut Vec<String>) {
-    let apply = |spec: &str| match mpisim::fault::FaultConfig::parse(spec) {
-        Ok(cfg) => mpisim::fault::set_override(Some(cfg)),
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            exit(2)
-        }
-    };
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(spec) = args[i].strip_prefix("--faults=") {
-            apply(spec);
-            args.remove(i);
-        } else if args[i] == "--faults" {
-            if i + 1 >= args.len() {
-                eprintln!("missing value for --faults");
-                usage();
-            }
-            apply(&args[i + 1]);
-            args.drain(i..=i + 1);
-        } else {
-            i += 1;
-        }
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     take_trace_out(&mut args);
-    take_faults(&mut args);
     match args.first().map(|s| s.as_str()) {
         Some("platforms") => cmd_platforms(),
         Some("tune") => cmd_tune(parse_flags(&args[1..])),

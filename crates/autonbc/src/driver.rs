@@ -137,28 +137,10 @@ pub struct MicrobenchOutcome {
     /// Discrete events this run's world processed; a memo replay credits
     /// this many avoided events to `adcl::simmemo`.
     pub sim_events: u64,
-    /// Implementations demoted because their microbenchmark samples timed
-    /// out under fault injection, in demotion order. Empty on healthy runs.
-    pub demoted: Vec<String>,
     /// Winner margin over the best credible alternative (filtered score
     /// for survivors, filtered lower bound for racing-eliminated
     /// candidates). `0.0` when no tuning decision was made.
     pub margin: f64,
-}
-
-/// Why one attempt of the benchmark loop could not finish: a candidate's
-/// rendezvous handshake exhausted its retry budget (fault injection).
-struct AttemptTimedOut {
-    /// Index of the suspected candidate within the attempt's function set.
-    victim: usize,
-    /// Its implementation name.
-    victim_name: String,
-    /// Rendered `SimError::Timeout`.
-    reason: String,
-    /// Benchmark iterations the candidate was assigned before the timeout.
-    samples: usize,
-    /// Strategy name, for the degraded outcome.
-    strategy: &'static str,
 }
 
 impl MicrobenchSpec {
@@ -183,56 +165,17 @@ impl MicrobenchSpec {
     }
 
     /// Run the benchmark with an explicit function-set (e.g. a pinned
-    /// baseline).
-    ///
-    /// Under fault injection a candidate whose rendezvous handshake
-    /// exhausts its retry budget surfaces as [`mpisim::SimError::Timeout`].
-    /// Rather than wedging the tuning session, the driver *demotes* the
-    /// candidate the tuner was measuring (recording it in the audit log and
-    /// in [`MicrobenchOutcome::demoted`]) and reruns the sweep with the
-    /// survivors. A fixed-logic run, or a set with no survivors left, has
-    /// nothing to fall back to and returns a degraded outcome (no winner,
-    /// infinite total) instead.
+    /// baseline), in a world of its own (`mpisim::worldpool::with_world`):
+    /// built for the run and dropped with it, so a finished run keeps
+    /// nothing.
     pub fn run_with_fnset(&self, fnset: FunctionSet, logic: SelectionLogic) -> MicrobenchOutcome {
-        let mut fnset = fnset;
-        let mut demoted: Vec<String> = Vec::new();
-        loop {
-            match self.try_run(fnset.clone(), logic) {
-                Ok(mut out) => {
-                    out.demoted = demoted;
-                    return out;
-                }
-                Err(t) => {
-                    adcl::audit::record_demotion(adcl::audit::DemotionAudit {
-                        label: self.trace_label(logic),
-                        op: self.op.name().into(),
-                        func: t.victim,
-                        name: t.victim_name.clone(),
-                        reason: t.reason,
-                        samples: t.samples,
-                    });
-                    demoted.push(t.victim_name);
-                    let dead_end = matches!(logic, SelectionLogic::Fixed(_)) || fnset.len() <= 1;
-                    if dead_end {
-                        // Nothing left to tune over: report the degradation
-                        // instead of looping on the same doomed candidate.
-                        return MicrobenchOutcome {
-                            total: f64::INFINITY,
-                            post_learning: f64::INFINITY,
-                            winner: None,
-                            converged_at: None,
-                            history: Vec::new(),
-                            strategy: t.strategy,
-                            accounting: mpisim::RankAccounting::default(),
-                            sim_events: 0,
-                            demoted,
-                            margin: 0.0,
-                        };
-                    }
-                    fnset = fnset.without(t.victim);
-                }
-            }
-        }
+        mpisim::worldpool::with_world(
+            &self.platform,
+            self.nprocs,
+            self.placement,
+            self.noise,
+            |world| self.run_in(world, fnset, logic),
+        )
     }
 
     /// The label naming this run in traces and audit records.
@@ -248,29 +191,12 @@ impl MicrobenchSpec {
         )
     }
 
-    /// One attempt of the benchmark loop over `fnset`, in a world of its
-    /// own (`mpisim::worldpool::with_world`): built for the attempt and
-    /// dropped with it, so a finished run keeps nothing.
-    fn try_run(
-        &self,
-        fnset: FunctionSet,
-        logic: SelectionLogic,
-    ) -> Result<MicrobenchOutcome, AttemptTimedOut> {
-        mpisim::worldpool::with_world(
-            &self.platform,
-            self.nprocs,
-            self.placement,
-            self.noise,
-            |world| self.try_run_in(world, fnset, logic),
-        )
-    }
-
-    fn try_run_in(
+    fn run_in(
         &self,
         world: &mut World,
         fnset: FunctionSet,
         logic: SelectionLogic,
-    ) -> Result<MicrobenchOutcome, AttemptTimedOut> {
+    ) -> MicrobenchOutcome {
         let mut session = TuningSession::new(self.nprocs);
         let op = session.add_op(
             self.op.name(),
@@ -298,24 +224,8 @@ impl MicrobenchSpec {
             self.imbalance,
         );
         let mut runner = Runner::new(session, scripts);
-        match world.run(&mut runner) {
-            Ok(_) => {}
-            Err(err @ mpisim::SimError::Timeout { .. }) => {
-                // Blame the candidate the tuner was measuring when the
-                // retry budget ran out — the last assigned function.
-                let s = runner.session;
-                let tuner = &s.ops[op].tuner;
-                let victim = tuner.assignments().last().copied().unwrap_or(0);
-                let samples = tuner.assignments().iter().filter(|&&f| f == victim).count();
-                return Err(AttemptTimedOut {
-                    victim,
-                    victim_name: s.ops[op].fnset.functions[victim].name.clone(),
-                    reason: err.to_string(),
-                    samples,
-                    strategy: tuner.strategy_name(),
-                });
-            }
-            Err(err) => panic!("microbenchmark deadlocked: {err}"),
+        if let Err(err) = world.run(&mut runner) {
+            panic!("microbenchmark deadlocked: {err}");
         }
         let accounting = world.accounting_total();
         let sim_events = world.events_processed();
@@ -328,7 +238,7 @@ impl MicrobenchSpec {
             // `adcl.simmemo` instead and never reach this path).
             simcore::metrics::histogram("adcl.sweep.sim_events_per_decision").record(sim_events);
         }
-        Ok(MicrobenchOutcome {
+        MicrobenchOutcome {
             total: s.timers[timer].total(),
             post_learning: s.timers[timer].total_from(converged.unwrap_or(0)),
             winner: tuner
@@ -339,15 +249,14 @@ impl MicrobenchSpec {
             strategy: tuner.strategy_name(),
             accounting,
             sim_events,
-            demoted: Vec::new(),
             margin: tuner.decision_margin(),
-        })
+        }
     }
 
     /// Fingerprint covering every input that can influence this spec's
     /// outcome under `logic`: platform preset, collective, process count,
-    /// message length, loop shape, noise seeds, placement, imbalance, the
-    /// process-wide fault-injection config, and the selection logic itself.
+    /// message length, loop shape, noise seeds, placement, imbalance, and
+    /// the selection logic itself.
     /// The simulation is a pure function of this string (see
     /// `adcl::simmemo`), so two specs with equal keys produce bit-identical
     /// outcomes. A sweep over several logics builds the logic-free prefix
@@ -388,7 +297,6 @@ impl MicrobenchSpec {
                 write!(key, "straggler{rank}x{:x}", factor.to_bits())
             }
         };
-        let _ = write!(key, "/F{}", mpisim::fault::current().describe());
         key
     }
 

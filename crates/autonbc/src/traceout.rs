@@ -7,7 +7,6 @@
 //! ```text
 //! { "traceEvents":     [ ... ],   // Chrome trace_event format
 //!   "adclAudit":       [ ... ],   // one object per committed tuning decision
-//!   "adclDemotions":   [ ... ],   // one object per fault-demoted candidate
 //!   "adclServed":      [ ... ],   // one object per decision served by adcld
 //!   "guidelineFlags":  [ ... ] }  // decisions a guideline probe proves dominated
 //! ```
@@ -34,12 +33,10 @@ pub fn render_combined() -> String {
     let traces = trace::take_all();
     let events = trace::render_trace_events(&traces);
     let audit = adcl::audit::render_json();
-    let demotions = adcl::audit::render_demotions_json();
     let served = adcl::audit::render_served_json();
     let flags = render_guideline_flags();
     format!(
         "{{\n\"traceEvents\":[\n{events}\n],\n\"adclAudit\":[\n{audit}\n],\
-         \n\"adclDemotions\":[\n{demotions}\n],\
          \n\"adclServed\":[\n{served}\n],\
          \n\"guidelineFlags\":[\n{flags}\n]\n}}\n"
     )
@@ -75,14 +72,10 @@ pub fn write_if_requested() {
     };
     let runs = trace::collected_runs();
     let audits = adcl::audit::len();
-    let demotions = adcl::audit::demotions_len();
     let dropped = trace::dropped_runs();
     match write_to(&path) {
         Ok(()) => {
             eprintln!("trace: wrote {runs} run(s), {audits} audit record(s) to {path}");
-            if demotions > 0 {
-                eprintln!("trace: {demotions} candidate demotion(s) recorded");
-            }
             if dropped > 0 {
                 eprintln!("trace: {dropped} run(s) dropped (global event cap reached)");
             }
@@ -103,10 +96,6 @@ mod tests {
         let parsed = simcore::json::parse(&doc).expect("combined doc parses");
         assert!(parsed.get("traceEvents").and_then(|v| v.as_arr()).is_some());
         assert!(parsed.get("adclAudit").and_then(|v| v.as_arr()).is_some());
-        assert!(parsed
-            .get("adclDemotions")
-            .and_then(|v| v.as_arr())
-            .is_some());
         assert!(parsed.get("adclServed").and_then(|v| v.as_arr()).is_some());
         assert!(parsed
             .get("guidelineFlags")

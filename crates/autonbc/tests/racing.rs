@@ -1,14 +1,13 @@
 //! Determinism matrix for racing selection (`SelectionLogic::Racing`):
 //! winners, decision audit logs, and racing metric deltas must be
-//! byte-identical across worker counts, fault profiles, and reruns —
-//! and the racing winner must agree with brute force when healthy.
+//! byte-identical across worker counts and reruns — and the racing winner
+//! must agree with brute force.
 //!
-//! The fault override and the audit/metrics registries are process-global,
+//! The trace switch and the audit/metrics registries are process-global,
 //! so the tests here take [`GLOBALS`] and never overlap.
 
 use autonbc::driver::{CollectiveOp, MicrobenchSpec};
 use autonbc::prelude::*;
-use mpisim::fault::{set_override, FaultConfig};
 use std::sync::{Mutex, MutexGuard};
 
 static GLOBALS: Mutex<()> = Mutex::new(());
@@ -75,14 +74,13 @@ fn fingerprint(jobs: usize, specs: &[MicrobenchSpec]) -> String {
 }
 
 #[test]
-fn racing_is_byte_identical_across_jobs_faults_and_reruns() {
+fn racing_is_byte_identical_across_jobs_and_reruns() {
     let _g = globals();
     // Audit records only flow when tracing is on; restore on exit.
     simcore::trace::set_enabled(true);
 
-    // Healthy-run parity: racing must pick the same winner brute force
-    // picks, on every matrix spec.
-    set_override(Some(FaultConfig::parse("off").expect("valid spec")));
+    // Parity: racing must pick the same winner brute force picks, on
+    // every matrix spec.
     for spec in &specs() {
         let brute = spec.run(SelectionLogic::BruteForce);
         let raced = spec.run(SelectionLogic::Racing(2));
@@ -103,21 +101,17 @@ fn racing_is_byte_identical_across_jobs_faults_and_reruns() {
         );
     }
 
-    // Full matrix: fault profile x worker count x rerun.
+    // Full matrix: worker count x rerun.
     let specs = specs();
-    for faults in ["off", "light:42", "heavy:42"] {
-        set_override(Some(FaultConfig::parse(faults).expect("valid spec")));
-        let base = fingerprint(1, &specs);
-        assert!(base.contains("winner=Some"), "no decision under {faults}");
-        for jobs in [2usize, 8] {
-            let fp = fingerprint(jobs, &specs);
-            assert_eq!(fp, base, "jobs={jobs} diverged under faults={faults}");
-        }
-        let rerun = fingerprint(1, &specs);
-        assert_eq!(rerun, base, "rerun diverged under faults={faults}");
+    let base = fingerprint(1, &specs);
+    assert!(base.contains("winner=Some"), "no decision");
+    for jobs in [2usize, 8] {
+        let fp = fingerprint(jobs, &specs);
+        assert_eq!(fp, base, "jobs={jobs} diverged");
     }
+    let rerun = fingerprint(1, &specs);
+    assert_eq!(rerun, base, "rerun diverged");
 
-    set_override(None);
     simcore::trace::clear_enabled_override();
     adcl::audit::clear();
 }
@@ -133,7 +127,6 @@ fn racing_is_byte_identical_across_jobs_faults_and_reruns() {
 #[test]
 fn racing_eliminates_and_saves_events_on_separated_candidates() {
     let _g = globals();
-    set_override(Some(FaultConfig::parse("off").expect("valid spec")));
     const BLOCK: usize = 2;
     const REPS: usize = 6;
     let (mut brute_total, mut raced_total) = (0u64, 0u64);
@@ -186,7 +179,6 @@ fn racing_eliminates_and_saves_events_on_separated_candidates() {
         brute_total += brute_dec.sim_events;
         raced_total += raced_dec.sim_events;
     }
-    set_override(None);
     let saved = 1.0 - raced_total as f64 / brute_total as f64;
     assert!(
         saved >= 0.30,

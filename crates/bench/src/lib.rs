@@ -46,8 +46,7 @@ impl Args {
     /// Parse from `std::env::args`. Recognized: `--full`, `--quick`,
     /// `--jobs N` (also `--jobs=N`; `0` = auto), `--trace-out FILE` (also
     /// `--trace-out=FILE`; enables tracing to that file, like
-    /// `NBC_TRACE=FILE`), `--faults SPEC` (also `--faults=SPEC`; enables
-    /// deterministic fault injection, like `NBC_FAULTS=SPEC`) and `--help`.
+    /// `NBC_TRACE=FILE`) and `--help`.
     /// Also publishes the resolved worker count via [`set_jobs`].
     pub fn parse() -> Args {
         let mut full = false;
@@ -74,15 +73,6 @@ impl Args {
                     });
                     simcore::trace::set_out_path(&v);
                 }
-                "--faults" => {
-                    let v = it.next().unwrap_or_else(|| {
-                        eprintln!(
-                            "--faults needs a spec (off | light[:SEED] | heavy[:SEED] | k=v,...)"
-                        );
-                        std::process::exit(2);
-                    });
-                    set_faults(&v);
-                }
                 "--help" | "-h" => {
                     println!(
                         "usage: <figure-binary> [--full | --quick] [--jobs N] [--trace-out FILE]"
@@ -92,11 +82,6 @@ impl Args {
                     println!("  --jobs N         worker threads for the sweep (0 = auto)");
                     println!("  --trace-out FILE write a Chrome trace_event timeline plus the");
                     println!("                   tuner audit log (same as NBC_TRACE=FILE)");
-                    println!("  --faults SPEC    deterministic fault injection (same as");
-                    println!("                   NBC_FAULTS=SPEC): off, light[:SEED],");
-                    println!(
-                        "                   heavy[:SEED], or drop=P,dup=P,jitter=F,seed=N,..."
-                    );
                     std::process::exit(0);
                 }
                 other => {
@@ -104,11 +89,9 @@ impl Args {
                         jobs = Some(parse_jobs(v));
                     } else if let Some(v) = other.strip_prefix("--trace-out=") {
                         simcore::trace::set_out_path(v);
-                    } else if let Some(v) = other.strip_prefix("--faults=") {
-                        set_faults(v);
                     } else {
                         eprintln!(
-                            "unknown argument {other}; supported: --full --quick --jobs N --trace-out FILE --faults SPEC"
+                            "unknown argument {other}; supported: --full --quick --jobs N --trace-out FILE"
                         );
                         std::process::exit(2);
                     }
@@ -163,16 +146,6 @@ impl Args {
 /// to stderr, so figure stdout stays byte-identical either way.
 pub fn write_trace_if_requested() {
     autonbc::traceout::write_if_requested();
-}
-
-fn set_faults(spec: &str) {
-    match mpisim::fault::FaultConfig::parse(spec) {
-        Ok(cfg) => mpisim::fault::set_override(Some(cfg)),
-        Err(e) => {
-            eprintln!("bad --faults spec: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 fn parse_jobs(v: &str) -> usize {

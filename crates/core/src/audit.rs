@@ -114,46 +114,6 @@ impl DecisionAudit {
     }
 }
 
-/// One candidate demoted (removed from contention) because its
-/// microbenchmark samples timed out under fault injection.
-///
-/// Demotions are how the tuner degrades gracefully: a candidate whose
-/// rendezvous handshake exhausts its retry budget is dropped from the
-/// function set and the sweep reruns with the survivors, rather than
-/// wedging the whole tuning session. See `autonbc::driver`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DemotionAudit {
-    /// Context label set by the driver; empty if never set.
-    pub label: String,
-    /// Operation name from the function set (e.g. `"ialltoall"`).
-    pub op: String,
-    /// Function index within the set *at the time of demotion*.
-    pub func: usize,
-    /// Human-readable implementation name.
-    pub name: String,
-    /// Why the candidate was demoted (the rendered `SimError`).
-    pub reason: String,
-    /// Samples collected for the candidate before it was demoted.
-    pub samples: usize,
-}
-
-impl DemotionAudit {
-    /// Render this record as one JSON object (single line, hand-written —
-    /// the workspace is dependency-free).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"op\":\"{}\",\"func\":{},\"name\":\"{}\",\
-             \"reason\":\"{}\",\"samples\":{}}}",
-            trace::escape(&self.label),
-            trace::escape(&self.op),
-            self.func,
-            trace::escape(&self.name),
-            trace::escape(&self.reason),
-            self.samples
-        )
-    }
-}
-
 /// One decision served by the `adcld` tuning daemon, with where the answer
 /// came from: a history-store hit, a memo replay, a fresh sweep, or a
 /// fresh sweep whose winner the guideline observatory flagged as
@@ -197,17 +157,6 @@ fn collector() -> &'static Mutex<Vec<DecisionAudit>> {
     &LOG
 }
 
-fn demotion_collector() -> &'static Mutex<Vec<DemotionAudit>> {
-    static LOG: Mutex<Vec<DemotionAudit>> = Mutex::new(Vec::new());
-    &LOG
-}
-
-fn demotion_lock() -> std::sync::MutexGuard<'static, Vec<DemotionAudit>> {
-    demotion_collector()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
 fn served_collector() -> &'static Mutex<Vec<ServedAudit>> {
     static LOG: Mutex<Vec<ServedAudit>> = Mutex::new(Vec::new());
     &LOG
@@ -240,11 +189,10 @@ pub fn len() -> usize {
     lock().len()
 }
 
-/// Drop all recorded decisions and demotions (tests and multi-experiment
-/// binaries).
+/// Drop all recorded decisions and served decisions (tests and
+/// multi-experiment binaries).
 pub fn clear() {
     lock().clear();
-    demotion_lock().clear();
     served_lock().clear();
 }
 
@@ -252,35 +200,6 @@ pub fn clear() {
 /// objects, one per line).
 pub fn render_json() -> String {
     lock()
-        .iter()
-        .map(|r| r.to_json())
-        .collect::<Vec<_>>()
-        .join(",\n")
-}
-
-/// Append `rec` to the process-wide demotion log. A no-op (one branch)
-/// unless tracing is enabled.
-pub fn record_demotion(rec: DemotionAudit) {
-    if !trace::enabled() {
-        return;
-    }
-    demotion_lock().push(rec);
-}
-
-/// Snapshot of every demotion recorded so far, in occurrence order.
-pub fn demotions() -> Vec<DemotionAudit> {
-    demotion_lock().clone()
-}
-
-/// Number of demotions recorded.
-pub fn demotions_len() -> usize {
-    demotion_lock().len()
-}
-
-/// Render the demotion log as the *contents* of a JSON array
-/// (comma-separated objects, one per line).
-pub fn render_demotions_json() -> String {
-    demotion_lock()
         .iter()
         .map(|r| r.to_json())
         .collect::<Vec<_>>()
@@ -378,48 +297,6 @@ mod tests {
         assert_eq!(ours[0].winner, 1);
         trace::clear_enabled_override();
         clear();
-    }
-
-    #[test]
-    fn demotions_record_and_render() {
-        let _g = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
-        trace::set_enabled(false);
-        record_demotion(DemotionAudit {
-            label: "off/x".into(),
-            op: "ibcast".into(),
-            func: 0,
-            name: "linear".into(),
-            reason: "timeout".into(),
-            samples: 2,
-        });
-        assert!(
-            demotions().iter().all(|d| d.label != "off/x"),
-            "demotion landed despite tracing off"
-        );
-        trace::set_enabled(true);
-        record_demotion(DemotionAudit {
-            label: "on/x".into(),
-            op: "ialltoall".into(),
-            func: 3,
-            name: "pairwise-seg64k".into(),
-            reason: "send timeout: 65536-byte message 0->1".into(),
-            samples: 1,
-        });
-        let ours: Vec<_> = demotions()
-            .into_iter()
-            .filter(|d| d.label == "on/x")
-            .collect();
-        assert_eq!(ours.len(), 1);
-        let j = ours[0].to_json();
-        let doc = simcore::json::parse(&j).expect("demotion json parses");
-        assert_eq!(doc.get("func").and_then(|v| v.as_u64()), Some(3));
-        assert_eq!(
-            doc.get("name").and_then(|v| v.as_str()),
-            Some("pairwise-seg64k")
-        );
-        trace::clear_enabled_override();
-        clear();
-        assert_eq!(demotions_len(), 0);
     }
 
     #[test]

@@ -174,9 +174,8 @@ mod tests {
 
     #[test]
     fn trimmed_overtrim_keeps_a_survivor() {
-        // Aggressive trim fractions on tiny sample sets (common right
-        // after a demotion rerun) must leave at least one survivor and a
-        // finite score.
+        // Aggressive trim fractions on tiny sample sets must leave at
+        // least one survivor and a finite score.
         let xs = [1.0, 2.0, 30.0];
         assert_eq!(FilterKind::Trimmed(0.7).survivors(&xs), 1);
         assert_eq!(FilterKind::Trimmed(0.7).score(&xs), 2.0);

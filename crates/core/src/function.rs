@@ -272,15 +272,6 @@ impl FunctionSet {
         self.functions = vec![f];
         self
     }
-
-    /// The set with implementation `idx` removed, preserving the order of
-    /// the survivors (the tuner's round-robin assignment depends on index
-    /// order). Used to demote a candidate whose microbenchmark timed out.
-    pub fn without(mut self, idx: usize) -> FunctionSet {
-        assert!(idx < self.functions.len(), "demotion index out of range");
-        self.functions.remove(idx);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -298,19 +289,6 @@ mod tests {
         let attrs = set.attribute_set();
         assert_eq!(attrs.attrs[0].values.len(), 7); // fan-outs
         assert_eq!(attrs.attrs[1].values, vec![32768, 65536, 131072]);
-    }
-
-    #[test]
-    fn without_preserves_order() {
-        let set = FunctionSet::ialltoall_default(spec());
-        let names: Vec<String> = set.functions.iter().map(|f| f.name.clone()).collect();
-        let idx = 1;
-        let reduced = set.without(idx);
-        assert_eq!(reduced.len(), names.len() - 1);
-        let survivors: Vec<String> = reduced.functions.iter().map(|f| f.name.clone()).collect();
-        let mut expect = names.clone();
-        expect.remove(idx);
-        assert_eq!(survivors, expect, "demotion must not reorder survivors");
     }
 
     #[test]

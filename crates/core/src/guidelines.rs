@@ -24,8 +24,8 @@
 //! lhs set lacks an algorithm — a *tuning opportunity* (e.g. ring
 //! allreduce beating every non-pipelined reduce at large messages, or the
 //! van-de-Geijn scatter+allgather broadcast) — and stays informational at
-//! any finite slack. An lhs that cannot complete at all (infinite time,
-//! e.g. fault-exhausted) is severe under every guideline.
+//! any finite slack. An lhs that cannot complete at all (infinite time)
+//! is severe under every guideline.
 //! `scripts/verify.sh` gates on zero severe violations.
 //!
 //! Every probe is a pure function of its config fingerprint and runs in
@@ -286,7 +286,7 @@ struct ProbeOutcome {
 /// repeat probe is a cache hit and byte-identical by construction.
 fn probe_key(platform: &Platform, set: &FunctionSet, func: usize) -> String {
     format!(
-        "guide/{plat}/{set_name}/{func_name}/p{np}/m{mb}/i{it}/g{g}/c{c}/F{flt}",
+        "guide/{plat}/{set_name}/{func_name}/p{np}/m{mb}/i{it}/g{g}/c{c}",
         plat = platform.name,
         set_name = set.name,
         func_name = set.functions[func].name,
@@ -295,7 +295,6 @@ fn probe_key(platform: &Platform, set: &FunctionSet, func: usize) -> String {
         it = PROBE_ITERS,
         g = PROBE_PROGRESS,
         c = PROBE_COMPUTE_US_PER_ITER,
-        flt = mpisim::fault::current().describe(),
     )
 }
 
@@ -368,19 +367,12 @@ fn run_probe(platform: &Platform, set: &FunctionSet, func: usize) -> ProbeOutcom
             };
             let scripts = MicroBenchScript::per_rank(cfg, op, timer, nprocs);
             let mut runner = Runner::new(session, scripts);
-            match world.run(&mut runner) {
-                Ok(_) => ProbeOutcome {
-                    secs: runner.session.timers[timer].total(),
-                    sim_events: world.events_processed(),
-                },
-                // An exhausted retry budget (fault injection) makes the
-                // probe unmeasurable, not the process dead: an infinite
-                // time never *confirms* a violation.
-                Err(mpisim::SimError::Timeout { .. }) => ProbeOutcome {
-                    secs: f64::INFINITY,
-                    sim_events: world.events_processed(),
-                },
-                Err(err) => panic!("guideline probe deadlocked: {err}"),
+            if let Err(err) = world.run(&mut runner) {
+                panic!("guideline probe deadlocked: {err}");
+            }
+            ProbeOutcome {
+                secs: runner.session.timers[timer].total(),
+                sim_events: world.events_processed(),
             }
         },
     )

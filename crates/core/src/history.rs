@@ -13,15 +13,15 @@
 //! ```text
 //! # adcl-rs history v2
 //! # gen 3
-//! # ctx s7/d0.001/u0.0005/j0.1/r3
+//! # ctx off
 //! ialltoall|whale|32|131072\tpairwise\t1.50000000000000003e-3\t2.00000000000000011e-1
 //! ```
 //!
 //! * `gen` counts successful saves (monotone across checkpoints) so
 //!   observers can tell snapshots apart.
-//! * `ctx` is an opaque environment fingerprint (e.g. the fault-injection
-//!   profile) — a loader whose context differs must treat the entries as
-//!   stale rather than serve decisions measured under different physics.
+//! * `ctx` is an opaque environment fingerprint — a loader whose context
+//!   differs must treat the entries as stale rather than serve decisions
+//!   measured under different physics.
 //! * Scores and margins use `{:.17e}` so `save`→`load` round-trips `f64`
 //!   bit-exactly; 9 significant digits (the old format) silently lost the
 //!   low mantissa bits and broke staleness comparisons.

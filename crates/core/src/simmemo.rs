@@ -20,7 +20,7 @@
 //! Soundness caveats (see DESIGN.md "Simulator memory model"): memoization
 //! must be bypassed for runs that mutate global state as a side effect, or
 //! whose inputs are not fully captured by the fingerprint — e.g.
-//! fault-injection experiments or externally perturbed runs. Callers opt
+//! externally perturbed runs. Callers opt
 //! out per-run by not routing through [`get_or_run`], or globally via
 //! [`set_enabled`] / `NBC_MEMO=off`.
 //!

@@ -576,9 +576,8 @@ impl Strategy for Factorial {
 /// whose filtered lower bound exceeds the leader's filtered upper bound
 /// is permanently eliminated. The block schedule is a pure function of
 /// the elimination history, so the emitted iteration sequence — and with
-/// it every simulated event — is byte-identical across reruns, `--jobs`
-/// values and fault profiles (faults shift the measured values the same
-/// deterministic way everywhere).
+/// it every simulated event — is byte-identical across reruns and `--jobs`
+/// values.
 struct Racing {
     reps: usize,
     block: usize,

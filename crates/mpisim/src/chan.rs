@@ -11,9 +11,8 @@
 //! sequence numbers at or above it that have been seen on the wire.
 //!
 //! The window does two jobs with one structure. Slot `seq - env_next`
-//! records that a transmission of `seq` has arrived (wire-level dedup:
-//! fault duplicates and retransmissions racing their original are swallowed
-//! against it) and whether its envelope is ready for matching (envelopes
+//! records that `seq` has arrived (the world asserts that no message
+//! arrives twice) and whether its envelope is ready for matching (envelopes
 //! that arrive out of order wait there). Envelopes leave from the front in
 //! sequence order, so the window never holds more than the channel's
 //! in-flight messages; a sequence number below `env_next` has left the

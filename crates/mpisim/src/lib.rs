@@ -35,11 +35,10 @@ pub mod world;
 pub mod worldpool;
 
 pub use bufpool::{Payload, PooledBuf};
-pub use fault::{FaultConfig, FaultModel};
 pub use message::{Protocol, RecvState, SendState};
 pub use types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
 pub use workload::NeighborExchange;
 pub use world::{
-    payloads_staged_total, sim_events_total, FaultStats, RankAccounting, RankBehavior, SegmentKind,
-    SimError, Step, TraceSegment, World,
+    payloads_staged_total, sim_events_total, RankAccounting, RankBehavior, SegmentKind, SimError,
+    Step, TraceSegment, World,
 };

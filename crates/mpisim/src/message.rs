@@ -67,11 +67,6 @@ impl<T> Arena<T> {
     pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
-
-    /// Every slot, live or released.
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.items.iter()
-    }
 }
 
 impl<T> std::ops::Index<usize> for Arena<T> {
@@ -131,28 +126,12 @@ pub struct SendMsg {
     pub tag: Tag,
     pub bytes: usize,
     pub protocol: Protocol,
-    /// Per-(src, dst) channel sequence number; envelopes are delivered to
-    /// the matching logic in this order (MPI non-overtaking).
-    pub seq: u64,
-    /// Local time at which the sender posted this message (start of its
-    /// lifecycle span in trace exports).
-    pub posted_at: SimTime,
     pub send_state: SendState,
-    /// Retransmissions performed so far (fault injection only; stays 0 on
-    /// the healthy path).
-    pub attempts: u32,
     /// The payload handle riding on this message, if the sender staged one.
-    /// On the healthy path it is *moved* into the wire event (O(1)); with a
-    /// fault model armed each transmission carries a clone so retransmission
-    /// can resend it. Timing never depends on it — `bytes` alone drives the
-    /// network model.
+    /// Eager sends move it straight into the wire event; rendezvous sends
+    /// keep it here until the payload transfer starts. Timing never depends
+    /// on it — `bytes` alone drives the network model.
     pub payload: Option<Payload>,
-    /// Eager only: earliest lower-bound arrival among the transmissions
-    /// injected so far that were not dropped (`None` while every copy was
-    /// lost). The retry engine reads this as its acknowledgement signal —
-    /// it is computed entirely from sender-side knowledge (tx drain +
-    /// latency + jitter), so the sender never peeks at receiver state.
-    pub best_arrival: Option<SimTime>,
     /// Rendezvous only: the destination-side record (index into the
     /// receiver's [`DstMsg`] arena), learned from the CTS. The payload wire
     /// event carries it back so delivery needs no receiver-side lookup.
@@ -161,25 +140,14 @@ pub struct SendMsg {
 
 impl SendMsg {
     /// A freshly posted send.
-    pub fn new(
-        dst: RankId,
-        tag: Tag,
-        bytes: usize,
-        protocol: Protocol,
-        seq: u64,
-        posted_at: SimTime,
-    ) -> Self {
+    pub fn new(dst: RankId, tag: Tag, bytes: usize, protocol: Protocol) -> Self {
         SendMsg {
             dst,
             tag,
             bytes,
             protocol,
-            seq,
-            posted_at,
             send_state: SendState::Posted,
-            attempts: 0,
             payload: None,
-            best_arrival: None,
             peer_dmid: None,
         }
     }
@@ -193,9 +161,9 @@ impl SendMsg {
     }
 }
 
-/// The receiver-side half of one in-flight message, created when the first
-/// surviving wire event (eager payload or rendezvous RTS) reaches the
-/// destination; stored in the destination rank's arena.
+/// The receiver-side half of one in-flight message, created when its wire
+/// event (eager payload or rendezvous RTS) reaches the destination; stored
+/// in the destination rank's arena.
 #[derive(Debug, Clone)]
 pub struct DstMsg {
     /// Ordinal of this message among those that ever reached the
@@ -268,16 +236,15 @@ mod tests {
 
     #[test]
     fn send_lifecycle_defaults() {
-        let m = SendMsg::new(1, Tag(5), 100, Protocol::Eager, 0, SimTime::ZERO);
+        let m = SendMsg::new(1, Tag(5), 100, Protocol::Eager);
         assert_eq!(m.send_state, SendState::Posted);
         assert!(m.send_drained().is_none());
-        assert!(m.best_arrival.is_none());
         assert!(m.peer_dmid.is_none());
     }
 
     #[test]
     fn drained_reports_time() {
-        let mut m = SendMsg::new(1, Tag(5), 100, Protocol::Rendezvous, 0, SimTime::ZERO);
+        let mut m = SendMsg::new(1, Tag(5), 100, Protocol::Rendezvous);
         m.send_state = SendState::Drained(SimTime::from_micros(9));
         assert_eq!(m.send_drained(), Some(SimTime::from_micros(9)));
     }

@@ -14,7 +14,6 @@
 
 use crate::bufpool::{Payload, PooledBuf};
 use crate::chan::{ChanTable, Seen};
-use crate::fault::{self, FaultConfig, FaultModel};
 use crate::message::{Arena, DstMsg, Protocol, RecvReq, RecvState, SendMsg, SendState};
 use crate::types::{NoiseConfig, RankId, RecvHandle, SendHandle, Tag};
 use netmodel::{NetworkState, Placement, Platform};
@@ -62,39 +61,6 @@ fn m_msg_slots_max() -> &'static Gauge {
 fn m_rdv_stall_ns() -> &'static Histogram {
     static M: OnceLock<&'static Histogram> = OnceLock::new();
     M.get_or_init(|| metrics::histogram("mpisim.rdv_stall_ns"))
-}
-
-// Fault-injection metrics. Touched only when a world actually carries a
-// fault model, so a healthy process never even registers them (keeping the
-// default metrics dump unchanged).
-fn m_fault_drops() -> &'static Counter {
-    static M: OnceLock<&'static Counter> = OnceLock::new();
-    M.get_or_init(|| metrics::counter("mpisim.fault.drops"))
-}
-
-fn m_fault_dups() -> &'static Counter {
-    static M: OnceLock<&'static Counter> = OnceLock::new();
-    M.get_or_init(|| metrics::counter("mpisim.fault.dups"))
-}
-
-fn m_fault_dup_suppressed() -> &'static Counter {
-    static M: OnceLock<&'static Counter> = OnceLock::new();
-    M.get_or_init(|| metrics::counter("mpisim.fault.dup_suppressed"))
-}
-
-fn m_fault_retries() -> &'static Counter {
-    static M: OnceLock<&'static Counter> = OnceLock::new();
-    M.get_or_init(|| metrics::counter("mpisim.fault.retries"))
-}
-
-fn m_fault_timeouts() -> &'static Counter {
-    static M: OnceLock<&'static Counter> = OnceLock::new();
-    M.get_or_init(|| metrics::counter("mpisim.fault.timeouts"))
-}
-
-fn m_fault_backoff_ns() -> &'static Histogram {
-    static M: OnceLock<&'static Histogram> = OnceLock::new();
-    M.get_or_init(|| metrics::histogram("mpisim.fault.backoff_ns"))
 }
 
 /// Total simulator events processed by completed runs in this process (the
@@ -150,22 +116,6 @@ pub enum SimError {
         /// Ranks still blocked.
         blocked: Vec<RankId>,
     },
-    /// A send exhausted its retransmission budget under fault injection:
-    /// the handshake (or eager delivery) was never acknowledged within the
-    /// hard deadline. Only reachable when a fault model is armed — it
-    /// surfaces as a typed error instead of a hung event loop.
-    Timeout {
-        /// Sending rank.
-        src: RankId,
-        /// Destination rank.
-        dst: RankId,
-        /// Message size.
-        bytes: usize,
-        /// Retransmissions performed before giving up.
-        attempts: u32,
-        /// Simulated time from the original post to the deadline.
-        waited: SimTime,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -174,50 +124,11 @@ impl std::fmt::Display for SimError {
             SimError::Deadlock { blocked } => {
                 write!(f, "simulation deadlock; blocked ranks: {blocked:?}")
             }
-            SimError::Timeout {
-                src,
-                dst,
-                bytes,
-                attempts,
-                waited,
-            } => write!(
-                f,
-                "send timeout: {bytes}-byte message {src}->{dst} unacknowledged \
-                 after {attempts} retries ({waited} since post)"
-            ),
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-/// Per-run fault-injection tallies (cumulative over a world's lifetime).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Control/eager messages lost in flight.
-    pub drops: u64,
-    /// Fault-injected duplicate deliveries.
-    pub dups: u64,
-    /// Duplicate deliveries suppressed by envelope sequencing and
-    /// state-machine guards.
-    pub dup_suppressed: u64,
-    /// Retransmissions performed by the timeout engine.
-    pub retries: u64,
-    /// Sends that exhausted their retry budget.
-    pub timeouts: u64,
-}
-
-impl FaultStats {
-    fn delta(&self, flushed: &FaultStats) -> FaultStats {
-        FaultStats {
-            drops: self.drops - flushed.drops,
-            dups: self.dups - flushed.dups,
-            dup_suppressed: self.dup_suppressed - flushed.dup_suppressed,
-            retries: self.retries - flushed.retries,
-            timeouts: self.timeouts - flushed.timeouts,
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankStatus {
@@ -235,8 +146,6 @@ enum RankStatus {
 enum LocalEv {
     /// The source buffer of send `sidx` (on the target rank) drained.
     SendDrained(u32),
-    /// Retransmission deadline for send `sidx` (fault injection only).
-    RetryTimer(u32),
     /// Eager payload `dmid` finished draining into the target's receive
     /// engine (or its unexpected-match copy finished).
     DeliverEager(u32),
@@ -255,8 +164,6 @@ enum WireMsg {
         tag: Tag,
         bytes: usize,
         posted_at: SimTime,
-        /// Pre-drawn relative jitter for this transmission.
-        jfrac: f64,
         /// Arrival fully priced at the source (intra-node copy).
         priced: bool,
         /// Earliest possible full delivery (sender-side floor).
@@ -280,9 +187,6 @@ enum WireMsg {
     Data {
         dmid: u32,
         bytes: usize,
-        /// When the transfer started (jitter anchor).
-        start: SimTime,
-        jfrac: f64,
         priced: bool,
         floor: SimTime,
         payload: Option<Payload>,
@@ -534,8 +438,6 @@ pub struct World {
     /// poll hot path (parallel sweeps would serialize on its cache line).
     rdv_stalls: u64,
     rdv_stall_ns: metrics::LocalHistogram,
-    /// Fault-retry backoff intervals this run (same flush scheme).
-    fault_backoff_ns: metrics::LocalHistogram,
     /// `events.popped()` at the last [`World::reset`]: the queue's lifetime
     /// counter survives reuse, so per-world accounting is a delta from here.
     popped_at_reset: u64,
@@ -550,19 +452,6 @@ pub struct World {
     payloads_staged: u64,
     /// The portion of `payloads_staged` already flushed to the registry.
     payloads_flushed: u64,
-    /// Fault-injection model; `None` (the default) makes every injection
-    /// site a single branch and guarantees byte-identical behaviour to a
-    /// build without fault support. Carries one RNG stream per rank.
-    fault: Option<Box<FaultModel>>,
-    /// Retransmission-budget exhaustion with the smallest event key seen so
-    /// far. The run keeps draining; `outcome` surfaces this error.
-    timed_out: Option<(u128, SimError)>,
-    /// Key of the event currently being dispatched.
-    cur_key: u128,
-    /// Cumulative fault tallies, plus the portion already flushed to the
-    /// metrics registry (same delta scheme as `polls_flushed`).
-    faults: FaultStats,
-    faults_flushed: FaultStats,
 }
 
 impl World {
@@ -574,8 +463,6 @@ impl World {
         noise: NoiseConfig,
     ) -> Self {
         let ranks = (0..nranks).map(|r| RankState::fresh(r, &noise)).collect();
-        let fault_model =
-            FaultModel::new(&fault::current(), &platform.fault_profile(), nranks).map(Box::new);
         World {
             net: NetworkState::new(platform, nranks, placement),
             ranks,
@@ -591,39 +478,12 @@ impl World {
             unexpected_msgs: 0,
             rdv_stalls: 0,
             rdv_stall_ns: metrics::LocalHistogram::new(),
-            fault_backoff_ns: metrics::LocalHistogram::new(),
             popped_at_reset: 0,
             trace_on: false,
             otrace: trace::enabled().then(|| Box::new(WorldTrace::new(nranks))),
             payloads_staged: 0,
             payloads_flushed: 0,
-            fault: fault_model,
-            timed_out: None,
-            cur_key: 0,
-            faults: FaultStats::default(),
-            faults_flushed: FaultStats::default(),
         }
-    }
-
-    /// Replace this world's fault model with one built from `cfg` (scaled
-    /// by the platform's fault profile). Overrides whatever `NBC_FAULTS` /
-    /// `fault::set_override` chose at construction; call before `run`.
-    /// Tests use this to inject faults without touching process-global
-    /// state.
-    pub fn set_faults(&mut self, cfg: &FaultConfig) {
-        let nranks = self.ranks.len();
-        self.fault =
-            FaultModel::new(cfg, &self.net.platform().fault_profile(), nranks).map(Box::new);
-    }
-
-    /// Is a fault model armed on this world?
-    pub fn faults_active(&self) -> bool {
-        self.fault.is_some()
-    }
-
-    /// Cumulative fault-injection tallies for this world.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.faults
     }
 
     /// Order-sensitive digest of every event dispatched so far, folded
@@ -690,9 +550,8 @@ impl World {
     ///
     /// The post-state is observationally identical to
     /// `World::new(platform, nranks, placement, noise)` with the same
-    /// process-global fault/trace configuration: noise models are re-seeded
-    /// from `noise`, the fault model is rebuilt from [`fault::current`],
-    /// and all logical state (clocks, tags, sequence numbers, in-flight
+    /// process-global trace configuration: noise models are re-seeded from
+    /// `noise`, and all logical state (clocks, tags, sequence numbers, in-flight
     /// messages, event digests) is zeroed. Only allocation capacity and
     /// the lifetime [`World::payloads_staged`] tally differ — neither is
     /// observable in simulated time or simulation output, so results stay
@@ -719,19 +578,8 @@ impl World {
         self.unexpected_msgs = 0;
         self.rdv_stalls = 0;
         self.rdv_stall_ns = metrics::LocalHistogram::new();
-        self.fault_backoff_ns = metrics::LocalHistogram::new();
         self.trace_on = false;
         self.otrace = trace::enabled().then(|| Box::new(WorldTrace::new(nranks)));
-        self.fault = FaultModel::new(
-            &fault::current(),
-            &self.net.platform().fault_profile(),
-            nranks,
-        )
-        .map(Box::new);
-        self.timed_out = None;
-        self.cur_key = 0;
-        self.faults = FaultStats::default();
-        self.faults_flushed = FaultStats::default();
     }
 
     /// Start recording per-rank timeline segments (compute / library /
@@ -959,63 +807,6 @@ impl World {
         self.events.push_at(t, subkey, Event::Wire(dst as u32, idx));
     }
 
-    /// Record a retransmission-budget exhaustion, keeping the one with the
-    /// smallest event key.
-    fn record_timeout(&mut self, err: SimError) {
-        match &self.timed_out {
-            Some((k, _)) if *k <= self.cur_key => {}
-            _ => self.timed_out = Some((self.cur_key, err)),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Fault helpers
-    // ------------------------------------------------------------------
-
-    /// Draw the per-transmission fault decisions for one control/eager
-    /// transmission performed by `acting` (always the rank whose handler is
-    /// running, so draws come from its own stream in its own event order).
-    /// Returns `None` if the transmission is dropped, otherwise
-    /// `Some((jitter_frac, duplicate_lag))`. With no fault model armed this
-    /// is `Some((0.0, None))` and consumes no randomness.
-    fn fault_tx(&mut self, acting: RankId) -> Option<(f64, Option<SimTime>)> {
-        let Some(f) = self.fault.as_mut() else {
-            return Some((0.0, None));
-        };
-        if f.drop_event(acting) {
-            self.faults.drops += 1;
-            return None;
-        }
-        let jfrac = f.jitter_frac(acting);
-        if f.duplicate_event(acting) {
-            let lag = f.dup_lag(acting);
-            self.faults.dups += 1;
-            Some((jfrac, Some(lag)))
-        } else {
-            Some((jfrac, None))
-        }
-    }
-
-    /// Extra delivery delay (proportional jitter + brownout) for an arrival
-    /// at `arrival` of a transmission anchored at `posted`. Pure — no RNG.
-    fn extra(&self, jfrac: f64, posted: SimTime, arrival: SimTime) -> SimTime {
-        match self.fault.as_ref() {
-            Some(f) => f.extra_delay(jfrac, posted, arrival),
-            None => SimTime::ZERO,
-        }
-    }
-
-    /// Schedule the retransmission deadline for `src`'s send `sidx` given
-    /// that `attempts` transmissions have happened so far. No-op without a
-    /// fault model.
-    fn schedule_retry(&mut self, src: RankId, sidx: u32, now: SimTime, attempts: u32) {
-        let Some(f) = self.fault.as_ref() else {
-            return;
-        };
-        let deadline = f.retry_deadline(now, attempts);
-        self.push_ev(src, deadline, Event::local(src, LocalEv::RetryTimer(sidx)));
-    }
-
     // ------------------------------------------------------------------
     // Point-to-point API (used by the collective-schedule executor)
     // ------------------------------------------------------------------
@@ -1059,127 +850,49 @@ impl World {
         let sidx;
         if self.net.is_eager(src, dst, bytes) {
             let plan = self.net.tx_plan(at, src, dst, bytes);
-            let mut m = SendMsg::new(dst, tag, bytes, Protocol::Eager, seq, at);
-            // The sender's buffer drains locally whether or not the network
-            // later loses the payload.
-            match self.fault_tx(src) {
-                None => {
-                    // Lost in flight: the payload stays on the send so the
-                    // retransmission engine can resend it.
-                    m.payload = payload;
-                    sidx = self.ranks[src].sends.alloc(m);
-                    self.push_ev(
-                        src,
-                        plan.src_drain,
-                        Event::local(src, LocalEv::SendDrained(sidx)),
-                    );
-                    self.trace_instant(src, "drop", "fault", at, [("mid", sidx as u64), ("", 0)]);
-                    self.schedule_retry(src, sidx, at, 0);
-                }
-                Some((jfrac, dup)) => {
-                    m.best_arrival = Some(plan.floor + self.extra(jfrac, at, plan.floor));
-                    // Healthy path: move the handle into the wire event
-                    // (O(1)). With faults armed, each transmission carries a
-                    // clone and the send keeps the original for retries.
-                    let wire_payload = if self.fault.is_some() {
-                        m.payload = payload;
-                        m.payload.clone()
-                    } else {
-                        payload
-                    };
-                    sidx = self.ranks[src].sends.alloc(m);
-                    self.push_ev(
-                        src,
-                        plan.src_drain,
-                        Event::local(src, LocalEv::SendDrained(sidx)),
-                    );
-                    self.push_wire(
-                        src,
-                        plan.wire_at,
-                        dst,
-                        WireMsg::Eager {
-                            src,
-                            sidx,
-                            seq,
-                            tag,
-                            bytes,
-                            posted_at: at,
-                            jfrac,
-                            priced: plan.priced,
-                            floor: plan.floor,
-                            payload: wire_payload,
-                        },
-                    );
-                    if let Some(lag) = dup {
-                        // The duplicate trails its original on the same
-                        // channel; the receiver's arrival dedup swallows it.
-                        self.push_wire(
-                            src,
-                            plan.wire_at + lag,
-                            dst,
-                            WireMsg::Eager {
-                                src,
-                                sidx,
-                                seq,
-                                tag,
-                                bytes,
-                                posted_at: at,
-                                jfrac,
-                                priced: plan.priced,
-                                floor: plan.floor,
-                                payload: None,
-                            },
-                        );
-                    }
-                    if self.fault.is_some() {
-                        self.schedule_retry(src, sidx, at, 0);
-                    }
-                }
-            }
+            sidx = self.ranks[src]
+                .sends
+                .alloc(SendMsg::new(dst, tag, bytes, Protocol::Eager));
+            self.push_ev(
+                src,
+                plan.src_drain,
+                Event::local(src, LocalEv::SendDrained(sidx)),
+            );
+            // The payload handle moves into the wire event (O(1)).
+            self.push_wire(
+                src,
+                plan.wire_at,
+                dst,
+                WireMsg::Eager {
+                    src,
+                    sidx,
+                    seq,
+                    tag,
+                    bytes,
+                    posted_at: at,
+                    priced: plan.priced,
+                    floor: plan.floor,
+                    payload,
+                },
+            );
         } else {
             let rts = self.net.ctrl_arrival(at, src, dst);
-            let mut m = SendMsg::new(dst, tag, bytes, Protocol::Rendezvous, seq, at);
+            let mut m = SendMsg::new(dst, tag, bytes, Protocol::Rendezvous);
             m.payload = payload;
             sidx = self.ranks[src].sends.alloc(m);
-            match self.fault_tx(src) {
-                None => {
-                    self.trace_instant(src, "drop", "fault", at, [("mid", sidx as u64), ("", 0)]);
-                }
-                Some((jfrac, dup)) => {
-                    let arr = rts + self.extra(jfrac, at, rts);
-                    self.push_wire(
-                        src,
-                        arr,
-                        dst,
-                        WireMsg::Rts {
-                            src,
-                            sidx,
-                            seq,
-                            tag,
-                            bytes,
-                            posted_at: at,
-                        },
-                    );
-                    if let Some(lag) = dup {
-                        self.push_wire(
-                            src,
-                            arr + lag,
-                            dst,
-                            WireMsg::Rts {
-                                src,
-                                sidx,
-                                seq,
-                                tag,
-                                bytes,
-                                posted_at: at,
-                            },
-                        );
-                    }
-                }
-            }
-            // A rendezvous send always arms its deadline when faults are
-            // active: it guards against a lost RTS *and* a lost CTS.
-            self.schedule_retry(src, sidx, at, 0);
+            self.push_wire(
+                src,
+                rts,
+                dst,
+                WireMsg::Rts {
+                    src,
+                    sidx,
+                    seq,
+                    tag,
+                    bytes,
+                    posted_at: at,
+                },
+            );
         }
         SendHandle {
             rank: src as u32,
@@ -1266,11 +979,6 @@ impl World {
     /// record may be reused by a later [`World::isend`], and `h` must not
     /// be used again. Call it once per handle.
     ///
-    /// On a world with a fault model armed the record is kept instead: a
-    /// retry timer or a duplicated CTS can outlive the drain of the send
-    /// they name, and must find that send — not a later one in its slot —
-    /// when they fire.
-    ///
     /// # Panics
     /// Panics if the send has not drained (or was already released).
     pub fn release_send(&mut self, h: SendHandle) {
@@ -1280,12 +988,8 @@ impl World {
             matches!(sm.send_state, SendState::Drained(_)),
             "release of an undrained send"
         );
-        if self.fault.is_some() {
-            return;
-        }
-        // No event names a drained send on a healthy world: its drain
-        // event has fired, its CTS (rendezvous) was consumed before the
-        // payload started, and no timer was ever armed.
+        // No event names a drained send: its drain event has fired and its
+        // CTS (rendezvous) was consumed before the payload started.
         sm.send_state = SendState::Posted;
         sm.payload = None;
         rs.sends.release(h.idx);
@@ -1294,12 +998,8 @@ impl World {
     /// Give back a completed receive ([`World::recv_done`] held for `h`)
     /// together with the message it matched: both records may be reused,
     /// and `h` must not be used again. Call it once per handle. A payload
-    /// not collected with [`World::take_recv_payload`] is dropped.
-    ///
-    /// Safe on every world, fault-armed or not: once the payload has been
-    /// delivered no event names the message any more, and late duplicates
-    /// of its RTS or eager transmission carry `(source, sequence number)`,
-    /// which the channel window answers without touching the record.
+    /// not collected with [`World::take_recv_payload`] is dropped. Once
+    /// the payload has been delivered no event names the message any more.
     ///
     /// # Panics
     /// Panics if the receive has not completed (or was already released).
@@ -1314,11 +1014,6 @@ impl World {
         req.payload = None;
         let dmid = req.msg.take().expect("completed receive without message");
         debug_assert!(rs.dmsgs[dmid as usize].data_arrival.is_some());
-        if self.fault.is_some() {
-            // A duplicated RTS may have re-armed a CTS answer that was not
-            // sent yet; the payload is here, so there is nothing to answer.
-            rs.pending_cts.retain(|&d| d != dmid);
-        }
         rs.dmsgs.release(dmid);
         rs.recvs.release(h.idx);
     }
@@ -1400,20 +1095,8 @@ impl World {
                 }
             }
             let arr = self.net.ctrl_arrival(now, rank, src);
-            match self.fault_tx(rank) {
-                Some((jfrac, dup)) => {
-                    let at0 = arr + self.extra(jfrac, now, arr);
-                    let sidx = self.ranks[rank].dmsgs[dmid as usize].sidx;
-                    self.push_wire(rank, at0, src, WireMsg::Cts { sidx, dmid });
-                    if let Some(lag) = dup {
-                        self.push_wire(rank, at0 + lag, src, WireMsg::Cts { sidx, dmid });
-                    }
-                }
-                None => {
-                    let mid = self.ranks[rank].dmsgs[dmid as usize].mid;
-                    self.trace_instant(rank, "drop", "fault", now, [("mid", mid as u64), ("", 0)]);
-                }
-            }
+            let sidx = self.ranks[rank].dmsgs[dmid as usize].sidx;
+            self.push_wire(rank, arr, src, WireMsg::Cts { sidx, dmid });
             actions += 1;
         }
         cts.clear();
@@ -1437,12 +1120,6 @@ impl World {
                 plan.src_drain,
                 Event::local(rank, LocalEv::SendDrained(sidx)),
             );
-            // Rendezvous data rides a handshake-confirmed channel: it is
-            // never dropped or duplicated, only jittered.
-            let jfrac = match self.fault.as_mut() {
-                Some(f) => f.jitter_frac(rank),
-                None => 0.0,
-            };
             let payload = self.ranks[rank].sends[sidx as usize].payload.take();
             self.push_wire(
                 rank,
@@ -1451,8 +1128,6 @@ impl World {
                 WireMsg::Data {
                     dmid,
                     bytes,
-                    start: now,
-                    jfrac,
                     priced: plan.priced,
                     floor: plan.floor,
                     payload,
@@ -1518,9 +1193,8 @@ impl World {
         self.trace_span(rank, name, "msg", start, end, args);
     }
 
-    /// Create the receiver-side record of a message whose first surviving
-    /// transmission just reached `rank`, and enter it in its channel's
-    /// arrival window.
+    /// Create the receiver-side record of a message whose wire event just
+    /// reached `rank`, and enter it in its channel's arrival window.
     fn new_dmsg(&mut self, rank: RankId, make: impl FnOnce(u32) -> DstMsg) -> u32 {
         let rs = &mut self.ranks[rank];
         let dm = make(rs.msgs_seen);
@@ -1533,18 +1207,14 @@ impl World {
 
     /// Feed a newly arrived envelope into the per-channel reorder buffer.
     /// Envelopes reach the matching logic strictly in per-(src, dst)
-    /// sequence order, which both enforces MPI's non-overtaking rule and
-    /// suppresses duplicated envelopes that survived the arrival dedup
-    /// (e.g. a retransmission of an envelope that already matched).
+    /// sequence order, which enforces MPI's non-overtaking rule.
     fn enqueue_envelope(&mut self, rank: RankId, dmid: u32, t: SimTime) {
         let (src, seq) = {
             let dm = &self.ranks[rank].dmsgs[dmid as usize];
             (dm.src, dm.seq)
         };
-        if !self.ranks[rank].chans.envelope_ready(src, seq) {
-            self.faults.dup_suppressed += 1;
-            return;
-        }
+        let fresh = self.ranks[rank].chans.envelope_ready(src, seq);
+        debug_assert!(fresh, "envelope {seq} from {src} entered matching twice");
         while let Some(d) = self.ranks[rank].chans.pop_in_order(src) {
             self.deliver_envelope(rank, d, t);
         }
@@ -1586,17 +1256,11 @@ impl World {
                 tag,
                 bytes,
                 posted_at,
-                jfrac,
                 priced,
                 floor,
                 payload,
             } => {
-                if self.ranks[rank].chans.seen(src, seq) != Seen::New {
-                    // Duplicate or retransmission of a message we already
-                    // accepted: swallow it before it touches rx queues.
-                    self.faults.dup_suppressed += 1;
-                    return;
-                }
+                debug_assert_eq!(self.ranks[rank].chans.seen(src, seq), Seen::New);
                 let dmid = self.new_dmsg(rank, |mid| DstMsg {
                     mid,
                     src,
@@ -1612,13 +1276,16 @@ impl World {
                     cts_sent: false,
                     payload,
                 });
-                let delivery0 = if priced {
+                let delivery = if priced {
                     floor
                 } else {
                     self.net.rx_reserve(t, rank, bytes).drain.max(floor)
                 };
-                let arr = delivery0 + self.extra(jfrac, posted_at, delivery0);
-                self.push_ev(rank, arr, Event::local(rank, LocalEv::DeliverEager(dmid)));
+                self.push_ev(
+                    rank,
+                    delivery,
+                    Event::local(rank, LocalEv::DeliverEager(dmid)),
+                );
             }
             WireMsg::Rts {
                 src,
@@ -1628,34 +1295,7 @@ impl World {
                 bytes,
                 posted_at,
             } => {
-                let seen = self.ranks[rank].chans.seen(src, seq);
-                if seen != Seen::New {
-                    self.faults.dup_suppressed += 1;
-                    // A retransmitted RTS doubles as CTS-loss recovery: if we
-                    // already matched and answered but the payload never
-                    // started, answer again. Only a message that has entered
-                    // matching can be in that state, and the window no longer
-                    // knows its record — find it in the (small) arena. A
-                    // released slot cannot be mistaken for it: release
-                    // requires the payload to have arrived.
-                    let rs = &mut self.ranks[rank];
-                    let stalled = |dm: &DstMsg| {
-                        dm.src == src
-                            && dm.seq == seq
-                            && dm.matched_recv.is_some()
-                            && dm.cts_sent
-                            && dm.data_arrival.is_none()
-                    };
-                    if seen == Seen::Delivered {
-                        if let Some(dmid) = rs.dmsgs.iter().position(stalled) {
-                            rs.dmsgs[dmid].cts_sent = false;
-                            if !rs.pending_cts.contains(&(dmid as u32)) {
-                                rs.pending_cts.push(dmid as u32);
-                            }
-                        }
-                    }
-                    return;
-                }
+                debug_assert_eq!(self.ranks[rank].chans.seen(src, seq), Seen::New);
                 let dmid = self.new_dmsg(rank, |mid| DstMsg {
                     mid,
                     src,
@@ -1676,12 +1316,7 @@ impl World {
             }
             WireMsg::Cts { sidx, dmid } => {
                 let sm = &self.ranks[rank].sends[sidx as usize];
-                if !matches!(sm.send_state, SendState::Posted) {
-                    // Duplicate CTS, or one racing a retransmitted RTS's
-                    // answer: the transfer is already underway.
-                    self.faults.dup_suppressed += 1;
-                    return;
-                }
+                debug_assert_eq!(sm.send_state, SendState::Posted, "second CTS");
                 let dst = sm.dst;
                 self.ranks[rank].sends[sidx as usize].send_state = SendState::CtsArrived(t);
                 self.ranks[rank].sends[sidx as usize].peer_dmid = Some(dmid);
@@ -1691,14 +1326,12 @@ impl World {
             WireMsg::Data {
                 dmid,
                 bytes,
-                start,
-                jfrac,
                 priced,
                 floor,
                 payload,
             } => {
                 let _ = bytes;
-                let delivery0 = if priced {
+                let delivery = if priced {
                     floor
                 } else {
                     self.net
@@ -1706,9 +1339,12 @@ impl World {
                         .drain
                         .max(floor)
                 };
-                let arr = delivery0 + self.extra(jfrac, start, delivery0);
                 self.ranks[rank].dmsgs[dmid as usize].payload = payload;
-                self.push_ev(rank, arr, Event::local(rank, LocalEv::DeliverData(dmid)));
+                self.push_ev(
+                    rank,
+                    delivery,
+                    Event::local(rank, LocalEv::DeliverData(dmid)),
+                );
             }
         }
     }
@@ -1736,158 +1372,7 @@ impl World {
                     .expect("payload delivery for unmatched message");
                 self.complete_recv(rank, rid, t);
             }
-            LocalEv::RetryTimer(sidx) => self.apply_retry_timer(rank, sidx, t),
         }
-    }
-
-    /// Retransmission deadline for `rank`'s send `sidx` fired at `t`.
-    fn apply_retry_timer(&mut self, rank: RankId, sidx: u32, t: SimTime) {
-        let sm = &self.ranks[rank].sends[sidx as usize];
-        let acked = match sm.protocol {
-            // Eager: sender-side lower bound on arrival — if the earliest
-            // possible arrival of any surviving copy is in the past, the
-            // message is through.
-            Protocol::Eager => sm.best_arrival.is_some_and(|a| a <= t),
-            // Rendezvous: any CTS activity means the RTS got through.
-            Protocol::Rendezvous => !matches!(sm.send_state, SendState::Posted),
-        };
-        if acked {
-            return;
-        }
-        let attempts = sm.attempts;
-        let max_retries = self.fault.as_ref().map_or(0, |f| f.max_retries());
-        if attempts >= max_retries {
-            let dst = sm.dst;
-            let bytes = sm.bytes;
-            let posted_at = sm.posted_at;
-            self.faults.timeouts += 1;
-            self.record_timeout(SimError::Timeout {
-                src: rank,
-                dst,
-                bytes,
-                attempts,
-                waited: t.saturating_sub(posted_at),
-            });
-            return;
-        }
-        let (dst, bytes, tag, seq, posted_at) = (sm.dst, sm.bytes, sm.tag, sm.seq, sm.posted_at);
-        let protocol = sm.protocol;
-        self.ranks[rank].sends[sidx as usize].attempts = attempts + 1;
-        self.faults.retries += 1;
-        if let Some(f) = self.fault.as_ref() {
-            self.fault_backoff_ns.record(f.backoff(attempts).as_nanos());
-        }
-        self.trace_instant(
-            rank,
-            "retry",
-            "fault",
-            t,
-            [("attempt", (attempts + 1) as u64), ("mid", sidx as u64)],
-        );
-        match protocol {
-            Protocol::Rendezvous => {
-                let base = self.net.ctrl_arrival(t, rank, dst);
-                match self.fault_tx(rank) {
-                    Some((jfrac, dup)) => {
-                        let at0 = base + self.extra(jfrac, t, base);
-                        self.push_wire(
-                            rank,
-                            at0,
-                            dst,
-                            WireMsg::Rts {
-                                src: rank,
-                                sidx,
-                                seq,
-                                tag,
-                                bytes,
-                                posted_at,
-                            },
-                        );
-                        if let Some(lag) = dup {
-                            self.push_wire(
-                                rank,
-                                at0 + lag,
-                                dst,
-                                WireMsg::Rts {
-                                    src: rank,
-                                    sidx,
-                                    seq,
-                                    tag,
-                                    bytes,
-                                    posted_at,
-                                },
-                            );
-                        }
-                    }
-                    None => {
-                        self.trace_instant(
-                            rank,
-                            "drop",
-                            "fault",
-                            t,
-                            [("mid", sidx as u64), ("", 0)],
-                        );
-                    }
-                }
-            }
-            Protocol::Eager => {
-                let plan = self.net.tx_plan(t, rank, dst, bytes);
-                match self.fault_tx(rank) {
-                    Some((jfrac, dup)) => {
-                        let cand = plan.floor + self.extra(jfrac, posted_at, plan.floor);
-                        let sm = &mut self.ranks[rank].sends[sidx as usize];
-                        sm.best_arrival = Some(sm.best_arrival.map_or(cand, |b| b.min(cand)));
-                        let payload = sm.payload.clone();
-                        self.push_wire(
-                            rank,
-                            plan.wire_at,
-                            dst,
-                            WireMsg::Eager {
-                                src: rank,
-                                sidx,
-                                seq,
-                                tag,
-                                bytes,
-                                posted_at,
-                                jfrac,
-                                priced: plan.priced,
-                                floor: plan.floor,
-                                payload,
-                            },
-                        );
-                        if let Some(lag) = dup {
-                            self.push_wire(
-                                rank,
-                                plan.wire_at + lag,
-                                dst,
-                                WireMsg::Eager {
-                                    src: rank,
-                                    sidx,
-                                    seq,
-                                    tag,
-                                    bytes,
-                                    posted_at,
-                                    jfrac,
-                                    priced: plan.priced,
-                                    floor: plan.floor,
-                                    payload: None,
-                                },
-                            );
-                        }
-                    }
-                    None => {
-                        self.trace_instant(
-                            rank,
-                            "drop",
-                            "fault",
-                            t,
-                            [("mid", sidx as u64), ("", 0)],
-                        );
-                    }
-                }
-            }
-        }
-        self.schedule_retry(rank, sidx, t, attempts + 1);
     }
 
     // ------------------------------------------------------------------
@@ -1898,11 +1383,6 @@ impl World {
     /// folded into the *target* rank's digest first, so the digest
     /// witnesses the dispatch order itself, not just the handler effects.
     fn dispatch(&mut self, behavior: &mut dyn RankBehavior, t: SimTime, subkey: u64, ev: Event) {
-        // `cur_key` feeds `record_timeout`'s smallest-key rule, which
-        // only fault-armed runs can reach — skip the store on healthy runs.
-        if self.fault.is_some() {
-            self.cur_key = ((t.as_nanos() as u128) << 64) | subkey as u128;
-        }
         let tgt = ev.target();
         let rs = &mut self.ranks[tgt];
         rs.digest = fold_digest(rs.digest, t.as_nanos(), subkey);
@@ -1947,16 +1427,7 @@ impl World {
             match behavior.step(self, r) {
                 Step::Compute(d) => {
                     let factor = self.ranks[r].noise.factor();
-                    let mut d = d.scale(factor);
-                    // Straggler injection: fault-designated slow ranks pay
-                    // a constant compute multiplier. Guarded so the healthy
-                    // path never re-rounds durations through `scale`.
-                    if let Some(f) = self.fault.as_ref() {
-                        let rf = f.rank_factor(r);
-                        if rf != 1.0 {
-                            d = d.scale(rf);
-                        }
-                    }
+                    let d = d.scale(factor);
                     self.ranks[r].acct.compute += d;
                     let wake = self.ranks[r].now + d;
                     self.record(r, SegmentKind::Compute, self.ranks[r].now, wake);
@@ -1998,12 +1469,8 @@ impl World {
     }
 
     /// Resolve the result of a fully drained run — a pure function of final
-    /// state: a recorded timeout wins, then a deadlock if any rank never
-    /// finished, else the makespan.
-    fn outcome(&mut self) -> Result<SimTime, SimError> {
-        if let Some((_, err)) = self.timed_out.take() {
-            return Err(err);
-        }
+    /// state: a deadlock if any rank never finished, else the makespan.
+    fn outcome(&self) -> Result<SimTime, SimError> {
         if self.ranks.iter().any(|r| r.status != RankStatus::Done) {
             let blocked: Vec<RankId> = self
                 .ranks
@@ -2045,18 +1512,6 @@ impl World {
         if self.payloads_staged > self.payloads_flushed {
             m_payloads_staged().add(self.payloads_staged - self.payloads_flushed);
             self.payloads_flushed = self.payloads_staged;
-        }
-        // Fault tallies flush only when a model is armed, so a healthy
-        // process never registers the fault metrics at all.
-        if self.fault.is_some() {
-            let d = self.faults.delta(&self.faults_flushed);
-            m_fault_drops().add(d.drops);
-            m_fault_dups().add(d.dups);
-            m_fault_dup_suppressed().add(d.dup_suppressed);
-            m_fault_retries().add(d.retries);
-            m_fault_timeouts().add(d.timeouts);
-            self.faults_flushed = self.faults;
-            m_fault_backoff_ns().absorb(&mut self.fault_backoff_ns);
         }
         out
     }
@@ -2682,169 +2137,19 @@ mod tests {
         assert!(w.events_processed() > 0);
     }
 
-    // ---- fault injection ------------------------------------------------
-
-    /// A 4-rank ring exchange mixing eager (2 KiB) and rendezvous (1 MiB)
-    /// traffic — enough protocol variety to exercise every fault hook.
-    fn ring_script() -> Script {
-        Script::new(
-            (0..4)
-                .map(|r| {
-                    vec![
-                        Ins::Compute(SimTime::from_micros(100)),
-                        Ins::Send {
-                            dst: (r + 1) % 4,
-                            bytes: 2048,
-                        },
-                        Ins::Send {
-                            dst: (r + 1) % 4,
-                            bytes: 1 << 20,
-                        },
-                        Ins::Recv {
-                            src: (r + 3) % 4,
-                            bytes: 2048,
-                        },
-                        Ins::Recv {
-                            src: (r + 3) % 4,
-                            bytes: 1 << 20,
-                        },
-                        Ins::WaitAll,
-                    ]
-                })
-                .collect(),
-        )
-    }
-
-    #[test]
-    fn faults_off_matches_default_world() {
-        let mut w1 = world(4);
-        let m1 = w1.run(&mut ring_script()).unwrap();
-        let mut w2 = world(4);
-        w2.set_faults(&FaultConfig::off());
-        assert!(!w2.faults_active());
-        let m2 = w2.run(&mut ring_script()).unwrap();
-        assert_eq!(m1, m2, "faults-off must be bit-identical to no faults");
-        assert_eq!(w2.fault_stats(), FaultStats::default());
-    }
-
-    #[test]
-    fn faults_same_seed_same_run() {
-        let run = |seed| {
-            let mut w = world(4);
-            w.set_faults(&FaultConfig::light(seed));
-            assert!(w.faults_active());
-            let makespan = w.run(&mut ring_script()).unwrap();
-            (makespan, w.fault_stats())
-        };
-        assert_eq!(run(7), run(7), "same fault seed must replay identically");
-        assert_ne!(
-            run(7).0,
-            run(8).0,
-            "different fault seeds should perturb timing"
-        );
-    }
-
-    #[test]
-    fn total_loss_surfaces_timeout_instead_of_hanging() {
-        let mut w = world(2);
-        w.set_faults(&FaultConfig {
-            drop_prob: 1.0,
-            retry_timeout: SimTime::from_micros(200),
-            max_retries: 2,
-            arm_timeouts: true,
-            ..FaultConfig::off()
-        });
-        let mb = 1 << 20;
-        let mut s = Script::new(vec![
-            vec![Ins::Send { dst: 1, bytes: mb }, Ins::WaitAll],
-            vec![Ins::Recv { src: 0, bytes: mb }, Ins::WaitAll],
-        ]);
-        match w.run(&mut s) {
-            Err(SimError::Timeout {
-                src,
-                dst,
-                bytes,
-                attempts,
-                ..
-            }) => {
-                assert_eq!((src, dst, bytes), (0, 1, mb));
-                assert_eq!(attempts, 2);
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert_eq!(w.fault_stats().timeouts, 1);
-        assert!(w.fault_stats().drops >= 1);
-    }
-
-    #[test]
-    fn seeded_losses_recover_via_retries() {
-        let mut w = world(4);
-        w.set_faults(&FaultConfig {
-            seed: 1234,
-            drop_prob: 0.5,
-            retry_timeout: SimTime::from_micros(500),
-            max_retries: 12,
-            arm_timeouts: true,
-            ..FaultConfig::off()
-        });
-        let makespan = w
-            .run(&mut ring_script())
-            .expect("retries must mask a 50% loss rate");
-        assert!(makespan > SimTime::ZERO);
-        let stats = w.fault_stats();
-        assert!(stats.drops > 0, "a 50% drop rate must drop something");
-        assert!(stats.retries > 0, "drops must trigger retransmissions");
-        assert_eq!(stats.timeouts, 0);
-    }
-
-    #[test]
-    fn duplicates_are_suppressed_not_redelivered() {
-        let mut w = world(4);
-        w.set_faults(&FaultConfig {
-            seed: 9,
-            dup_prob: 1.0,
-            ..FaultConfig::off()
-        });
-        w.run(&mut ring_script())
-            .expect("duplication must not corrupt matching");
-        let stats = w.fault_stats();
-        assert!(stats.dups > 0);
-        assert!(
-            stats.dup_suppressed >= stats.dups,
-            "every duplicated event must be swallowed: {stats:?}"
-        );
-    }
-
     // ---- record reuse ---------------------------------------------------
 
     /// Rank 0 sends two rendezvous messages A then B to rank 1, each side
-    /// releasing A's handle before posting B. On a fault-armed world the
-    /// behaviour then replays, by hand, every event that can outlive the
-    /// record it names: a late duplicate of A's RTS (while B sits in A's
-    /// old receiver-side slot, answered but without payload yet), a late
-    /// duplicate of A's CTS and A's retry timer (after B drained).
+    /// releasing A's handle before posting B.
     struct TwoInARow {
-        armed: bool,
         phase: [u8; 2],
         sends: Vec<SendHandle>,
         recvs: Vec<RecvHandle>,
-        late_rts_injected: bool,
     }
 
     const MB: usize = 1 << 20;
 
     impl TwoInARow {
-        fn rts(seq: u64, sidx: u32) -> WireMsg {
-            WireMsg::Rts {
-                src: 0,
-                sidx,
-                seq,
-                tag: Tag(0),
-                bytes: MB,
-                posted_at: SimTime::ZERO,
-            }
-        }
-
         fn sender(&mut self, w: &mut World) -> Step {
             let now = w.rank_now(0);
             w.poll(0, now);
@@ -2862,26 +2167,8 @@ mod tests {
                     Step::Busy(w.o_send(0, 1))
                 }
                 _ => {
-                    let (a, b) = (self.sends[0], self.sends[1]);
-                    if !w.send_done(b, now) {
+                    if !w.send_done(self.sends[1], now) {
                         return Step::Block;
-                    }
-                    if self.armed {
-                        let before = (w.faults, w.ranks[0].sends[b.idx as usize].send_state);
-                        w.apply_wire(
-                            0,
-                            WireMsg::Cts {
-                                sidx: a.idx,
-                                dmid: 0,
-                            },
-                            now,
-                        );
-                        w.apply_local(0, LocalEv::RetryTimer(a.idx), now);
-                        let after = (w.faults, w.ranks[0].sends[b.idx as usize].send_state);
-                        assert_eq!(after.0.dup_suppressed, before.0.dup_suppressed + 1);
-                        assert_eq!(after.0.retries, before.0.retries, "A was acknowledged");
-                        assert_eq!(after.1, before.1, "B's record must not be touched");
-                        assert!(w.ranks[0].pending_data_start.is_empty());
                     }
                     Step::Done
                 }
@@ -2891,27 +2178,6 @@ mod tests {
         fn receiver(&mut self, w: &mut World) -> Step {
             let now = w.rank_now(1);
             w.poll(1, now);
-            if self.phase[1] == 2 && self.armed && !self.late_rts_injected {
-                // B occupies the slot A's record had: wait until it is
-                // matched and answered but still without its payload.
-                let b = &w.ranks[1].dmsgs[0];
-                if b.seq == 1 && b.matched_recv.is_some() && b.cts_sent {
-                    assert!(b.data_arrival.is_none());
-                    self.late_rts_injected = true;
-                    let a_sidx = self.sends[0].idx;
-                    let before = w.faults.dup_suppressed;
-                    w.apply_wire(1, Self::rts(0, a_sidx), now);
-                    assert_eq!(w.faults.dup_suppressed, before + 1);
-                    assert!(w.ranks[1].dmsgs[0].cts_sent, "late RTS of A re-armed B");
-                    assert!(w.ranks[1].pending_cts.is_empty());
-                    // A duplicate of B's own RTS is CTS-loss recovery, as
-                    // it always was: B is found by scanning the arena.
-                    w.apply_wire(1, Self::rts(1, self.sends[1].idx), now);
-                    assert_eq!(w.faults.dup_suppressed, before + 2);
-                    assert!(!w.ranks[1].dmsgs[0].cts_sent);
-                    assert_eq!(w.ranks[1].pending_cts, vec![0]);
-                }
-            }
             if let Some(&h) = self.recvs.last() {
                 if !w.recv_done(h, now) {
                     return Step::Block;
@@ -2938,23 +2204,12 @@ mod tests {
         }
     }
 
-    fn two_in_a_row(armed: bool) -> (World, TwoInARow) {
+    fn two_in_a_row() -> (World, TwoInARow) {
         let mut w = world(2);
-        if armed {
-            // Armed, but nothing is ever dropped, duplicated or delayed:
-            // the only stale events are the ones the behaviour injects.
-            w.set_faults(&FaultConfig {
-                arm_timeouts: true,
-                retry_timeout: SimTime::from_millis(50),
-                ..FaultConfig::off()
-            });
-        }
         let mut b = TwoInARow {
-            armed,
             phase: [0; 2],
             sends: Vec::new(),
             recvs: Vec::new(),
-            late_rts_injected: false,
         };
         w.run(&mut b).expect("both messages complete");
         (w, b)
@@ -2962,7 +2217,7 @@ mod tests {
 
     #[test]
     fn released_records_are_reused_on_a_healthy_world() {
-        let (w, b) = two_in_a_row(false);
+        let (w, b) = two_in_a_row();
         assert_eq!(b.sends[0], b.sends[1], "B reuses A's send record");
         assert_eq!(b.recvs[0], b.recvs[1], "B reuses A's receive record");
         assert_eq!(w.ranks[1].dmsgs.len(), 1, "and A's receiver-side half");
@@ -2971,27 +2226,9 @@ mod tests {
     }
 
     #[test]
-    fn late_duplicates_never_touch_a_reused_record() {
-        let (w, b) = two_in_a_row(true);
-        assert!(
-            b.late_rts_injected,
-            "the window for the injection was missed"
-        );
-        // Fault-path rule: send records stay where retry timers and
-        // duplicated CTSes can find them; receive-side records recycle.
-        assert_ne!(b.sends[0], b.sends[1], "an armed world keeps send records");
-        assert_eq!(b.recvs[0], b.recvs[1]);
-        assert_eq!(w.ranks[1].dmsgs.len(), 1);
-        // Late RTS of A, duplicate RTS of B, the second CTS that one
-        // triggered (swallowed at the sender), late CTS of A.
-        let f = w.fault_stats();
-        assert_eq!((f.dup_suppressed, f.retries, f.timeouts), (4, 0, 0));
-    }
-
-    #[test]
     #[should_panic(expected = "release of an incomplete receive")]
     fn releasing_a_receive_twice_panics() {
-        let (mut w, b) = two_in_a_row(false);
+        let (mut w, b) = two_in_a_row();
         // The behaviour already released it.
         w.release_recv(b.recvs[1]);
     }

@@ -557,13 +557,9 @@ mod tests {
         platform: Platform,
         nranks: usize,
         mode: PayloadMode,
-        faults: Option<&mpisim::FaultConfig>,
         build: impl Fn(usize) -> Schedule,
     ) -> (SimTime, World) {
         let mut w = World::new(platform, nranks, Placement::Block, NoiseConfig::none());
-        if let Some(cfg) = faults {
-            w.set_faults(cfg);
-        }
         let tag = w.alloc_tag();
         let execs = (0..nranks)
             .map(|r| {
@@ -621,48 +617,15 @@ mod tests {
         let p = 16;
         let spec = CollSpec::new(p, 64 * 1024);
         let build = |r: usize| build_bcast(BcastAlgo::Binomial, 32 * 1024, r, &spec);
-        let (off, w_off) =
-            run_collective_world(Platform::whale(), p, PayloadMode::Off, None, build);
+        let (off, w_off) = run_collective_world(Platform::whale(), p, PayloadMode::Off, build);
         let (pooled, w_pooled) =
-            run_collective_world(Platform::whale(), p, PayloadMode::Pooled, None, build);
+            run_collective_world(Platform::whale(), p, PayloadMode::Pooled, build);
         assert_eq!(off, pooled);
         assert_eq!(w_off.event_digest(), w_pooled.event_digest());
         assert_eq!(w_off.events_processed(), w_pooled.events_processed());
         // Pooled mode actually staged payloads; off mode staged none.
         assert!(w_pooled.payloads_staged() > 0);
         assert_eq!(w_off.payloads_staged(), 0);
-    }
-
-    #[test]
-    fn payload_modes_are_timing_invariant_under_faults() {
-        // Retransmissions resend the staged handle and duplicates are
-        // swallowed with theirs: still nothing the clock can see.
-        let p = 8;
-        let spec = CollSpec::new(p, 128 * 1024);
-        let build = |r: usize| build_alltoall(AlltoallAlgo::Linear, r, &spec);
-        let cfg = storm();
-        let (off, w_off) =
-            run_collective_world(Platform::whale(), p, PayloadMode::Off, Some(&cfg), build);
-        let (pooled, w_pooled) =
-            run_collective_world(Platform::whale(), p, PayloadMode::Pooled, Some(&cfg), build);
-        assert_eq!(off, pooled);
-        assert_eq!(w_off.event_digest(), w_pooled.event_digest());
-        assert_eq!(w_off.fault_stats(), w_pooled.fault_stats());
-        assert!(w_off.fault_stats().retries > 0);
-    }
-
-    /// Every fifth transmission lost and almost every third duplicated.
-    fn storm() -> mpisim::FaultConfig {
-        mpisim::FaultConfig {
-            seed: 9,
-            drop_prob: 0.2,
-            dup_prob: 0.3,
-            jitter: 0.3,
-            retry_timeout: SimTime::from_micros(500),
-            max_retries: 12,
-            arm_timeouts: true,
-            ..mpisim::FaultConfig::off()
-        }
     }
 
     #[test]
@@ -675,7 +638,7 @@ mod tests {
         let spec = CollSpec::new(p, 128 * 1024);
         let build = |r: usize| build_alltoall(AlltoallAlgo::Pairwise, r, &spec);
         assert!(build(1).num_rounds() >= p - 1);
-        let (_, w) = run_collective_world(Platform::whale(), p, PayloadMode::Pooled, None, build);
+        let (_, w) = run_collective_world(Platform::whale(), p, PayloadMode::Pooled, build);
         assert!(
             w.msg_slots_max() <= 6,
             "{} record slots on one rank",
@@ -687,59 +650,32 @@ mod tests {
     /// ran it: retiring rounds must not move any of these.
     struct Golden {
         coll: &'static str,
-        profile: &'static str,
         digest: u64,
         makespan_ns: u64,
         events: u64,
-        dup_suppressed: u64,
-        retries: u64,
     }
 
-    const fn golden(
-        coll: &'static str,
-        profile: &'static str,
-        digest: u64,
-        makespan_ns: u64,
-        events: u64,
-        dup_suppressed: u64,
-        retries: u64,
-    ) -> Golden {
+    const fn golden(coll: &'static str, digest: u64, makespan_ns: u64, events: u64) -> Golden {
         Golden {
             coll,
-            profile,
             digest,
             makespan_ns,
             events,
-            dup_suppressed,
-            retries,
         }
     }
 
     #[rustfmt::skip]
-    const GOLDEN: [Golden; 12] = [
-        golden("bcast", "off", 0x84e5_9293_7da8_50b6, 279_670, 392, 0, 0),
-        golden("a2a-eager", "off", 0x728d_b8f4_abe2_2548, 6_248, 176, 0, 0),
-        golden("a2a-rdv", "off", 0x15fd_f16c_abc7_ccfe, 265_994, 288, 0, 0),
-        golden("a2a-diss", "off", 0x78ec_4241_bea2_f1b1, 34_568, 80, 0, 0),
-        golden("bcast", "heavy", 0x6c34_991a_0f59_3909, 4_166_663, 516, 2, 2),
-        golden("a2a-eager", "heavy", 0x52a0_e417_d557_3f9c, 4_522_972, 247, 0, 3),
-        golden("a2a-rdv", "heavy", 0xe25b_997e_9850_fc0f, 2_073_764, 347, 0, 3),
-        golden("a2a-diss", "heavy", 0x44fd_278b_bb92_92a6, 2_233_077, 108, 0, 1),
-        golden("bcast", "storm", 0xb5e7_73e1_3354_4204, 2_942_271, 604, 49, 26),
-        golden("a2a-eager", "storm", 0xc874_b646_3c52_1bcd, 2_717_372, 283, 24, 11),
-        golden("a2a-rdv", "storm", 0x82f5_ca7f_9f91_d458, 3_573_786, 435, 71, 20),
-        golden("a2a-diss", "storm", 0xc619_8bcf_f134_64b1, 2_596_333, 124, 9, 7),
+    const GOLDEN: [Golden; 4] = [
+        golden("bcast", 0x84e5_9293_7da8_50b6, 279_670, 392),
+        golden("a2a-eager", 0x728d_b8f4_abe2_2548, 6_248, 176),
+        golden("a2a-rdv", 0x15fd_f16c_abc7_ccfe, 265_994, 288),
+        golden("a2a-diss", 0x78ec_4241_bea2_f1b1, 34_568, 80),
     ];
 
     #[test]
     fn executor_runs_match_the_parent_commit() {
         for g in &GOLDEN {
-            let Golden { coll, profile, .. } = *g;
-            let faults = match profile {
-                "off" => None,
-                "heavy" => Some(mpisim::FaultConfig::heavy(22)),
-                _ => Some(storm()),
-            };
+            let coll = g.coll;
             let p = if coll == "bcast" { 16 } else { 8 };
             let build = |r: usize| match coll {
                 "bcast" => build_bcast(
@@ -752,23 +688,11 @@ mod tests {
                 "a2a-rdv" => build_alltoall(AlltoallAlgo::Linear, r, &CollSpec::new(p, 128 * 1024)),
                 _ => build_alltoall(AlltoallAlgo::Dissemination, r, &CollSpec::new(p, 4096)),
             };
-            let (makespan, w) = run_collective_world(
-                Platform::whale(),
-                p,
-                PayloadMode::Pooled,
-                faults.as_ref(),
-                build,
-            );
-            let what = format!("{coll}/{profile}");
-            assert_eq!(w.event_digest(), g.digest, "{what}: event digest");
-            assert_eq!(makespan.as_nanos(), g.makespan_ns, "{what}: makespan");
-            assert_eq!(w.events_processed(), g.events, "{what}: events");
-            let f = w.fault_stats();
-            assert_eq!(
-                (f.dup_suppressed, f.retries),
-                (g.dup_suppressed, g.retries),
-                "{what}"
-            );
+            let (makespan, w) =
+                run_collective_world(Platform::whale(), p, PayloadMode::Pooled, build);
+            assert_eq!(w.event_digest(), g.digest, "{coll}: event digest");
+            assert_eq!(makespan.as_nanos(), g.makespan_ns, "{coll}: makespan");
+            assert_eq!(w.events_processed(), g.events, "{coll}: events");
         }
     }
 
@@ -809,16 +733,10 @@ mod tests {
     #[test]
     fn pooled_rounds_stage_one_slab_and_fan_it_out() {
         let p = 16;
-        for (faults, bytes) in [None, Some(storm())]
-            .into_iter()
-            .flat_map(|f| [1024, 128 * 1024].map(|b| (f, b)))
-        {
+        for bytes in [1024, 128 * 1024] {
             let spec = CollSpec::new(p, bytes);
             let build = |r: usize| build_alltoall(AlltoallAlgo::Linear, r, &spec);
             let mut w = World::new(Platform::whale(), p, Placement::Block, NoiseConfig::none());
-            if let Some(cfg) = &faults {
-                w.set_faults(cfg);
-            }
             assert_eq!(w.platform().inter.is_eager(bytes), bytes == 1024);
             let tag = w.alloc_tag();
             let execs = (0..p)
@@ -835,13 +753,8 @@ mod tests {
             w.run(&mut b).expect("no deadlock");
             // One buffer per rank and round with sends (the linear
             // exchange is one round of p - 1 equal-sized sends), where a
-            // buffer per send took p·(p - 1). Retransmissions and
-            // suppressed duplicates must deliver the same bytes.
+            // buffer per send took p·(p - 1).
             assert_eq!(w.payloads_staged(), p as u64, "{bytes} B");
-            if faults.is_some() {
-                let f = w.fault_stats();
-                assert!(f.drops > 0 && f.dup_suppressed > 0, "{bytes} B: {f:?}");
-            }
             assert_eq!(b.checked, p * (p - 1), "{bytes} B: receives checked");
         }
     }

@@ -29,5 +29,5 @@ pub mod topology;
 
 pub use network::{NetworkState, TransferPlan};
 pub use params::TransportParams;
-pub use platforms::{FaultProfile, Platform};
+pub use platforms::Platform;
 pub use topology::{Placement, Topology};

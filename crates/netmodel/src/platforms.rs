@@ -43,72 +43,10 @@ pub struct Platform {
     pub hop_latency: SimTime,
 }
 
-/// Relative fault-intensity multipliers for a platform's interconnect.
-///
-/// The fault-injection layer (`mpisim::fault`) describes fault *rates* in a
-/// platform-neutral way; this profile scales them to the hardware being
-/// modelled: a lossy commodity Ethernet drops and reorders far more than a
-/// credit-flow-controlled InfiniBand fabric or a BlueGene torus with
-/// link-level CRC retransmission. A scale of `1.0` means "apply the
-/// configured rate unchanged".
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultProfile {
-    /// Multiplier on message-drop probability.
-    pub drop_scale: f64,
-    /// Multiplier on message-duplication probability.
-    pub dup_scale: f64,
-    /// Multiplier on delivery-delay jitter.
-    pub jitter_scale: f64,
-    /// Multiplier on NIC-brownout penalty duration.
-    pub brownout_scale: f64,
-}
-
-impl FaultProfile {
-    /// Apply configured fault rates unchanged.
-    pub const NEUTRAL: FaultProfile = FaultProfile {
-        drop_scale: 1.0,
-        dup_scale: 1.0,
-        jitter_scale: 1.0,
-        brownout_scale: 1.0,
-    };
-}
-
 impl Platform {
     /// CPU cost of a progress call polling `actions` outstanding actions.
     pub fn progress_cost(&self, actions: usize) -> SimTime {
         self.o_progress_base + self.o_progress_per_action * actions as u64
-    }
-
-    /// Fault-intensity profile of this platform's interconnect.
-    pub fn fault_profile(&self) -> FaultProfile {
-        match self.name.as_str() {
-            // Dual-rail DDR InfiniBand: lossless link layer, drops are rare
-            // (HCA resource exhaustion), jitter mostly from rail arbitration.
-            "crill" => FaultProfile {
-                drop_scale: 0.5,
-                dup_scale: 0.5,
-                jitter_scale: 0.75,
-                brownout_scale: 0.5,
-            },
-            // Commodity GigE + kernel TCP: switch-queue overflow drops,
-            // retransmission-driven duplicates and large jitter tails.
-            "whale-tcp" => FaultProfile {
-                drop_scale: 4.0,
-                dup_scale: 2.0,
-                jitter_scale: 2.0,
-                brownout_scale: 2.0,
-            },
-            // Torus with link-level CRC + retransmit in hardware: end-to-end
-            // loss nearly invisible, jitter absorbed by deterministic routing.
-            "bluegene-p" => FaultProfile {
-                drop_scale: 0.25,
-                dup_scale: 0.25,
-                jitter_scale: 0.5,
-                brownout_scale: 0.5,
-            },
-            // Single-rail IB ("whale") and unknown platforms: neutral.
-            _ => FaultProfile::NEUTRAL,
-        }
     }
 
     /// Look up a preset by name (accepts `-`/`_` interchangeably).
@@ -334,19 +272,6 @@ mod tests {
         let c0 = p.progress_cost(0);
         let c10 = p.progress_cost(10);
         assert_eq!(c10 - c0, p.o_progress_per_action * 10);
-    }
-
-    #[test]
-    fn fault_profiles_rank_by_fabric_reliability() {
-        let tcp = Platform::whale_tcp().fault_profile();
-        let ib = Platform::whale().fault_profile();
-        let bgp = Platform::bluegene_p().fault_profile();
-        assert!(tcp.drop_scale > ib.drop_scale);
-        assert!(ib.drop_scale > bgp.drop_scale);
-        assert_eq!(ib, FaultProfile::NEUTRAL);
-        for p in [tcp, ib, bgp, Platform::crill().fault_profile()] {
-            assert!(p.drop_scale >= 0.0 && p.jitter_scale >= 0.0);
-        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Full verification pass: formatting, lints, build, tests, the release-mode
 # mpisim allocation/golden-digest tests, a tiny run of the benchmark/ ledger,
 # a byte-compare of every committed results/*.txt against a fresh default-size
-# regeneration, the smoke-sized figure suite (serial vs parallel, memo replay, tracing and
-# NBC_FAULTS=off must all be byte-identical; payloads on/off is the tier-1
+# regeneration, the smoke-sized figure suite (serial vs parallel, memo replay and tracing
+# must all be byte-identical; payloads on/off is the tier-1
 # test `payload_modes_produce_byte_identical_tables`), the guideline gates
 # and the adcld smoke / open-loop / NBC_RACING=off / admission gates.
 # Nothing here gates on time: the results step only prints each figure
@@ -109,44 +109,6 @@ if [ "$plain" != "$traced" ]; then
     exit 1
 fi
 echo "   NBC_TRACE on/off: identical"
-
-echo "== faults: NBC_FAULTS=off must be byte-identical to unset"
-fref=$(./target/release/fig6_progress_cost --quick)
-foff=$(NBC_FAULTS=off ./target/release/fig6_progress_cost --quick)
-if [ "$fref" != "$foff" ]; then
-    echo "FAIL: fig6_progress_cost differs between NBC_FAULTS=off and unset" >&2
-    diff <(printf '%s\n' "$fref") <(printf '%s\n' "$foff") >&2 || true
-    exit 1
-fi
-echo "   NBC_FAULTS=off: identical"
-
-echo "== faults: a fixed fault seed must replay byte-identically"
-fa=$(NBC_FAULTS=light:42 ./target/release/fig6_progress_cost --quick)
-fb=$(NBC_FAULTS=light:42 ./target/release/fig6_progress_cost --quick)
-if [ "$fa" != "$fb" ]; then
-    echo "FAIL: fig6_progress_cost not deterministic under NBC_FAULTS=light:42" >&2
-    diff <(printf '%s\n' "$fa") <(printf '%s\n' "$fb") >&2 || true
-    exit 1
-fi
-if [ "$fa" = "$fref" ]; then
-    echo "FAIL: NBC_FAULTS=light:42 did not perturb fig6_progress_cost at all" >&2
-    exit 1
-fi
-echo "   NBC_FAULTS=light:42: deterministic and distinct from healthy run"
-
-echo "== ablation_faults smoke run (retry absorption + graceful demotion)"
-ab1=$(./target/release/ablation_faults --quick)
-ab2=$(./target/release/ablation_faults --quick)
-if [ "$ab1" != "$ab2" ]; then
-    echo "FAIL: ablation_faults output not deterministic" >&2
-    diff <(printf '%s\n' "$ab1") <(printf '%s\n' "$ab2") >&2 || true
-    exit 1
-fi
-if ! printf '%s\n' "$ab1" | grep -q 'demoted: .*linear'; then
-    echo "FAIL: ablation_faults total-loss scenario demoted nothing" >&2
-    exit 1
-fi
-echo "   ablation_faults: deterministic, demotes under total loss"
 
 echo "== trace_inspect smoke run"
 inspect=$(./target/release/trace_inspect "$trace_file")
